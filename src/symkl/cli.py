@@ -9,12 +9,11 @@ simulate
     Run a replicated experiment from a config JSON file and write
     ``records.csv``, ``summary.json``, and ``manifest.json`` (plus
     ``bounds.csv`` when the bounds check is requested).
-clt-check, lln-check
-    ``simulate`` preset to a single check, with a built-in default config
-    so they run out of the box.
-bounds-check
-    Evaluate the tail-bound grid against observed deviation frequencies;
-    writes ``bounds.csv``, ``summary.json``, and ``manifest.json``.
+clt-check, lln-check, bounds-check
+    ``simulate`` pinned to a single check, with a built-in default config
+    so they run out of the box.  ``bounds-check`` skips the estimator
+    replications, so it writes no ``records.csv`` and its
+    ``summary.json`` has an empty ``per_n``.
 
 Exit codes
 ----------
@@ -33,7 +32,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .asymptotics import confidence_interval, plugin_sigma2
-from .bounds import DEFAULT_G_GRID, bound_table
+from .bounds import bound_table  # noqa: F401  (perfbench's tracer wraps it here)
 from .estimator import DegenerateSampleError, plug_in_estimate
 from .io import (
     CountsFormatError,
@@ -45,10 +44,10 @@ from .io import (
     write_manifest,
     write_records_csv,
     write_summary_json,
-    write_json,
+    write_json,  # noqa: F401  (perfbench's tracer wraps it here)
 )
 from .model import PopulationModel
-from .montecarlo import ExperimentConfig, check_bound_rows, run_experiment
+from .montecarlo import ExperimentConfig, evaluate, run_experiment
 
 DEFAULT_MODEL_PARAMS = {
     "label_prob": 0.5,
@@ -110,21 +109,20 @@ def cmd_estimate(args) -> int:
 
 
 def _load_or_default_config(args) -> ExperimentConfig:
+    preset = _DEFAULT_CONFIGS.get(args.command)
     if args.config is not None:
         config = load_config(args.config)
+    elif preset is None:
+        raise _UsageError("simulate requires --config")
     else:
-        preset = _DEFAULT_CONFIGS.get(args.command)
-        if preset is None:
-            raise _UsageError("simulate requires --config")
         config = ExperimentConfig(
             model=PopulationModel(**DEFAULT_MODEL_PARAMS),
             master_seed=DEFAULT_MASTER_SEED,
             **preset,
         )
-    forced = _DEFAULT_CONFIGS.get(args.command)
     overrides = {}
-    if forced is not None:
-        overrides["checks"] = forced["checks"]
+    if preset is not None:
+        overrides["checks"] = preset["checks"]
     if args.seed is not None:
         overrides["master_seed"] = args.seed
     if args.level is not None:
@@ -145,7 +143,7 @@ def _manifest(args, config: ExperimentConfig, checks, outputs, started_utc) -> R
         finished_utc=_utc_now(),
         subcommand=args.command,
         master_seed=config.master_seed,
-        workers=getattr(args, "workers", 1),
+        workers=args.workers,
         config=config_to_dict(config),
         checks={c.name: c.passed for c in checks},
         outputs=tuple(outputs),
@@ -169,76 +167,37 @@ def _dry_run_report(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_run(args) -> int:
+    """``simulate`` and the check presets; ``bounds-check`` runs no replications."""
     config = _load_or_default_config(args)
     if args.dry_run:
         return _dry_run_report(config)
     if args.out_dir is None:
         raise _UsageError(f"{args.command} requires --out-dir (or --dry-run)")
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     os.makedirs(args.out_dir, exist_ok=True)
 
     started = _utc_now()
-    result = run_experiment(config, workers=args.workers)
-    outputs = ["records.csv", "summary.json", "manifest.json"]
-    write_records_csv(result.records, os.path.join(args.out_dir, "records.csv"))
-    if result.summary.bound_rows:
-        write_bounds_csv(result.summary.bound_rows, os.path.join(args.out_dir, "bounds.csv"))
-        outputs.insert(1, "bounds.csv")
-    write_summary_json(result.summary, os.path.join(args.out_dir, "summary.json"))
-    manifest = _manifest(args, config, result.summary.checks, outputs, started)
+    outputs = ["summary.json", "manifest.json"]
+    if args.command == "bounds-check":
+        summary = evaluate(config, ())
+    else:
+        result = run_experiment(config, workers=args.workers)
+        summary = result.summary
+        write_records_csv(result.records, os.path.join(args.out_dir, "records.csv"))
+        outputs.insert(0, "records.csv")
+    if summary.bound_rows:
+        write_bounds_csv(summary.bound_rows, os.path.join(args.out_dir, "bounds.csv"))
+        outputs.insert(-2, "bounds.csv")
+    write_summary_json(summary, os.path.join(args.out_dir, "summary.json"))
+    manifest = _manifest(args, config, summary.checks, outputs, started)
     write_manifest(manifest, os.path.join(args.out_dir, "manifest.json"))
 
     for name in outputs:
         print(f"wrote {os.path.join(args.out_dir, name)}")
-    _report_checks(result.summary.checks)
-    return 0 if result.summary.all_checks_passed else 3
-
-
-def cmd_clt_check(args) -> int:
-    # same pipeline as simulate; the preset pins checks=("clt",)
-    return cmd_simulate(args)
-
-
-def cmd_lln_check(args) -> int:
-    # same pipeline as simulate; the preset pins checks=("lln",)
-    return cmd_simulate(args)
-
-
-def cmd_bounds_check(args) -> int:
-    config = _load_or_default_config(args)
-    if args.dry_run:
-        return _dry_run_report(config)
-    if args.out_dir is None:
-        raise _UsageError(f"{args.command} requires --out-dir (or --dry-run)")
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    started = _utc_now()
-    rows = bound_table(
-        config.model,
-        config.n_values,
-        DEFAULT_G_GRID,
-        replications=config.replications,
-        master_seed=config.master_seed,
-    )
-    check = check_bound_rows(rows)
-    outputs = ["bounds.csv", "summary.json", "manifest.json"]
-    write_bounds_csv(rows, os.path.join(args.out_dir, "bounds.csv"))
-    summary = {
-        "grid_points": len(rows),
-        "g_grid": list(DEFAULT_G_GRID),
-        "n_values": list(config.n_values),
-        "replications": config.replications,
-        "checks": [{"name": check.name, "passed": check.passed, "detail": check.detail}],
-        "all_checks_passed": check.passed,
-    }
-    write_json(summary, os.path.join(args.out_dir, "summary.json"))
-    manifest = _manifest(args, config, [check], outputs, started)
-    write_manifest(manifest, os.path.join(args.out_dir, "manifest.json"))
-
-    for name in outputs:
-        print(f"wrote {os.path.join(args.out_dir, name)}")
-    _report_checks([check])
-    return 0 if check.passed else 3
+    _report_checks(summary.checks)
+    return 0 if summary.all_checks_passed else 3
 
 
 def _build_parser() -> _Parser:
@@ -254,12 +213,12 @@ def _build_parser() -> _Parser:
     est.set_defaults(func=cmd_estimate)
 
     runners = (
-        ("simulate", "run a replicated experiment from a config file", cmd_simulate),
-        ("clt-check", "normality check of the scaled error", cmd_clt_check),
-        ("lln-check", "shrinking-error check across sample sizes", cmd_lln_check),
-        ("bounds-check", "tail bounds against observed frequencies", cmd_bounds_check),
+        ("simulate", "run a replicated experiment from a config file"),
+        ("clt-check", "normality check of the scaled error"),
+        ("lln-check", "shrinking-error check across sample sizes"),
+        ("bounds-check", "tail bounds against observed frequencies"),
     )
-    for name, help_text, func in runners:
+    for name, help_text in runners:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--out-dir", help="directory for result files")
@@ -268,7 +227,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--workers", type=int, default=1, help="worker processes")
         p.add_argument("--dry-run", action="store_true",
                        help="validate the config and exit without running")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_run)
     return parser
 
 
@@ -283,9 +242,6 @@ def main(argv=None) -> int:
     except DegenerateSampleError as exc:
         print(f"degenerate sample: {exc}", file=sys.stderr)
         return 2
-    except CountsFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

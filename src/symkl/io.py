@@ -23,17 +23,12 @@ Records CSV
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import CountTable, PopulationModel
-from .montecarlo import (
-    ExperimentConfig,
-    ExperimentSummary,
-    ReplicationRecord,
-    SampleSizeSummary,
-)
+from .model import MAX_COUNT, CountTable, PopulationModel
+from .montecarlo import ExperimentConfig, ExperimentSummary, ReplicationRecord
 
 RECORDS_HEADER = (
     "rep_index,n,estimate,eta,scaled_eta,sigma2_hat,ci_lo,ci_hi,covered,degenerate"
@@ -64,6 +59,8 @@ def _parse_count(token: str, line_number: int) -> int:
         ) from None
     if value < 0:
         raise CountsFormatError(f"negative count {value}", line_number)
+    if value > MAX_COUNT:
+        raise CountsFormatError(f"count {value} exceeds 2**63 - 1", line_number)
     return value
 
 
@@ -316,36 +313,16 @@ def write_bounds_csv(rows, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _summary_n_to_dict(s: SampleSizeSummary) -> dict:
-    return {
-        "n": s.n,
-        "replications": s.replications,
-        "degenerate_count": s.degenerate_count,
-        "eta_mean": s.eta_mean,
-        "eta_median": s.eta_median,
-        "eta_variance": s.eta_variance,
-        "scaled_eta_mean": s.scaled_eta_mean,
-        "scaled_eta_median": s.scaled_eta_median,
-        "scaled_eta_variance": s.scaled_eta_variance,
-        "median_abs_eta": s.median_abs_eta,
-        "ks_normalized": s.ks_normalized,
-        "coverage": s.coverage,
-    }
-
-
 def summary_to_dict(summary: ExperimentSummary) -> dict:
-    """Serialize an experiment summary to plain JSON types."""
-    return {
-        "true_divergence": summary.true_divergence,
-        "sigma2_exact": summary.sigma2_exact,
-        "ci_level": summary.ci_level,
-        "per_n": [_summary_n_to_dict(s) for s in summary.per_n],
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in summary.checks
-        ],
-        "all_checks_passed": summary.all_checks_passed,
-    }
+    """Serialize an experiment summary to plain JSON types.
+
+    The bound table itself goes to ``bounds.csv``; here ``grid_points``
+    counts its rows (0 when the bounds check did not run).
+    """
+    data = asdict(summary)
+    data["grid_points"] = len(data.pop("bound_rows"))
+    data["all_checks_passed"] = summary.all_checks_passed
+    return data
 
 
 def write_summary_json(summary: ExperimentSummary, path) -> None:
@@ -367,22 +344,8 @@ class RunManifest:
     outputs: tuple[str, ...]
 
 
-def manifest_to_dict(manifest: RunManifest) -> dict:
-    return {
-        "package_version": manifest.package_version,
-        "started_utc": manifest.started_utc,
-        "finished_utc": manifest.finished_utc,
-        "subcommand": manifest.subcommand,
-        "master_seed": manifest.master_seed,
-        "workers": manifest.workers,
-        "config": manifest.config,
-        "checks": manifest.checks,
-        "outputs": list(manifest.outputs),
-    }
-
-
 def write_manifest(manifest: RunManifest, path) -> None:
-    write_json(manifest_to_dict(manifest), path)
+    write_json(asdict(manifest), path)
 
 
 def write_json(obj, path) -> None:

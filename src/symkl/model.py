@@ -22,6 +22,9 @@ EPS_POSITIVE = 1e-12
 # |sum - 1| tolerance for a probability vector.
 SIMPLEX_ATOL = 1e-12
 
+# Largest count, and largest count table total, that int64 holds.
+MAX_COUNT = (1 << 63) - 1
+
 
 def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
     """Validate ``values`` as a probability vector.
@@ -171,8 +174,12 @@ class CountTable:
             raise ValueError(
                 f"count rows must share one alphabet, got lengths {n1.size} and {n0.size}"
             )
-        if n1.sum() + n0.sum() <= 0:
+        # int64 sums wrap silently; Python ints do not
+        total = sum(n1.tolist()) + sum(n0.tolist())
+        if total <= 0:
             raise ValueError("count table is empty")
+        if total > MAX_COUNT:
+            raise ValueError(f"count table total {total} exceeds 2**63 - 1")
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n0", n0)
 

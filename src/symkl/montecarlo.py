@@ -21,6 +21,7 @@ identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .asymptotics import confidence_interval, exact_sigma2, normal_cdf, plugin_s
 from .bounds import DEFAULT_G_GRID, BoundTableRow, bound_table
 from .estimator import plug_in_estimate
 from .model import PopulationModel, sample_batch
-from .streams import replication_stream
+from .streams import N_INDEX_LIMIT, REP_INDEX_LIMIT, replication_stream
 
 CHECK_NAMES = ("lln", "clt", "coverage", "bounds")
 
@@ -52,9 +53,9 @@ class ExperimentConfig:
     model : PopulationModel
         Population to sample from.
     n_values : tuple of int
-        Strictly increasing sample sizes, each >= 1.
+        At most ``2**16`` strictly increasing sample sizes, each >= 1.
     replications : int
-        Replications per sample size, >= 1.
+        Replications per sample size, in ``[1, 2**32]``.
     master_seed : int
         Seed for the replication streams, in ``[0, 2**64)``.
     ci_level : float
@@ -74,13 +75,17 @@ class ExperimentConfig:
         n_values = tuple(int(n) for n in self.n_values)
         if not n_values:
             raise ValueError("n_values is empty")
+        if len(n_values) > N_INDEX_LIMIT:
+            raise ValueError(f"at most {N_INDEX_LIMIT} sample sizes fit the stream key")
         if any(n < 1 for n in n_values):
             raise ValueError("sample sizes must be >= 1")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
         replications = int(self.replications)
-        if replications < 1:
-            raise ValueError(f"replications must be >= 1, got {replications}")
+        if not 1 <= replications <= REP_INDEX_LIMIT:
+            raise ValueError(
+                f"replications must be in [1, {REP_INDEX_LIMIT}], got {replications}"
+            )
         master_seed = int(self.master_seed)
         if not 0 <= master_seed < 1 << 64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
@@ -287,11 +292,9 @@ def _variance(arr: np.ndarray) -> float | None:
 
 
 def _summarize_n(
-    n: int,
-    records: list[ReplicationRecord],
-    sigma_exact: float,
-    replications: int,
+    n: int, records: list[ReplicationRecord], sigma_exact: float
 ) -> SampleSizeSummary:
+    replications = len(records)
     valid = [r for r in records if not r.degenerate]
     degenerate_count = len(records) - len(valid)
     if not valid:
@@ -389,25 +392,24 @@ def check_bound_rows(rows) -> CheckResult:
     )
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run the replicated experiment and evaluate the requested checks.
+def replicate(config: ExperimentConfig, workers: int = 1) -> tuple[ReplicationRecord, ...]:
+    """Run every replication of ``config``; records sorted by (n, rep_index).
 
     Parameters
     ----------
     config : ExperimentConfig
         What to run.
     workers : int
-        Process count for replication batches.  Results are byte-for-byte
-        independent of this value: every replication uses its own stream
-        and records are ordered by (n, rep_index).
+        Process count for replication batches, capped at the CPU count.
+        Results are byte-for-byte independent of this value: every
+        replication uses its own stream and records are ordered by
+        (n, rep_index).
     """
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-
-    truth = config.model.sym_divergence()
-    sigma2 = exact_sigma2(config.model).sigma2
-    sigma_exact = math.sqrt(sigma2)
+    # a fork pool starts all of its processes at once
+    workers = min(workers, os.cpu_count() or 1)
 
     tasks = []
     chunk = max(1, math.ceil(config.replications / (workers * 4)))
@@ -425,14 +427,22 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     for part in chunks:
         records.extend(part)
     records.sort(key=lambda r: (r.n, r.rep_index))
+    return tuple(records)
 
-    by_n: dict[int, list[ReplicationRecord]] = {n: [] for n in config.n_values}
+
+def evaluate(config: ExperimentConfig, records) -> ExperimentSummary:
+    """Summarize ``records`` per sample size and evaluate the requested checks.
+
+    ``records`` come from :func:`replicate`; ``per_n`` covers the sample
+    sizes that have records, so it is empty when there are none.  The
+    bounds check draws its own deviation samples and needs no records;
+    the other checks do.
+    """
+    sigma2 = exact_sigma2(config.model).sigma2
+    by_n: dict[int, list[ReplicationRecord]] = {}
     for rec in records:
-        by_n[rec.n].append(rec)
-    summary_by_n = {
-        n: _summarize_n(n, by_n[n], sigma_exact, config.replications)
-        for n in config.n_values
-    }
+        by_n.setdefault(rec.n, []).append(rec)
+    summary_by_n = {n: _summarize_n(n, recs, math.sqrt(sigma2)) for n, recs in by_n.items()}
 
     bound_rows: tuple[BoundTableRow, ...] = ()
     checks: list[CheckResult] = []
@@ -456,12 +466,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
             )
             checks.append(check_bound_rows(bound_rows))
 
-    summary = ExperimentSummary(
-        true_divergence=truth,
+    return ExperimentSummary(
+        true_divergence=config.model.sym_divergence(),
         sigma2_exact=sigma2,
         ci_level=config.ci_level,
-        per_n=tuple(summary_by_n[n] for n in config.n_values),
+        per_n=tuple(summary_by_n.values()),
         checks=tuple(checks),
         bound_rows=bound_rows,
     )
-    return ExperimentResult(records=tuple(records), summary=summary)
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Run the replicated experiment and evaluate the requested checks.
+
+    :func:`replicate` followed by :func:`evaluate`; ``workers`` is passed
+    to the former.
+    """
+    records = replicate(config, workers)
+    return ExperimentResult(records=records, summary=evaluate(config, records))

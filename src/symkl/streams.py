@@ -29,13 +29,17 @@ TAG_SCRATCH = 2
 
 _MASK64 = (1 << 64) - 1
 
+# Exclusive upper ends of the n_index and rep_index key fields.
+N_INDEX_LIMIT = 1 << 16
+REP_INDEX_LIMIT = 1 << 32
+
 
 def _philox(master_seed: int, tag: int, n_index: int, rep_index: int) -> np.random.Generator:
     if not 0 <= tag < 1 << 16:
         raise ValueError(f"tag must be in [0, 2^16), got {tag}")
-    if not 0 <= n_index < 1 << 16:
+    if not 0 <= n_index < N_INDEX_LIMIT:
         raise ValueError(f"n_index must be in [0, 2^16), got {n_index}")
-    if not 0 <= rep_index < 1 << 32:
+    if not 0 <= rep_index < REP_INDEX_LIMIT:
         raise ValueError(f"rep_index must be in [0, 2^32), got {rep_index}")
     word = (tag << 48) | (n_index << 32) | rep_index
     key = np.array([int(master_seed) & _MASK64, word], dtype=np.uint64)

@@ -132,6 +132,25 @@ class TestExactSigma2:
             assert direct.sigma2 == pytest.approx(expected_sigma2, rel=1e-10, abs=1e-12)
             assert abs(direct.mean_check - expected_mean) <= 1e-12
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the label term of each influence bracket lacks its "
+        "division by label_prob (by 1 - label_prob in bracket_q), so exact_sigma2 "
+        "gives 106.2035 where the delta method gives 99.2515",
+    )
+    def test_matches_delta_method_variance(self):
+        # g^T (diag P - P P^T) g over the 2r joint cell frequencies P, with g
+        # the gradient of D; Monte Carlo measures 99.29 +- 0.22 for this model
+        pi, p, q = 0.2, np.array([0.9, 0.1]), np.array([0.1, 0.9])
+        log_ratio = np.log(p / q)
+        b = 1.0 + log_ratio - q / p
+        c = 1.0 - log_ratio - p / q
+        g = np.concatenate([(b - p @ b) / pi, (c - q @ c) / (1.0 - pi)])
+        cells = np.concatenate([pi * p, (1.0 - pi) * q])
+        delta = g @ (np.diag(cells) - np.outer(cells, cells)) @ g
+        model = PopulationModel(label_prob=pi, cond_p=p, cond_q=q)
+        assert exact_sigma2(model).sigma2 == pytest.approx(delta, rel=1e-6)
+
     def test_zero_at_null(self):
         model = PopulationModel(label_prob=0.4, cond_p=(0.3, 0.7), cond_q=(0.3, 0.7))
         result = exact_sigma2(model)

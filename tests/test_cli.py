@@ -1,9 +1,12 @@
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from symkl import cli
+from symkl import cli, montecarlo
 from symkl.io import parse_config_dict, save_config
 
 
@@ -93,6 +96,20 @@ class TestEstimate:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"3,{1 << 63}\n1,3\n", "line 1: count 9223372036854775808 exceeds 2**63 - 1"),
+            (f"{1 << 62},{1 << 62}\n1,3\n", "total 9223372036854775812 exceeds 2**63 - 1"),
+        ],
+    )
+    def test_counts_beyond_int64_exit_1(self, tmp_path, capsys, text, message):
+        code, out, err = run(capsys, "estimate", counts_file(tmp_path, text))
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_bad_level_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", counts_file(tmp_path), "--level", "1.5")
         assert code == 1
@@ -148,6 +165,8 @@ class TestSimulate:
         assert manifest["outputs"] == ["records.csv", "summary.json", "manifest.json"]
         assert manifest["started_utc"] <= manifest["finished_utc"]
         assert manifest["started_utc"].endswith("+00:00")
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["grid_points"] == 0
 
     def test_bounds_check_inside_simulate_writes_bounds_csv(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
@@ -190,6 +209,58 @@ class TestSimulate:
         baseline = (dirs[0] / "records.csv").read_bytes()
         assert (dirs[1] / "records.csv").read_bytes() == baseline
         assert (dirs[2] / "records.csv").read_bytes() == baseline
+
+    def test_zero_workers_exit_1_before_out_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        code, _, err = run(
+            capsys, "simulate", "--config", config_file(tmp_path),
+            "--out-dir", str(out_dir), "--workers", "0",
+        )
+        assert code == 1
+        assert "--workers" in err
+        assert not out_dir.exists()
+
+    def test_pool_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            # runs the tasks in-process and records the size it was asked for
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        config = config_file(tmp_path)
+        dirs = [tmp_path / "one", tmp_path / "many"]
+        for out_dir, workers in zip(dirs, ("1", "64")):
+            code, _, _ = run(
+                capsys, "simulate", "--config", config,
+                "--out-dir", str(out_dir), "--workers", workers,
+            )
+            assert code == 0
+        assert started == [2]
+        assert (dirs[0] / "records.csv").read_bytes() == (dirs[1] / "records.csv").read_bytes()
+        manifest = json.loads((dirs[1] / "manifest.json").read_text())
+        assert manifest["workers"] == 64
+
+    def test_dry_run_rejects_replications_beyond_stream_key(self, tmp_path, capsys):
+        path = Path(config_file(tmp_path))
+        data = json.loads(path.read_text())
+        data["replications"] = (1 << 32) + 1
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "simulate", "--config", str(path), "--dry-run")
+        assert code == 1
+        assert "config ok" not in out
+        assert "replications" in err
 
     def test_seed_override_changes_records(self, tmp_path, capsys):
         config = config_file(tmp_path)
@@ -259,7 +330,44 @@ class TestCheckPresets:
         assert "check bounds: pass" in out
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["grid_points"] == 6 * 1 * 4
+        assert summary["per_n"] == []
         assert summary["all_checks_passed"] is True
+
+
+class TestOnePipeline:
+    SUMMARY_KEYS = {
+        "true_divergence", "sigma2_exact", "ci_level", "per_n", "checks",
+        "all_checks_passed", "grid_points",
+    }
+
+    def test_bounds_check_matches_simulate_bounds_csv(self, tmp_path, capsys):
+        config = config_file(tmp_path, checks=["bounds"], n_values=[100, 400], replications=300)
+        dirs = {command: tmp_path / command for command in ("simulate", "bounds-check")}
+        for command, out_dir in dirs.items():
+            code, _, _ = run(capsys, command, "--config", config, "--out-dir", str(out_dir))
+            assert code == 0
+        assert (dirs["simulate"] / "bounds.csv").read_bytes() == (
+            dirs["bounds-check"] / "bounds.csv"
+        ).read_bytes()
+
+    def test_every_runner_writes_one_summary_schema(self, tmp_path, capsys):
+        config = config_file(tmp_path, n_values=[100, 400], replications=30)
+        for command in ("simulate", "clt-check", "lln-check", "bounds-check"):
+            out_dir = tmp_path / command
+            code, _, _ = run(capsys, command, "--config", config, "--out-dir", str(out_dir))
+            assert code in (0, 3)
+            summary = json.loads((out_dir / "summary.json").read_text())
+            assert set(summary) == self.SUMMARY_KEYS, command
+
+    def test_tracer_wrapped_names_resolve(self):
+        # perfbench/tracer.py wraps these names where symkl looks them up
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module_name, attr, _span in tracer.WRAPPED:
+            module = importlib.import_module(module_name)
+            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
 class TestEntry:

@@ -181,6 +181,11 @@ class TestCountTable:
         with pytest.raises(ValueError, match="empty"):
             CountTable(n1=np.array([0, 0]), n0=np.array([0, 0]))
 
+    def test_rejects_total_beyond_int64(self):
+        # the int64 sum of these rows wraps to a negative number
+        with pytest.raises(ValueError, match="total 9223372036854775812 exceeds"):
+            CountTable(n1=np.array([1 << 62, 1 << 62]), n0=np.array([1, 3]))
+
     def test_equality_by_value(self):
         a = CountTable(n1=np.array([3, 1]), n0=np.array([1, 3]))
         b = CountTable(n1=np.array([3, 1]), n0=np.array([1, 3]))

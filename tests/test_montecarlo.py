@@ -67,6 +67,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="replications"):
             make_config(test_model, replications=0)
 
+    def test_run_limits_fit_the_stream_key(self, test_model):
+        with pytest.raises(ValueError, match="replications"):
+            make_config(test_model, replications=(1 << 32) + 1)
+        with pytest.raises(ValueError, match="sample sizes"):
+            make_config(test_model, n_values=range(1, (1 << 16) + 2))
+        make_config(test_model, replications=1 << 32, n_values=range(1, (1 << 16) + 1))
+
     def test_master_seed_range(self, test_model):
         with pytest.raises(ValueError, match="64-bit"):
             make_config(test_model, master_seed=-1)
