@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PopulationModel
+from .model import PopulationModel, sample_counts
 from .streams import TAG_BOUNDS, auxiliary_stream
 
 DEFAULT_G_GRID = (0.05, 0.1, 0.2, 0.5)
@@ -235,9 +235,7 @@ def _deviation_stats(model: PopulationModel, n: int, replications: int,
     q = 1.0 - p
     pv = model.cond_p
     qv = model.cond_q
-    k1 = rng.binomial(n, p, size=replications)
-    n1 = rng.multinomial(k1, pv)
-    n0 = rng.multinomial(n - k1, qv)
+    k1, n1, n0 = sample_counts(model, n, replications, rng)
     k0 = n - k1
 
     label_dev = np.abs(k1 / n - p)

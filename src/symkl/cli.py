@@ -170,12 +170,12 @@ def _dry_run_report(config: ExperimentConfig) -> int:
 def cmd_run(args) -> int:
     """``simulate`` and the check presets; ``bounds-check`` runs no replications."""
     config = _load_or_default_config(args)
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.dry_run:
         return _dry_run_report(config)
     if args.out_dir is None:
         raise _UsageError(f"{args.command} requires --out-dir (or --dry-run)")
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     os.makedirs(args.out_dir, exist_ok=True)
 
     started = _utc_now()

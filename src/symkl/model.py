@@ -5,7 +5,7 @@ alphabet of ``r >= 2`` symbols together with a label probability: a draw is
 ``(X, Y)`` with ``Y ~ Bernoulli(label_prob)``, ``X | Y=1 ~ cond_p`` and
 ``X | Y=0 ~ cond_q``.  Symbols are identified with their indices
 ``0 .. r-1``.  This module owns simplex validation, the KL divergences
-between the two conditionals, and batch sampling into joint count tables.
+between the two conditionals, and sampling into joint count tables.
 """
 
 from __future__ import annotations
@@ -222,12 +222,36 @@ def _as_count_row(values, *, name: str) -> np.ndarray:
     return out
 
 
+def sample_counts(
+    model: PopulationModel, n: int, rows: int, stream: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``rows`` independent count tables of ``n`` labeled samples each.
+
+    Per row, the label-1 count is Binomial(n, label_prob) and the symbol
+    counts within each label class are multinomial, which is
+    distributionally identical to ``n`` sequential (label, symbol) draws.
+    The stream is consumed in a fixed order: all label counts, then all
+    label-1 symbol counts, then all label-0 symbol counts.  ``model`` was
+    validated when it was built, so nothing is validated again here.
+
+    Returns
+    -------
+    k1 : numpy.ndarray
+        ``(rows,)`` int64 label-1 counts, the row sums of ``n1``.
+    n1, n0 : numpy.ndarray
+        ``(rows, r)`` int64 symbol counts among label-1 and label-0 draws.
+    """
+    k1 = stream.binomial(n, model.label_prob, size=rows)
+    n1 = stream.multinomial(k1, model.cond_p)
+    n0 = stream.multinomial(n - k1, model.cond_q)
+    return k1, n1, n0
+
+
 def sample_batch(model: PopulationModel, n: int, stream: np.random.Generator) -> CountTable:
     """Draw ``n`` labeled samples from ``model`` and aggregate into counts.
 
-    The label-1 count is Binomial(n, label_prob) and the symbol counts
-    within each label class are multinomial, which is distributionally
-    identical to ``n`` sequential (label, symbol) draws.
+    One row of :func:`sample_counts`, which draws the same values as
+    sampling this table alone from ``stream``.
 
     Parameters
     ----------
@@ -241,7 +265,5 @@ def sample_batch(model: PopulationModel, n: int, stream: np.random.Generator) ->
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    k1 = int(stream.binomial(n, model.label_prob))
-    n1 = stream.multinomial(k1, model.cond_p)
-    n0 = stream.multinomial(n - k1, model.cond_q)
-    return CountTable(n1=n1, n0=n0)
+    _, n1, n0 = sample_counts(model, n, 1, stream)
+    return CountTable(n1=n1[0], n0=n0[0])

@@ -13,9 +13,16 @@ the population; interval coverage uses the per-replication plug-in
 variance.  Replications whose plug-in estimate is undefined are recorded
 as degenerate and excluded from the statistics, never resampled.
 
-Every replication draws from its own stream keyed by
-``(master_seed, n_index, rep_index)``, so results are reproducible and
-identical for any worker count.
+Replications run in blocks through a vectorized kernel: block ``b`` at
+sample-size index ``i`` holds ``max(1, 2**16 // r)`` replications (the
+last block at each sample size holds the remainder) and draws all of its
+count tables from one Philox stream keyed by ``(master_seed, i, b)``
+under tag 3 (key word ``3 << 48 | i << 32 | b``, see
+:mod:`symkl.streams`).  The layout depends only on ``r`` and the
+replication count, so results are reproducible and identical for any
+worker count.  The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
+:func:`~symkl.asymptotics.plugin_sigma2` and
+:func:`~symkl.asymptotics.confidence_interval` are the kernel's test oracles.
 """
 
 from __future__ import annotations
@@ -27,11 +34,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import confidence_interval, exact_sigma2, normal_cdf, plugin_sigma2
+from .asymptotics import (
+    confidence_interval,  # noqa: F401  (perfbench's tracer wraps it here)
+    exact_sigma2,
+    normal_cdf,
+    normal_quantile,
+    plugin_sigma2,  # noqa: F401  (perfbench's tracer wraps it here)
+)
 from .bounds import DEFAULT_G_GRID, BoundTableRow, bound_table
-from .estimator import plug_in_estimate
-from .model import PopulationModel, sample_batch
-from .streams import N_INDEX_LIMIT, REP_INDEX_LIMIT, replication_stream
+from .estimator import plug_in_estimate  # noqa: F401  (perfbench's tracer wraps it here)
+from .model import (
+    PopulationModel,
+    sample_batch,  # noqa: F401  (perfbench's tracer wraps it here)
+    sample_counts,
+)
+from .streams import N_INDEX_LIMIT, REP_INDEX_LIMIT, block_stream, replication_stream
 
 CHECK_NAMES = ("lln", "clt", "coverage", "bounds")
 
@@ -42,6 +59,10 @@ COVERAGE_TOLERANCE = 0.02
 # Two conditional laws closer than this are treated as equal (the null);
 # the scaled error degenerates there and normality must not be checked.
 NULL_ATOL = 1e-12
+
+# Count cells (replications x r) per kernel block.  Part of the stream
+# layout: changing it changes every records.csv.
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -191,51 +212,123 @@ def run_replication(
     n_index: int,
     rep_index: int,
 ) -> ReplicationRecord:
-    """Sample one batch and compute estimate, error, variance, interval."""
-    rng = replication_stream(master_seed, n_index, rep_index)
-    counts = sample_batch(model, n, rng)
-    est = plug_in_estimate(counts)
-    if est.degenerate:
-        return ReplicationRecord(
-            rep_index=rep_index,
-            n=n,
-            estimate=None,
-            eta=None,
-            scaled_eta=None,
-            sigma2_hat=None,
-            ci_lower=None,
-            ci_upper=None,
-            covered=None,
-            degenerate=True,
-        )
-    eta = est.value - true_divergence
-    variance = plugin_sigma2(counts)
-    ci = confidence_interval(est, variance, ci_level)
-    return ReplicationRecord(
-        rep_index=rep_index,
-        n=n,
-        estimate=est.value,
-        eta=eta,
-        scaled_eta=math.sqrt(n) * eta,
-        sigma2_hat=variance.sigma2,
-        ci_lower=ci.lower,
-        ci_upper=ci.upper,
-        covered=ci.contains(true_divergence),
-        degenerate=False,
+    """Run one replication through the kernel on its own stream.
+
+    The count table is drawn from ``replication_stream(master_seed,
+    n_index, rep_index)``; :func:`replicate` draws from block streams
+    instead, so this does not reproduce a row of its records.
+    """
+    _, n1, n0 = sample_counts(model, n, 1, replication_stream(master_seed, n_index, rep_index))
+    z = normal_quantile((1.0 + ci_level) / 2.0)
+    cols = replication_columns(n1, n0, true_divergence, z)
+    return _block_records(n, rep_index, cols)[0]
+
+
+def block_rows(r: int) -> int:
+    """Replications per kernel block at alphabet size ``r``."""
+    return max(1, BLOCK_CELLS // r)
+
+
+@dataclass(frozen=True, eq=False)
+class ReplicationColumns:
+    """Outcomes of a block of replications, one numpy column per field.
+
+    Row ``i`` holds the outcome for the ``i``-th count table.  On
+    degenerate rows the float columns hold NaN and ``covered`` holds False.
+    """
+
+    degenerate: np.ndarray
+    estimate: np.ndarray
+    eta: np.ndarray
+    scaled_eta: np.ndarray
+    sigma2_hat: np.ndarray
+    ci_lower: np.ndarray
+    ci_upper: np.ndarray
+    covered: np.ndarray
+
+
+def replication_columns(n1, n0, truth: float, z: float) -> ReplicationColumns:
+    """Estimate, error, plug-in variance and interval for each count table.
+
+    Row ``i`` of the ``(rows, r)`` count arrays ``n1`` (label 1) and ``n0``
+    (label 0) is one table.  The arithmetic is that of
+    :func:`~symkl.estimator.plug_in_estimate`,
+    :func:`~symkl.asymptotics.plugin_sigma2` (the closed form of
+    ``asymptotics._influence_table`` at the empirical measures) and
+    :func:`~symkl.asymptotics.confidence_interval` with quantile ``z``,
+    row by row, with pairwise instead of compensated sums.  A table is
+    degenerate when it has an empty cell, which includes an empty label
+    class.
+    """
+    n1 = np.asarray(n1, dtype=np.int64)
+    n0 = np.asarray(n0, dtype=np.int64)
+    degenerate = np.any(n1 == 0, axis=1) | np.any(n0 == 0, axis=1)
+    ok = ~degenerate
+    n1 = n1[ok]
+    n0 = n0[ok]
+    m1 = n1.sum(axis=1)
+    m0 = n0.sum(axis=1)
+    n = m1 + m0
+    p_hat = n1 / m1[:, None]
+    q_hat = n0 / m0[:, None]
+    log_ratio = np.log(p_hat) - np.log(q_hat)
+    estimate = np.sum((p_hat - q_hat) * log_ratio, axis=1)
+
+    # influence coefficients b, c and the 2r outcome values w1, w0
+    b = 1.0 + log_ratio - q_hat / p_hat
+    c = 1.0 - log_ratio - p_hat / q_hat
+    s_pb = np.sum(p_hat * b, axis=1)[:, None]
+    s_qc = np.sum(q_hat * c, axis=1)[:, None]
+    p = (m1 / n)[:, None]
+    q = 1.0 - p
+    w1 = b / p - (2.0 - p) * s_pb - p * s_qc
+    w0 = c / q - q * s_pb - (2.0 - q) * s_qc
+    t1 = p * p_hat * w1
+    t0 = q * q_hat * w0
+    mean = np.sum(t1, axis=1) + np.sum(t0, axis=1)
+    second = np.sum(t1 * w1, axis=1) + np.sum(t0 * w0, axis=1)
+    sigma2 = np.maximum(second - mean * mean, 0.0)
+
+    half = z * np.sqrt(sigma2 / n)
+    lower = estimate - half
+    upper = estimate + half
+    eta = estimate - truth
+
+    def column(values, fill=np.nan):
+        out = np.full(ok.shape, fill, dtype=values.dtype)
+        out[ok] = values
+        return out
+
+    return ReplicationColumns(
+        degenerate=degenerate,
+        estimate=column(estimate),
+        eta=column(eta),
+        scaled_eta=column(np.sqrt(n) * eta),
+        sigma2_hat=column(sigma2),
+        ci_lower=column(lower),
+        ci_upper=column(upper),
+        covered=column((lower <= truth) & (truth <= upper), fill=False),
     )
 
 
-def _chunk_records(args) -> list[ReplicationRecord]:
-    config, n_index, start, stop = args
-    n = config.n_values[n_index]
-    truth = config.model.sym_divergence()
-    return [
-        run_replication(
-            config.model, n, config.ci_level, truth,
-            config.master_seed, n_index, rep,
-        )
-        for rep in range(start, stop)
-    ]
+def _block_columns(task) -> ReplicationColumns:
+    model, n, rows, truth, z, master_seed, n_index, block_index = task
+    _, n1, n0 = sample_counts(model, n, rows, block_stream(master_seed, n_index, block_index))
+    return replication_columns(n1, n0, truth, z)
+
+
+def _block_records(n: int, start: int, cols: ReplicationColumns) -> list[ReplicationRecord]:
+    rows = zip(
+        cols.degenerate.tolist(), cols.estimate.tolist(), cols.eta.tolist(),
+        cols.scaled_eta.tolist(), cols.sigma2_hat.tolist(), cols.ci_lower.tolist(),
+        cols.ci_upper.tolist(), cols.covered.tolist(),
+    )
+    records = []
+    for rep_index, (degenerate, *values) in enumerate(rows, start):
+        if degenerate:
+            values = [None] * len(values)
+        records.append(ReplicationRecord(rep_index, n, *values, degenerate=degenerate))
+    return records
 
 
 def ks_statistic(values, cdf=normal_cdf) -> float:
@@ -400,10 +493,10 @@ def replicate(config: ExperimentConfig, workers: int = 1) -> tuple[ReplicationRe
     config : ExperimentConfig
         What to run.
     workers : int
-        Process count for replication batches, capped at the CPU count.
-        Results are byte-for-byte independent of this value: every
-        replication uses its own stream and records are ordered by
-        (n, rep_index).
+        Process count for kernel blocks, capped at the CPU count.  Results
+        are byte-for-byte independent of this value: the block layout
+        depends only on the alphabet size and the replication count, and
+        every block uses its own stream.
     """
     workers = int(workers)
     if workers < 1:
@@ -411,22 +504,25 @@ def replicate(config: ExperimentConfig, workers: int = 1) -> tuple[ReplicationRe
     # a fork pool starts all of its processes at once
     workers = min(workers, os.cpu_count() or 1)
 
+    model = config.model
+    truth = model.sym_divergence()
+    z = normal_quantile((1.0 + config.ci_level) / 2.0)
+    rows = block_rows(model.r)
     tasks = []
-    chunk = max(1, math.ceil(config.replications / (workers * 4)))
-    for n_index in range(len(config.n_values)):
-        for start in range(0, config.replications, chunk):
-            stop = min(start + chunk, config.replications)
-            tasks.append((config, n_index, start, stop))
+    for n_index, n in enumerate(config.n_values):
+        for start in range(0, config.replications, rows):
+            size = min(rows, config.replications - start)
+            tasks.append((model, n, size, truth, z, config.master_seed, n_index, start // rows))
 
     if workers == 1:
-        chunks = map(_chunk_records, tasks)
+        blocks = map(_block_columns, tasks)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_records, tasks))
+            blocks = list(pool.map(_block_columns, tasks))
     records: list[ReplicationRecord] = []
-    for part in chunks:
-        records.extend(part)
-    records.sort(key=lambda r: (r.n, r.rep_index))
+    for task, cols in zip(tasks, blocks):
+        n, block_index = task[1], task[-1]
+        records.extend(_block_records(n, block_index * rows, cols))
     return tuple(records)
 
 

@@ -219,6 +219,40 @@ class TestSimulate:
         assert code == 1
         assert "--workers" in err
         assert not out_dir.exists()
+        code, out, err = run(
+            capsys, "simulate", "--config", config_file(tmp_path), "--dry-run",
+            "--workers", "0",
+        )
+        assert code == 1
+        assert "config ok" not in out
+        assert "--workers" in err
+
+    def test_multi_block_records_independent_of_workers(self, tmp_path, capsys):
+        # r=1000 puts 65 replications in a kernel block, so 150 replications
+        # make blocks of 65, 65 and 20 at each n
+        weights = [1.0 + (j % 7) / 10 for j in range(1000)]
+        config = config_file(
+            tmp_path,
+            model={
+                "label_prob": 0.4,
+                "cond_p": [w / sum(weights) for w in weights],
+                "cond_q": [w / sum(weights[::-1]) for w in weights[::-1]],
+            },
+            n_values=[20000, 200000], replications=150,
+        )
+        dirs = [tmp_path / name for name in ("w1", "w2", "w3")]
+        for out_dir, workers in zip(dirs, ("1", "2", "3")):
+            code, _, _ = run(
+                capsys, "simulate", "--config", config,
+                "--out-dir", str(out_dir), "--workers", workers,
+            )
+            assert code == 0
+        baseline = (dirs[0] / "records.csv").read_bytes()
+        assert baseline.count(b"\n") == 1 + 2 * 150
+        # both outcomes occur, so every column is exercised across blocks
+        assert b",1\n" in baseline and b",0\n" in baseline
+        for out_dir in dirs[1:]:
+            assert (out_dir / "records.csv").read_bytes() == baseline
 
     def test_pool_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
         started = []

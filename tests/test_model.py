@@ -13,6 +13,7 @@ from symkl import (
     sample_batch,
     sym_kl_divergence,
 )
+from symkl.model import sample_counts
 from symkl.streams import auxiliary_stream, replication_stream
 
 from conftest import random_simplex
@@ -229,3 +230,19 @@ class TestSampleBatch:
             assert abs(table.n1[j] / n - cell) < 5 * math.sqrt(cell * (1 - cell) / n)
             cell = 0.7 * model.cond_q[j]
             assert abs(table.n0[j] / n - cell) < 5 * math.sqrt(cell * (1 - cell) / n)
+
+
+class TestSampleCounts:
+    def test_draw_order_is_fixed(self, test_model):
+        # label counts, then label-1 symbols, then label-0 symbols; the
+        # bounds.csv bytes depend on this order
+        rng = replication_stream(3, 1, 4)
+        k1 = rng.binomial(700, test_model.label_prob, size=5)
+        n1 = rng.multinomial(k1, test_model.cond_p)
+        n0 = rng.multinomial(700 - k1, test_model.cond_q)
+        got_k1, got_n1, got_n0 = sample_counts(test_model, 700, 5, replication_stream(3, 1, 4))
+        assert got_n1.shape == got_n0.shape == (5, 2)
+        assert np.array_equal(got_k1, k1)
+        assert np.array_equal(got_n1, n1) and np.array_equal(got_n0, n0)
+        assert np.array_equal(got_n1.sum(axis=1), k1)
+        assert np.all(got_n1.sum(axis=1) + got_n0.sum(axis=1) == 700)

@@ -5,17 +5,28 @@ import pytest
 
 from symkl import (
     CHECK_NAMES,
+    CountTable,
     ExperimentConfig,
     PopulationModel,
     ReplicationRecord,
+    confidence_interval,
     coverage_rate,
     exact_sigma2,
     ks_statistic,
     lln_curve,
     normal_cdf,
+    normal_quantile,
+    plug_in_estimate,
+    plugin_sigma2,
     run_experiment,
     run_replication,
+    sample_batch,
 )
+from symkl.model import sample_counts
+from symkl.montecarlo import block_rows, replication_columns
+from symkl.streams import replication_stream
+
+from conftest import random_simplex
 
 
 def make_config(test_model, **overrides):
@@ -181,11 +192,101 @@ class TestRunReplication:
         assert a.scaled_eta == pytest.approx(math.sqrt(400) * a.eta, rel=1e-15)
         assert a.ci_lower <= a.estimate <= a.ci_upper
 
+    def test_matches_scalar_oracles_on_its_stream(self, test_model):
+        truth = test_model.sym_divergence()
+        rec = run_replication(test_model, 400, 0.9, truth, 11, 2, 5)
+        counts = sample_batch(test_model, 400, replication_stream(11, 2, 5))
+        est = plug_in_estimate(counts)
+        variance = plugin_sigma2(counts)
+        ci = confidence_interval(est, variance, 0.9)
+        assert rec.rep_index == 5 and rec.n == 400
+        assert rec.estimate == pytest.approx(est.value, rel=1e-13, abs=0.0)
+        assert rec.sigma2_hat == pytest.approx(variance.sigma2, rel=1e-13, abs=0.0)
+        assert rec.ci_lower == pytest.approx(ci.lower, rel=1e-13, abs=0.0)
+        assert rec.ci_upper == pytest.approx(ci.upper, rel=1e-13, abs=0.0)
+        assert rec.covered == ci.contains(truth)
+
     def test_degenerate_record_has_no_values(self, test_model):
         # two draws cannot populate all four cells
         rec = run_replication(test_model, 2, 0.95, 0.0, 11, 0, 0)
         assert rec.degenerate
         assert rec.estimate is None and rec.eta is None and rec.covered is None
+
+
+def assert_columns_match_oracle(n1, n0, truth, level=0.95):
+    """Every row of the kernel against the scalar functions on its table."""
+    cols = replication_columns(n1, n0, truth, normal_quantile((1.0 + level) / 2.0))
+    for i in range(len(n1)):
+        counts = CountTable(n1=n1[i], n0=n0[i])
+        est = plug_in_estimate(counts)
+        assert cols.degenerate[i] == est.degenerate
+        if est.degenerate:
+            assert np.isnan(cols.estimate[i]) and not cols.covered[i]
+            continue
+        variance = plugin_sigma2(counts)
+        ci = confidence_interval(est, variance, level)
+        assert cols.covered[i] == ci.contains(truth)
+        for got, want in (
+            (cols.estimate[i], est.value),
+            (cols.sigma2_hat[i], variance.sigma2),
+            (cols.ci_lower[i], ci.lower),
+            (cols.ci_upper[i], ci.upper),
+        ):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert cols.eta[i] == cols.estimate[i] - truth
+        assert cols.scaled_eta[i] == math.sqrt(counts.n) * cols.eta[i]
+    return cols
+
+
+class TestReplicationColumns:
+    @pytest.mark.parametrize("r", [2, 50, 1000])
+    def test_random_tables_match_scalar_oracles(self, r):
+        rng = np.random.default_rng(r)
+        tables = []
+        for trial in range(4):
+            model = PopulationModel(
+                label_prob=float(rng.uniform(0.2, 0.8)),
+                cond_p=random_simplex(rng, r, min_entry=1e-7),
+                cond_q=random_simplex(rng, r, min_entry=1e-7),
+            )
+            # a small n leaves empty cells in many rows, a large n in none
+            for n in (4 * r, 2000 * r):
+                tables.append(sample_counts(model, n, 10, rng)[1:])
+        n1 = np.vstack([t[0] for t in tables])
+        n0 = np.vstack([t[1] for t in tables])
+        cols = assert_columns_match_oracle(n1, n0, truth=0.5)
+        assert cols.degenerate.any() and not cols.degenerate.all()
+
+    def test_hand_made_tables(self):
+        n1 = np.array([
+            [0, 0, 0],  # no label-1 samples
+            [1, 2, 3],  # no label-0 samples
+            [0, 4, 1],  # zero cell in p_hat
+            [3, 4, 1],  # zero cell in q_hat
+            [1, 2, 3],  # p_hat == q_hat
+            [5, 1, 2],
+        ])
+        n0 = np.array([
+            [1, 2, 3],
+            [0, 0, 0],
+            [2, 2, 2],
+            [2, 0, 2],
+            [2, 4, 6],
+            [1, 3, 7],
+        ])
+        for truth in (0.0, 0.2):
+            cols = assert_columns_match_oracle(n1, n0, truth)
+            assert cols.degenerate.tolist() == [True, True, True, True, False, False]
+            # equal empirical laws: zero variance, point interval at 0
+            assert cols.estimate[4] == 0.0 and cols.sigma2_hat[4] == 0.0
+            assert cols.ci_lower[4] == cols.ci_upper[4] == 0.0
+            assert cols.covered[4] == (truth == 0.0)
+
+    def test_block_rows(self):
+        assert block_rows(2) == 1 << 15
+        assert block_rows(1000) == 65
+        assert block_rows(1 << 16) == 1
+        assert block_rows(1 << 20) == 1
 
 
 class TestRunExperiment:
