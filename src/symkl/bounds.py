@@ -12,7 +12,10 @@ trivially true and flagged uninformative.
 budget, estimates the corresponding deviation frequencies by Monte Carlo
 so each bound can be checked against data.  Samples for which a statistic
 is undefined (empty label class, empty cell inside a log) are counted as
-exceedances, which only pushes the empirical frequency up.
+exceedances, which only pushes the empirical frequency up.  The Monte
+Carlo walks each sample size's draws in row blocks and keeps integer
+exceedance counts per (bound, g, cell), so at most one ``(replications,
+r)`` int64 array is held at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PopulationModel, sample_counts
+from .model import PopulationModel, sample_count_blocks
 from .streams import TAG_BOUNDS, auxiliary_stream
 
 DEFAULT_G_GRID = (0.05, 0.1, 0.2, 0.5)
@@ -225,58 +228,57 @@ class BoundTableRow:
         return self.empirical <= self.bound + 3.0 * self.stderr
 
 
-def _deviation_stats(model: PopulationModel, n: int, replications: int,
-                     rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Per-replication deviation statistics, one value per draw of size n.
+def _exceed_counts(model: PopulationModel, n: int, replications: int,
+                   g_values: list[float], stream: np.random.Generator) -> dict[str, np.ndarray]:
+    """Count the draws of size n whose deviation statistic exceeds each g.
 
-    Undefined statistics come back infinite so they exceed every g.
+    Returns, per bound name, int64 counts of shape ``(len(g_values),)``
+    for the label frequency and ``(len(g_values), r)``, one per cell, for
+    the others.  The rows are walked in the blocks of
+    :func:`~symkl.model.sample_count_blocks`; only ``n1`` is kept, because
+    the log-ratio pairs each row's ``n1`` with its ``n0``.  Undefined
+    statistics (empty label class, empty cell inside a log) are set
+    infinite, so they exceed every g.
     """
     p = model.label_prob
     q = 1.0 - p
     pv = model.cond_p
     qv = model.cond_q
-    k1, n1, n0 = sample_counts(model, n, replications, rng)
-    k0 = n - k1
+    g_arr = np.asarray(g_values)
+    counts: dict[str, np.ndarray] = {}
 
-    label_dev = np.abs(k1 / n - p)
-    joint_dev_y1 = n1 / n - p * pv
-    joint_dev_y0 = n0 / n - q * qv
+    def add(name: str, dev: np.ndarray) -> None:
+        # joint cells are one-sided; every other statistic is already absolute
+        exceed = dev > g_arr.reshape((-1,) + (1,) * dev.ndim)
+        counts[name] = counts.get(name, 0) + np.count_nonzero(exceed, axis=1)
 
+    def conditional_dev(cells: np.ndarray, k: np.ndarray, cond: np.ndarray) -> np.ndarray:
+        dev = np.abs(cells / k[:, None] - cond)
+        dev[k == 0, :] = np.inf
+        return dev
+
+    n1 = np.empty((replications, model.r), dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_hat = n1 / k1[:, None]
-        q_hat = n0 / k0[:, None]
-        cond_dev_p = np.abs(p_hat - pv)
-        cond_dev_q = np.abs(q_hat - qv)
-        log_ratio_dev = np.abs(
-            np.log(p_hat) - np.log(pv) - np.log(q_hat) + np.log(qv)
-        )
-    cond_dev_p[k1 == 0, :] = np.inf
-    cond_dev_q[k0 == 0, :] = np.inf
-    undefined = (n1 == 0) | (n0 == 0) | (k1 == 0)[:, None] | (k0 == 0)[:, None]
-    log_ratio_dev[undefined] = np.inf
-
-    return {
-        "label_freq": label_dev,
-        "joint_cell_y1": joint_dev_y1,
-        "joint_cell_y0": joint_dev_y0,
-        "conditional_cell_p": cond_dev_p,
-        "conditional_cell_q": cond_dev_q,
-        "log_ratio": log_ratio_dev,
-    }
-
-
-def _exceed_frequency(stat: np.ndarray, g: float, one_sided: bool) -> float:
-    if one_sided:
-        exceed = stat > g
-    else:
-        exceed = np.abs(stat) > g
-    if exceed.ndim == 1:
-        return float(exceed.mean())
-    # worst symbol: the bounds dominate every cell
-    return float(exceed.mean(axis=0).max())
-
-
-_ONE_SIDED = {"joint_cell_y1", "joint_cell_y0"}
+        for label, start, block in sample_count_blocks(model, n, replications, stream):
+            rows = slice(start, start + len(block))
+            k = block.sum(axis=1)
+            if label == 1:
+                n1[rows] = block
+                add("label_freq", np.abs(k / n - p))
+                add("joint_cell_y1", block / n - p * pv)
+                add("conditional_cell_p", conditional_dev(block, k, pv))
+                continue
+            add("joint_cell_y0", block / n - q * qv)
+            add("conditional_cell_q", conditional_dev(block, k, qv))
+            n1_rows = n1[rows]
+            log_ratio_dev = np.abs(
+                np.log(n1_rows / (n - k)[:, None]) - np.log(pv)
+                - np.log(block / k[:, None]) + np.log(qv)
+            )
+            # an empty label class leaves every cell of its side empty
+            log_ratio_dev[(n1_rows == 0) | (block == 0)] = np.inf
+            add("log_ratio", log_ratio_dev)
+    return counts
 
 
 def bound_table(
@@ -305,6 +307,16 @@ def bound_table(
     -------
     list of BoundTableRow
         Sorted by (name, n, g).
+
+    Notes
+    -----
+    Sample size ``n_values[i]`` draws from ``auxiliary_stream(master_seed,
+    TAG_BOUNDS, i)`` in the order of :func:`~symkl.model.sample_counts`.
+    The draws are counted block by block, and a row's ``empirical`` is the
+    largest count over the cells divided by ``replications``, the same
+    float as the mean of the exceedance indicators.  Peak memory is the
+    label-1 counts of one sample size, one ``(replications, r)`` int64
+    array, plus one block of temporaries.
     """
     n_values = sorted({int(n) for n in n_grid})
     g_values = sorted({float(g) for g in g_grid})
@@ -320,22 +332,23 @@ def bound_table(
     if replications < 0:
         raise ValueError(f"replications must be >= 0, got {replications}")
 
-    stats_by_n: dict[int, dict[str, np.ndarray]] = {}
+    counts_by_n: dict[int, dict[str, np.ndarray]] = {}
     if replications > 0:
         for n_index, n in enumerate(n_values):
             rng = auxiliary_stream(master_seed, TAG_BOUNDS, n_index)
-            stats_by_n[n] = _deviation_stats(model, n, replications, rng)
+            counts_by_n[n] = _exceed_counts(model, n, replications, g_values, rng)
 
     rows: list[BoundTableRow] = []
     for name in BOUND_NAMES:
         func = _BOUND_FUNCS[name]
         for n in n_values:
-            for g in g_values:
+            for g_index, g in enumerate(g_values):
                 value = func(BoundInputs(model=model, n=n, g=g)).value
                 empirical = None
                 stderr = None
                 if replications > 0:
-                    freq = _exceed_frequency(stats_by_n[n][name], g, name in _ONE_SIDED)
+                    # worst cell: the bounds dominate every cell
+                    freq = int(counts_by_n[n][name][g_index].max()) / replications
                     empirical = freq
                     stderr = math.sqrt(freq * (1.0 - freq) / replications)
                 rows.append(

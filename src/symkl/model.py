@@ -11,6 +11,7 @@ between the two conditionals, and sampling into joint count tables.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ SIMPLEX_ATOL = 1e-12
 
 # Largest count, and largest count table total, that int64 holds.
 MAX_COUNT = (1 << 63) - 1
+
+# Count cells (rows x r) per sampling block, for the Monte Carlo kernel and
+# the bound pass alike.  Part of the stream layout: changing it changes
+# every records.csv.
+BLOCK_CELLS = 1 << 16
 
 
 def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
@@ -245,6 +251,28 @@ def sample_counts(
     n1 = stream.multinomial(k1, model.cond_p)
     n0 = stream.multinomial(n - k1, model.cond_q)
     return k1, n1, n0
+
+
+def block_rows(r: int) -> int:
+    """Rows per sampling block at alphabet size ``r``."""
+    return max(1, BLOCK_CELLS // r)
+
+
+def sample_count_blocks(
+    model: PopulationModel, n: int, rows: int, stream: np.random.Generator
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Draw the tables of :func:`sample_counts` in blocks of ``block_rows(r)`` rows.
+
+    Consumes ``stream`` in the order :func:`sample_counts` does and draws
+    the same values.  Yields ``(label, start, counts)``: first every
+    label-1 block ``n1[start:start + len(counts)]``, then every label-0
+    block of ``n0``.  A block's row sums are its label counts.
+    """
+    step = block_rows(model.r)
+    k1 = stream.binomial(n, model.label_prob, size=rows)
+    for label, class_counts, cond in ((1, k1, model.cond_p), (0, n - k1, model.cond_q)):
+        for start in range(0, rows, step):
+            yield label, start, stream.multinomial(class_counts[start:start + step], cond)
 
 
 def sample_batch(model: PopulationModel, n: int, stream: np.random.Generator) -> CountTable:

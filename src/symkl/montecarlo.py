@@ -45,6 +45,7 @@ from .bounds import DEFAULT_G_GRID, BoundTableRow, bound_table
 from .estimator import plug_in_estimate  # noqa: F401  (perfbench's tracer wraps it here)
 from .model import (
     PopulationModel,
+    block_rows,
     sample_batch,  # noqa: F401  (perfbench's tracer wraps it here)
     sample_counts,
 )
@@ -59,10 +60,6 @@ COVERAGE_TOLERANCE = 0.02
 # Two conditional laws closer than this are treated as equal (the null);
 # the scaled error degenerates there and normality must not be checked.
 NULL_ATOL = 1e-12
-
-# Count cells (replications x r) per kernel block.  Part of the stream
-# layout: changing it changes every records.csv.
-BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -222,11 +219,6 @@ def run_replication(
     z = normal_quantile((1.0 + ci_level) / 2.0)
     cols = replication_columns(n1, n0, true_divergence, z)
     return _block_records(n, rep_index, cols)[0]
-
-
-def block_rows(r: int) -> int:
-    """Replications per kernel block at alphabet size ``r``."""
-    return max(1, BLOCK_CELLS // r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,17 +457,25 @@ def _check_coverage(
 
 
 def check_bound_rows(rows) -> CheckResult:
-    """Fold a bound table into one pass/fail result."""
+    """Fold a bound table into one pass/fail result.
+
+    A failure names the grid point with the largest margin
+    ``empirical - (bound + 3 stderr)``, the amount by which it misses.
+    """
     bad = [r for r in rows if not r.empirically_valid()]
     if bad:
-        worst = bad[0]
+        margins = [r.empirical - (r.bound + 3.0 * r.stderr) for r in bad]
+        margin = max(margins)
+        worst = bad[margins.index(margin)]
         return CheckResult(
             name="bounds",
             passed=False,
             detail=(
-                f"{len(bad)} grid points exceed their bound; first: "
+                f"{len(bad)} grid points exceed their bound; largest margin "
+                f"empirical - (bound + 3 stderr) = {margin:.6g} at "
                 f"{worst.name} n={worst.n} g={worst.g} "
-                f"empirical={worst.empirical:.6g} bound={worst.bound:.6g}"
+                f"(empirical={worst.empirical:.6g} bound={worst.bound:.6g} "
+                f"stderr={worst.stderr:.6g})"
             ),
         )
     return CheckResult(

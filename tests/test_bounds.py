@@ -14,9 +14,12 @@ from symkl import (
     bound_label_freq,
     bound_log_ratio,
     bound_table,
+    check_bound_rows,
 )
+from symkl.model import block_rows, sample_counts
+from symkl.streams import TAG_BOUNDS, auxiliary_stream
 
-from conftest import random_model
+from conftest import random_model, random_simplex
 
 
 def swap_labels(model: PopulationModel) -> PopulationModel:
@@ -25,6 +28,66 @@ def swap_labels(model: PopulationModel) -> PopulationModel:
         cond_p=model.cond_q,
         cond_q=model.cond_p,
     )
+
+
+def reference_deviation_stats(model, n, replications, rng):
+    """Every per-replication deviation statistic at once, as R x r arrays.
+
+    The full-array computation the blocked counting in ``bound_table``
+    replaces; undefined statistics come back infinite.
+    """
+    p = model.label_prob
+    q = 1.0 - p
+    pv = model.cond_p
+    qv = model.cond_q
+    k1, n1, n0 = sample_counts(model, n, replications, rng)
+    k0 = n - k1
+
+    label_dev = np.abs(k1 / n - p)
+    joint_dev_y1 = n1 / n - p * pv
+    joint_dev_y0 = n0 / n - q * qv
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_hat = n1 / k1[:, None]
+        q_hat = n0 / k0[:, None]
+        cond_dev_p = np.abs(p_hat - pv)
+        cond_dev_q = np.abs(q_hat - qv)
+        log_ratio_dev = np.abs(
+            np.log(p_hat) - np.log(pv) - np.log(q_hat) + np.log(qv)
+        )
+    cond_dev_p[k1 == 0, :] = np.inf
+    cond_dev_q[k0 == 0, :] = np.inf
+    undefined = (n1 == 0) | (n0 == 0) | (k1 == 0)[:, None] | (k0 == 0)[:, None]
+    log_ratio_dev[undefined] = np.inf
+
+    return {
+        "label_freq": label_dev,
+        "joint_cell_y1": joint_dev_y1,
+        "joint_cell_y0": joint_dev_y0,
+        "conditional_cell_p": cond_dev_p,
+        "conditional_cell_q": cond_dev_q,
+        "log_ratio": log_ratio_dev,
+    }
+
+
+def reference_exceed_frequency(stat, g, one_sided):
+    exceed = stat > g if one_sided else np.abs(stat) > g
+    if exceed.ndim == 1:
+        return float(exceed.mean())
+    return float(exceed.mean(axis=0).max())
+
+
+def reference_empirical(model, n_values, g_values, replications, master_seed):
+    """``{(name, n, g): frequency}`` from the full-array reference."""
+    out = {}
+    for n_index, n in enumerate(n_values):
+        rng = auxiliary_stream(master_seed, TAG_BOUNDS, n_index)
+        stats = reference_deviation_stats(model, n, replications, rng)
+        for name, stat in stats.items():
+            for g in g_values:
+                one_sided = name.startswith("joint_cell")
+                out[name, n, g] = reference_exceed_frequency(stat, g, one_sided)
+    return out
 
 
 def oracle_label_freq(model, n, g):
@@ -284,3 +347,59 @@ class TestBoundTable:
             informative=True, empirical=0.5, stderr=0.01,
         )
         assert not row.empirically_valid()
+        check = check_bound_rows([row])
+        assert not check.passed
+        assert check.detail == (
+            "1 grid points exceed their bound; largest margin "
+            "empirical - (bound + 3 stderr) = 0.46 at label_freq n=10 g=0.5 "
+            "(empirical=0.5 bound=0.01 stderr=0.01)"
+        )
+
+        def grid_point(name, empirical, bound):
+            return BoundTableRow(
+                name=name, n=100, g=0.1, bound=bound,
+                informative=bound < 1.0, empirical=empirical, stderr=0.01,
+            )
+
+        # the detail names the largest margin, not the first failing row
+        rows = [
+            grid_point("label_freq", 0.2, 0.1),  # margin 0.07
+            grid_point("log_ratio", 0.6, 0.2),  # margin 0.37
+            grid_point("joint_cell_y0", 0.1, 0.5),  # within its bound
+        ]
+        check = check_bound_rows(rows)
+        assert check.detail.startswith(
+            "2 grid points exceed their bound; largest margin "
+            "empirical - (bound + 3 stderr) = 0.37 at log_ratio n=100 g=0.1"
+        )
+        assert check_bound_rows(rows[2:]).passed
+
+
+class TestBlockedCounting:
+    """``bound_table`` against the full-array reference, compared with ==."""
+
+    @pytest.mark.parametrize("r", [2, 50, 1000])
+    @pytest.mark.parametrize("blocks", ["below_one", "exact_multiple", "remainder"])
+    def test_empirical_equals_full_array_reference(self, r, blocks):
+        step = block_rows(r)
+        replications = {
+            "below_one": step // 2,
+            "exact_multiple": 2 * step,
+            "remainder": 2 * step + step // 3,
+        }[blocks]
+        rng = np.random.default_rng(r)
+        # label_prob near 0: at n=1 rows with k1 == 0 and rows with k0 == 0
+        # both occur (asserted below), at n=6 most rows have k1 == 0, and at
+        # r=1000 nearly every row has empty cells
+        model = PopulationModel(
+            label_prob=0.1, cond_p=random_simplex(rng, r, 0.0), cond_q=random_simplex(rng, r, 0.0)
+        )
+        n_values = [1, 6, 400]
+        g_values = [0.05, 0.1, 0.2, 0.5, 2.0]
+        k1 = auxiliary_stream(r + 7, TAG_BOUNDS, 0).binomial(1, 0.1, size=replications)
+        assert 0 < k1.sum() < replications
+        rows = bound_table(model, n_values, g_values, replications, master_seed=r + 7)
+        expected = reference_empirical(model, n_values, g_values, replications, r + 7)
+        assert len(rows) == len(expected)
+        for row in rows:
+            assert row.empirical == expected[row.name, row.n, row.g], (row.name, row.n, row.g)
