@@ -13,17 +13,42 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .estimator import DegenerateSampleError, EstimateResult, empirical_measures
 from .model import CountTable, PopulationModel, as_positive_prob_vector, _check_same_length
 
+_SQRT_HALF = 0.7071067811865476  # 1/sqrt(2) rounded to double
+_SQRT_HALF_LO = -4.833646656726457e-17  # 1/sqrt(2) - _SQRT_HALF
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _split(a):
+    """Veltkamp split of ``a`` into two halves whose products are exact."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
 
 def normal_cdf(x):
-    """Standard normal CDF (vectorized)."""
-    return ndtr(x)
+    """Standard normal CDF: a float for a scalar, a float64 array otherwise.
+
+    ``0.5 * erfc(-t)`` with ``t = x / sqrt 2``.  The lower tail magnifies
+    the rounding error of ``t`` about ``x**2``-fold (6e-15 relative at
+    x = -8), so that error, exact by Dekker's two-product, is added back
+    through ``erfc'(t) = -2 exp(-t**2) / sqrt(pi)``.
+    """
+    # the CDF is 0 or 1 beyond +-40; clipping keeps the split below finite
+    x = np.clip(np.asarray(x, dtype=np.float64), -40.0, 40.0)
+    t = x * _SQRT_HALF
+    x_hi, x_lo = _split(x)
+    h_hi, h_lo = _split(_SQRT_HALF)
+    t_lo = ((x_hi * h_hi - t) + x_hi * h_lo + x_lo * h_hi) + x_lo * h_lo + x * _SQRT_HALF_LO
+    value = np.asarray(_erfc(-t), dtype=np.float64)
+    value = 0.5 * (value + 2.0 / math.sqrt(math.pi) * np.exp(-t * t) * t_lo)
+    return float(value) if value.ndim == 0 else value
 
 
 def normal_quantile(prob: float) -> float:
@@ -31,7 +56,7 @@ def normal_quantile(prob: float) -> float:
     prob = float(prob)
     if not 0.0 < prob < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {prob!r}")
-    return float(ndtri(prob))
+    return NormalDist().inv_cdf(prob)
 
 
 @dataclass(frozen=True, eq=False)

@@ -239,28 +239,21 @@ def _fmt_flag(value: bool | None) -> str:
     return "1" if value else "0"
 
 
-def write_records_csv(records, path) -> None:
-    """Write replication records deterministically (17 significant digits)."""
-    lines = [RECORDS_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                (
-                    str(rec.rep_index),
-                    str(rec.n),
-                    _fmt_real(rec.estimate),
-                    _fmt_real(rec.eta),
-                    _fmt_real(rec.scaled_eta),
-                    _fmt_real(rec.sigma2_hat),
-                    _fmt_real(rec.ci_lower),
-                    _fmt_real(rec.ci_upper),
-                    _fmt_flag(rec.covered),
-                    _fmt_flag(rec.degenerate),
-                )
-            )
-        )
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one comma-joined line per row of string fields."""
+    lines = [header] + [",".join(fields) for fields in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_records_csv(records, path) -> None:
+    """Write replication records deterministically (17 significant digits)."""
+    _write_csv(path, RECORDS_HEADER, (
+        (str(rec.rep_index), str(rec.n), _fmt_real(rec.estimate), _fmt_real(rec.eta),
+         _fmt_real(rec.scaled_eta), _fmt_real(rec.sigma2_hat), _fmt_real(rec.ci_lower),
+         _fmt_real(rec.ci_upper), _fmt_flag(rec.covered), _fmt_flag(rec.degenerate))
+        for rec in records
+    ))
 
 
 def read_records_csv(path) -> list[ReplicationRecord]:
@@ -274,43 +267,20 @@ def read_records_csv(path) -> list[ReplicationRecord]:
         f = line.split(",")
         if len(f) != 10:
             raise ValueError(f"{path}: expected 10 fields, got {len(f)}")
-        records.append(
-            ReplicationRecord(
-                rep_index=int(f[0]),
-                n=int(f[1]),
-                estimate=float(f[2]) if f[2] else None,
-                eta=float(f[3]) if f[3] else None,
-                scaled_eta=float(f[4]) if f[4] else None,
-                sigma2_hat=float(f[5]) if f[5] else None,
-                ci_lower=float(f[6]) if f[6] else None,
-                ci_upper=float(f[7]) if f[7] else None,
-                covered=bool(int(f[8])) if f[8] else None,
-                degenerate=bool(int(f[9])),
-            )
-        )
+        reals = [float(v) if v else None for v in f[2:8]]
+        covered = bool(int(f[8])) if f[8] else None
+        records.append(ReplicationRecord(int(f[0]), int(f[1]), *reals, covered, bool(int(f[9]))))
     return records
 
 
 def write_bounds_csv(rows, path) -> None:
     """Write a bound table (one grid point per row), deterministically."""
-    lines = [BOUNDS_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    row.name,
-                    str(row.n),
-                    _fmt_real(row.g),
-                    _fmt_real(row.bound),
-                    _fmt_flag(row.informative),
-                    _fmt_real(row.empirical),
-                    _fmt_real(row.stderr),
-                    _fmt_flag(row.empirically_valid()),
-                )
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, BOUNDS_HEADER, (
+        (row.name, str(row.n), _fmt_real(row.g), _fmt_real(row.bound),
+         _fmt_flag(row.informative), _fmt_real(row.empirical), _fmt_real(row.stderr),
+         _fmt_flag(row.empirically_valid()))
+        for row in rows
+    ))
 
 
 def summary_to_dict(summary: ExperimentSummary) -> dict:

@@ -72,6 +72,66 @@ class TestNormalHelpers:
                 normal_quantile(bad)
 
 
+# Reference values computed once with mpmath at 40 digits: the quantile as
+# sqrt(2) * erfinv(2 p - 1) and the CDF as ncdf(x), both at the exact binary
+# value of the float argument.
+QUANTILE_REFERENCE = {
+    0.8: "0.8416212335729143638035681",
+    0.9: "1.281551565544600593487448",
+    0.95: "1.644853626951472284276316",
+    0.975: "1.959963984540053855604431",
+    0.995: "2.575829303548900453857483",
+    0.9995: "3.290526731491925778682535",
+}
+CDF_REFERENCE = {
+    -8.0: "6.220960574271784123515995e-16",
+    -3.0: "0.001349898031630094526651815",
+    -1.96: "0.02499789514822043621282369",
+    0.0: "0.5",
+    0.5: "0.6914624612740131036377046",
+    1.96: "0.9750021048517795637871763",
+    3.0: "0.9986501019683699054733482",
+    8.0: "0.9999999999999993779039426",
+}
+
+
+class TestNormalAccuracy:
+    @pytest.mark.parametrize("prob", sorted(QUANTILE_REFERENCE))
+    def test_quantile_within_4_ulp(self, prob):
+        ref = float(QUANTILE_REFERENCE[prob])
+        assert abs(normal_quantile(prob) - ref) <= 4 * math.ulp(ref)
+
+    @pytest.mark.parametrize("x", sorted(CDF_REFERENCE))
+    def test_cdf_within_1e15_relative(self, x):
+        ref = float(CDF_REFERENCE[x])
+        assert abs(normal_cdf(x) - ref) <= 1e-15 * ref
+
+    def test_cdf_array_matches_scalars(self):
+        xs = np.array(sorted(CDF_REFERENCE))
+        values = normal_cdf(xs)
+        np.testing.assert_array_equal(values, [normal_cdf(x) for x in xs])
+        refs = np.array([float(CDF_REFERENCE[x]) for x in xs])
+        assert np.all(np.abs(values - refs) <= 1e-15 * refs)
+
+    def test_scalar_gives_float(self):
+        for x in (0.5, np.float64(0.5), np.array(0.5), 1):
+            assert isinstance(normal_cdf(x), float)
+        assert isinstance(normal_quantile(np.float64(0.975)), float)
+
+    @pytest.mark.parametrize("shape", [(0,), (4,), (2, 3)])
+    def test_array_keeps_shape_and_dtype(self, shape):
+        xs = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+        values = normal_cdf(xs)
+        assert isinstance(values, np.ndarray)
+        assert values.shape == shape
+        assert values.dtype == np.float64
+
+    def test_cdf_limits(self):
+        values = normal_cdf(np.array([-np.inf, -50.0, 50.0, np.inf, np.nan]))
+        np.testing.assert_array_equal(values[:4], [0.0, 0.0, 1.0, 1.0])
+        assert np.isnan(values[4])
+
+
 class TestInfluenceCoefficients:
     def test_golden_values(self, test_model):
         coeffs = influence_coefficients(test_model.cond_p, test_model.cond_q)

@@ -1,7 +1,11 @@
+import concurrent.futures
 import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -271,7 +275,8 @@ class TestSimulate:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        # replicate imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         config = config_file(tmp_path)
         dirs = [tmp_path / "one", tmp_path / "many"]
@@ -412,3 +417,45 @@ class TestEntry:
         with pytest.raises(SystemExit) as info:
             cli.entry()
         assert info.value.code == 0
+
+
+def run_child(code, *args):
+    """Run ``python -c code`` in a fresh interpreter that imports this symkl."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+class TestColdStart:
+    def test_import_leaves_out_scipy_and_the_pool(self):
+        child = run_child(
+            "import sys, symkl.cli\n"
+            "heavy = ('scipy', 'concurrent.futures.process', 'multiprocessing')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in heavy))"
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]"
+
+    def test_simulate_runs_without_scipy(self, tmp_path):
+        # the interval quantile and the KS distance per n run with or without checks
+        config = config_file(tmp_path, n_values=[100, 400], replications=50)
+        out_dir = tmp_path / "results"
+        child = run_child(
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now fails\n"
+            "from symkl.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules)  # the medians must not pull it in\n"
+            "sys.exit(code)",
+            "simulate", "--config", config, "--out-dir", str(out_dir),
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "False"
+        for name in ("records.csv", "summary.json", "manifest.json"):
+            assert (out_dir / name).stat().st_size > 0, name
+        per_n = json.loads((out_dir / "summary.json").read_text())["per_n"]
+        assert all(entry["ks_normalized"] is not None for entry in per_n)

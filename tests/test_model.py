@@ -266,3 +266,10 @@ class TestSampleCounts:
             assert starts == list(range(0, rows, 65))
             got = np.concatenate([counts for lab, _, counts in blocks if lab == label])
             assert got.dtype == full.dtype and np.array_equal(got, full)
+
+
+class TestRandomSimplexHelper:
+    def test_large_alphabet_with_default_floor_raises(self):
+        # at r=1000 the mean entry equals the default floor, so no draw passes
+        with pytest.raises(RuntimeError, match="min_entry=0.0"):
+            random_simplex(np.random.default_rng(0), 1000)

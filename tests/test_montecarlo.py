@@ -23,7 +23,7 @@ from symkl import (
     sample_batch,
 )
 from symkl.model import sample_counts
-from symkl.montecarlo import block_rows, replication_columns
+from symkl.montecarlo import _median, block_rows, replication_columns
 from symkl.streams import replication_stream
 
 from conftest import random_simplex
@@ -180,6 +180,24 @@ class TestCoverageAndCurve:
     def test_lln_curve_needs_two_sizes(self):
         with pytest.raises(ValueError, match="2 distinct"):
             lln_curve([make_record(100, i) for i in range(5)])
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 999, 1000])
+    def test_median_equals_numpy(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            sample = rng.standard_normal(size) * 10.0 ** int(rng.integers(-6, 6))
+            assert _median(sample) == float(np.median(sample))
+
+    def test_lln_curve_names_all_degenerate_sizes(self):
+        records = [make_record(n, i, degenerate=True) for n in (100, 2000) for i in range(3)]
+        records += [make_record(20000, i, eta=0.01) for i in range(3)]
+        records.append(make_record(20000, 3, degenerate=True))
+        with pytest.raises(ValueError) as info:
+            lln_curve(records)
+        message = str(info.value)
+        assert "2 distinct" in message
+        assert "every replication was degenerate at n = 100, 2000" in message
+        assert "20000" not in message
 
 
 class TestRunReplication:
