@@ -41,11 +41,8 @@ def main() -> None:
     print(f"  ratio to closed form:        {ratio:.4f}")
 
     sigma = variance.sigma2 ** 0.5
-    standardized = [
-        record.scaled_eta / sigma
-        for record in result.records
-        if not record.degenerate
-    ]
+    records = result.records
+    standardized = records.scaled_eta[~records.degenerate] / sigma
     ks = ks_statistic(standardized)
     print(f"\nKS distance of standardized errors from the normal CDF: {ks:.4f}")
 

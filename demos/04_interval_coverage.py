@@ -29,21 +29,16 @@ def main() -> None:
     for stats in result.summary.per_n:
         print(f"{stats.n:>8}  {stats.coverage:>9.4f}  {stats.replications:>12}")
 
-    at_n = {record.n: [] for record in result.records}
-    for record in result.records:
-        at_n[record.n].append(record)
-    widths = {
-        n: sum(r.ci_upper - r.ci_lower for r in records if not r.degenerate)
-        / sum(1 for r in records if not r.degenerate)
-        for n, records in at_n.items()
-    }
+    records = result.records  # one numpy column per field, one row per replication
+    valid = records[~records.degenerate]
     print("\nmean interval width shrinks like 1/sqrt(n):")
-    for n, width in sorted(widths.items()):
-        print(f"  n={n:>6}: {width:.6f}")
+    for n in config.n_values:
+        at_n = valid[valid.n == n]
+        print(f"  n={n:>6}: {(at_n.ci_upper - at_n.ci_lower).mean():.6f}")
 
-    largest = max(at_n)
+    largest = config.n_values[-1]
     print(f"\ncoverage at n={largest} recomputed from the records: "
-          f"{coverage_rate([r for r in result.records if r.n == largest]):.4f}")
+          f"{coverage_rate(records[records.n == largest]):.4f}")
 
     for check in result.summary.checks:
         status = "pass" if check.passed else "FAIL"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PopulationModel, sample_count_blocks
+from .model import MAX_COUNT, PopulationModel, sample_count_blocks
 from .streams import TAG_BOUNDS, auxiliary_stream
 
 DEFAULT_G_GRID = (0.05, 0.1, 0.2, 0.5)
@@ -324,8 +324,8 @@ def bound_table(
         raise ValueError("n_grid is empty")
     if not g_values:
         raise ValueError("g_grid is empty")
-    if any(n < 1 for n in n_values):
-        raise ValueError("sample sizes must be >= 1")
+    if n_values[0] < 1 or n_values[-1] > MAX_COUNT:
+        raise ValueError("sample sizes must be >= 1 and at most 2**63 - 1")
     if any(not math.isfinite(g) or g <= 0.0 for g in g_values):
         raise ValueError("thresholds must be positive reals")
     replications = int(replications)

@@ -47,7 +47,7 @@ from .io import (
     write_json,  # noqa: F401  (perfbench's tracer wraps it here)
 )
 from .model import PopulationModel
-from .montecarlo import ExperimentConfig, evaluate, run_experiment
+from .montecarlo import ExperimentConfig, ReplicationColumns, evaluate, run_experiment
 
 DEFAULT_MODEL_PARAMS = {
     "label_prob": 0.5,
@@ -181,7 +181,7 @@ def cmd_run(args) -> int:
     started = _utc_now()
     outputs = ["summary.json", "manifest.json"]
     if args.command == "bounds-check":
-        summary = evaluate(config, ())
+        summary = evaluate(config, ReplicationColumns.empty())
     else:
         result = run_experiment(config, workers=args.workers)
         summary = result.summary

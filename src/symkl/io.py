@@ -16,25 +16,35 @@ Records CSV
     One row per replication with the columns
     ``rep_index,n,estimate,eta,scaled_eta,sigma2_hat,ci_lo,ci_hi,covered,degenerate``.
     Reals carry 17 significant digits (value-preserving for float64),
-    missing values are empty fields, booleans are 1/0.  Writing is
-    deterministic: same records, same bytes.
+    booleans are 1/0, and a degenerate row leaves its seven value fields
+    empty.  Writing is deterministic: same records, same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .model import MAX_COUNT, CountTable, PopulationModel
-from .montecarlo import ExperimentConfig, ExperimentSummary, ReplicationRecord
+from .montecarlo import (
+    REASON_NONE, REASON_UNKNOWN, ExperimentConfig, ExperimentSummary, ReplicationColumns,
+)
 
 RECORDS_HEADER = (
     "rep_index,n,estimate,eta,scaled_eta,sigma2_hat,ci_lo,ci_hi,covered,degenerate"
 )
 
 BOUNDS_HEADER = "name,n,g,bound,informative,empirical,stderr,valid"
+
+# One records.csv line per replication; a degenerate row has no values.
+_RECORD_LINE = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,0\n"
+_DEGENERATE_LINE = "%d,%d,,,,,,,,1\n"
+_REAL_COLUMNS = ("estimate", "eta", "scaled_eta", "sigma2_hat", "ci_lower", "ci_upper")
+# Rows formatted per write, so that memory stays flat for any run size.
+_WRITE_ROWS = 1 << 14
 
 
 class CountsFormatError(ValueError):
@@ -142,7 +152,10 @@ def _require(data: dict, key: str, where: str):
 def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where}: integer too large for a float") from None
 
 
 def _as_int(value, where: str) -> int:
@@ -202,7 +215,7 @@ def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal beyond int()'s digit limit
             raise ValueError(f"config: invalid JSON ({exc})") from exc
     return parse_config_dict(data)
 
@@ -239,48 +252,64 @@ def _fmt_flag(value: bool | None) -> str:
     return "1" if value else "0"
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """Write ``header`` and one comma-joined line per row of string fields."""
-    lines = [header] + [",".join(fields) for fields in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_records_csv(records, path) -> None:
+def write_records_csv(records: ReplicationColumns, path) -> None:
     """Write replication records deterministically (17 significant digits)."""
-    _write_csv(path, RECORDS_HEADER, (
-        (str(rec.rep_index), str(rec.n), _fmt_real(rec.estimate), _fmt_real(rec.eta),
-         _fmt_real(rec.scaled_eta), _fmt_real(rec.sigma2_hat), _fmt_real(rec.ci_lower),
-         _fmt_real(rec.ci_upper), _fmt_flag(rec.covered), _fmt_flag(rec.degenerate))
-        for rec in records
-    ))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(RECORDS_HEADER + "\n")
+        for start in range(0, len(records), _WRITE_ROWS):
+            block = records[start:start + _WRITE_ROWS]
+            rep_index, n = block.rep_index.tolist(), block.n.tolist()
+            reals = (getattr(block, name).tolist() for name in _REAL_COLUMNS)
+            lines = list(map(_RECORD_LINE.__mod__,
+                             zip(rep_index, n, *reals, block.covered.tolist())))
+            for i in np.flatnonzero(block.degenerate).tolist():
+                lines[i] = _DEGENERATE_LINE % (rep_index[i], n[i])
+            fh.write("".join(lines))
 
 
-def read_records_csv(path) -> list[ReplicationRecord]:
-    """Read back a records CSV written by write_records_csv."""
+def read_records_csv(path) -> ReplicationColumns:
+    """Read back a records CSV written by write_records_csv.
+
+    Degenerate rows get NaN values and ``covered`` False, as from the
+    kernel, and ``reason`` ``REASON_UNKNOWN``: the file does not carry the
+    reason.  A malformed row raises ValueError naming its line.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != RECORDS_HEADER:
         raise ValueError(f"{path}: not a records CSV (bad header)")
-    records = []
-    for line in lines[1:]:
+    rows = []
+    for line_number, line in enumerate(lines[1:], start=2):
         f = line.split(",")
-        if len(f) != 10:
-            raise ValueError(f"{path}: expected 10 fields, got {len(f)}")
-        reals = [float(v) if v else None for v in f[2:8]]
-        covered = bool(int(f[8])) if f[8] else None
-        records.append(ReplicationRecord(int(f[0]), int(f[1]), *reals, covered, bool(int(f[9]))))
-    return records
+        degenerate = f[9:] == ["1"] and not any(f[2:9])
+        try:
+            if not degenerate and (f[9:] != ["0"] or f[8] not in ("0", "1")):
+                raise ValueError("expected 10 fields: no values and degenerate 1, or "
+                                 "six reals, covered 0/1 and degenerate 0")
+            rep_index, n = np.int64(f[0]), np.int64(f[1])
+            if rep_index < 0 or n < 0:
+                raise ValueError("rep_index and n must be >= 0")
+            reals = [math.nan] * 6 if degenerate else [float(v) for v in f[2:8]]
+            rows.append((rep_index, n, degenerate, *reals, f[8] == "1"))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: line {line_number}: {exc}") from None
+    if not rows:
+        return ReplicationColumns.empty()
+    rep_index, n, degenerate, *reals, covered = (np.array(column) for column in zip(*rows))
+    reason = np.where(degenerate, REASON_UNKNOWN, REASON_NONE).astype(np.int8)
+    return ReplicationColumns(n, rep_index, degenerate, reason, *reals, covered)
 
 
 def write_bounds_csv(rows, path) -> None:
     """Write a bound table (one grid point per row), deterministically."""
-    _write_csv(path, BOUNDS_HEADER, (
-        (row.name, str(row.n), _fmt_real(row.g), _fmt_real(row.bound),
-         _fmt_flag(row.informative), _fmt_real(row.empirical), _fmt_real(row.stderr),
-         _fmt_flag(row.empirically_valid()))
+    lines = [BOUNDS_HEADER] + [
+        ",".join((row.name, str(row.n), _fmt_real(row.g), _fmt_real(row.bound),
+                  _fmt_flag(row.informative), _fmt_real(row.empirical), _fmt_real(row.stderr),
+                  _fmt_flag(row.empirically_valid())))
         for row in rows
-    ))
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def summary_to_dict(summary: ExperimentSummary) -> dict:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .asymptotics import (
 from .bounds import DEFAULT_G_GRID, BoundTableRow, bound_table
 from .estimator import plug_in_estimate  # noqa: F401  (perfbench's tracer wraps it here)
 from .model import (
+    MAX_COUNT,
     PopulationModel,
     block_rows,
     sample_batch,  # noqa: F401  (perfbench's tracer wraps it here)
@@ -55,6 +56,13 @@ CHECK_NAMES = ("lln", "clt", "coverage", "bounds")
 # Fixed descriptive thresholds for the pass/fail checks.
 KS_THRESHOLD = 0.04
 COVERAGE_TOLERANCE = 0.02
+
+# Degeneracy reason codes of the ``reason`` column.  Rows read back from
+# ``records.csv``, which does not carry the reason, hold REASON_UNKNOWN.
+REASON_NONE = 0
+REASON_EMPTY_LABEL = 1  # a label class has no draws
+REASON_EMPTY_CELL = 2  # both classes have draws, but some cell is empty
+REASON_UNKNOWN = -1
 
 # Two conditional laws closer than this are treated as equal (the null);
 # the scaled error degenerates there and normality must not be checked.
@@ -70,7 +78,7 @@ class ExperimentConfig:
     model : PopulationModel
         Population to sample from.
     n_values : tuple of int
-        At most ``2**16`` strictly increasing sample sizes, each >= 1.
+        At most ``2**16`` strictly increasing sample sizes in ``[1, 2**63 - 1]``.
     replications : int
         Replications per sample size, in ``[1, 2**32]``.
     master_seed : int
@@ -94,8 +102,8 @@ class ExperimentConfig:
             raise ValueError("n_values is empty")
         if len(n_values) > N_INDEX_LIMIT:
             raise ValueError(f"at most {N_INDEX_LIMIT} sample sizes fit the stream key")
-        if any(n < 1 for n in n_values):
-            raise ValueError("sample sizes must be >= 1")
+        if any(not 1 <= n <= MAX_COUNT for n in n_values):
+            raise ValueError("sample sizes must be >= 1 and at most 2**63 - 1")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
         replications = int(self.replications)
@@ -133,37 +141,23 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ReplicationRecord:
-    """Outcome of one replication; value fields are None when degenerate."""
-
-    rep_index: int
-    n: int
-    estimate: float | None
-    eta: float | None
-    scaled_eta: float | None
-    sigma2_hat: float | None
-    ci_lower: float | None
-    ci_upper: float | None
-    covered: bool | None
-    degenerate: bool
-
-
-@dataclass(frozen=True)
 class SampleSizeSummary:
     """Statistics of the non-degenerate replications at one sample size."""
 
     n: int
     replications: int
     degenerate_count: int
-    eta_mean: float | None
-    eta_median: float | None
-    eta_variance: float | None
-    scaled_eta_mean: float | None
-    scaled_eta_median: float | None
-    scaled_eta_variance: float | None
-    median_abs_eta: float | None
-    ks_normalized: float | None
-    coverage: float | None
+    degenerate_empty_label: int
+    degenerate_empty_cell: int
+    eta_mean: float | None = None
+    eta_median: float | None = None
+    eta_variance: float | None = None
+    scaled_eta_mean: float | None = None
+    scaled_eta_median: float | None = None
+    scaled_eta_variance: float | None = None
+    median_abs_eta: float | None = None
+    ks_normalized: float | None = None
+    coverage: float | None = None
 
 
 @dataclass(frozen=True)
@@ -195,7 +189,7 @@ class ExperimentSummary:
 class ExperimentResult:
     """Records sorted by (n, rep_index) plus their summary."""
 
-    records: tuple[ReplicationRecord, ...]
+    records: ReplicationColumns
     summary: ExperimentSummary
 
 
@@ -207,8 +201,8 @@ def run_replication(
     master_seed: int,
     n_index: int,
     rep_index: int,
-) -> ReplicationRecord:
-    """Run one replication through the kernel on its own stream.
+) -> ReplicationColumns:
+    """Run one replication through the kernel on its own stream; one row.
 
     The count table is drawn from ``replication_stream(master_seed,
     n_index, rep_index)``; :func:`replicate` draws from block streams
@@ -216,19 +210,26 @@ def run_replication(
     """
     _, n1, n0 = sample_counts(model, n, 1, replication_stream(master_seed, n_index, rep_index))
     z = normal_quantile((1.0 + ci_level) / 2.0)
-    cols = replication_columns(n1, n0, true_divergence, z)
-    return _block_records(n, rep_index, cols)[0]
+    return replication_columns(n1, n0, true_divergence, z, first_rep=rep_index)
 
 
 @dataclass(frozen=True, eq=False)
 class ReplicationColumns:
-    """Outcomes of a block of replications, one numpy column per field.
+    """Outcomes of replications, one numpy column per field.
 
-    Row ``i`` holds the outcome for the ``i``-th count table.  On
-    degenerate rows the float columns hold NaN and ``covered`` holds False.
+    Row ``i`` holds the outcome for the ``i``-th count table: its sample
+    size ``n`` and ``rep_index`` (int64), the ``degenerate`` flag and its
+    ``reason`` code (int8, one of the ``REASON_*`` constants), and the
+    outcome columns.  On degenerate rows the float columns hold NaN and
+    ``covered`` holds False.  The records of a run are sorted by
+    ``(n, rep_index)``.  Indexing with a slice, mask or index array
+    selects rows.
     """
 
+    n: np.ndarray
+    rep_index: np.ndarray
     degenerate: np.ndarray
+    reason: np.ndarray
     estimate: np.ndarray
     eta: np.ndarray
     scaled_eta: np.ndarray
@@ -237,29 +238,46 @@ class ReplicationColumns:
     ci_upper: np.ndarray
     covered: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.n)
 
-def replication_columns(n1, n0, truth: float, z: float) -> ReplicationColumns:
+    def __getitem__(self, rows) -> ReplicationColumns:
+        return ReplicationColumns(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def empty(cls) -> ReplicationColumns:
+        """No rows, with the kernel's column types."""
+        return replication_columns(np.zeros((0, 2)), np.zeros((0, 2)), 0.0, 0.0)
+
+
+def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> ReplicationColumns:
     """Estimate, error, plug-in variance and interval for each count table.
 
     Row ``i`` of the ``(rows, r)`` count arrays ``n1`` (label 1) and ``n0``
-    (label 0) is one table.  The arithmetic is that of
-    :func:`~symkl.estimator.plug_in_estimate`,
+    (label 0) is one table, with ``rep_index`` ``first_rep + i``.  The
+    arithmetic is that of :func:`~symkl.estimator.plug_in_estimate`,
     :func:`~symkl.asymptotics.plugin_sigma2` (the closed form of
     ``asymptotics._influence_table`` at the empirical measures) and
     :func:`~symkl.asymptotics.confidence_interval` with quantile ``z``,
     row by row, with pairwise instead of compensated sums.  A table is
-    degenerate when it has an empty cell, which includes an empty label
-    class.
+    degenerate when it has an empty cell: ``reason`` is
+    ``REASON_EMPTY_LABEL`` when a whole label class is empty and
+    ``REASON_EMPTY_CELL`` otherwise.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     n0 = np.asarray(n0, dtype=np.int64)
+    m1 = n1.sum(axis=1)
+    m0 = n0.sum(axis=1)
+    sizes = m1 + m0
     degenerate = np.any(n1 == 0, axis=1) | np.any(n0 == 0, axis=1)
+    reason = np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8)
+    reason[(m1 == 0) | (m0 == 0)] = REASON_EMPTY_LABEL
     ok = ~degenerate
     n1 = n1[ok]
     n0 = n0[ok]
-    m1 = n1.sum(axis=1)
-    m0 = n0.sum(axis=1)
-    n = m1 + m0
+    m1 = m1[ok]
+    m0 = m0[ok]
+    n = sizes[ok]
     p_hat = n1 / m1[:, None]
     q_hat = n0 / m0[:, None]
     log_ratio = np.log(p_hat) - np.log(q_hat)
@@ -291,7 +309,10 @@ def replication_columns(n1, n0, truth: float, z: float) -> ReplicationColumns:
         return out
 
     return ReplicationColumns(
+        n=sizes,
+        rep_index=np.arange(first_rep, first_rep + ok.size, dtype=np.int64),
         degenerate=degenerate,
+        reason=reason,
         estimate=column(estimate),
         eta=column(eta),
         scaled_eta=column(np.sqrt(n) * eta),
@@ -303,23 +324,9 @@ def replication_columns(n1, n0, truth: float, z: float) -> ReplicationColumns:
 
 
 def _block_columns(task) -> ReplicationColumns:
-    model, n, rows, truth, z, master_seed, n_index, block_index = task
+    model, n, rows, truth, z, master_seed, n_index, block_index, first_rep = task
     _, n1, n0 = sample_counts(model, n, rows, block_stream(master_seed, n_index, block_index))
-    return replication_columns(n1, n0, truth, z)
-
-
-def _block_records(n: int, start: int, cols: ReplicationColumns) -> list[ReplicationRecord]:
-    rows = zip(
-        cols.degenerate.tolist(), cols.estimate.tolist(), cols.eta.tolist(),
-        cols.scaled_eta.tolist(), cols.sigma2_hat.tolist(), cols.ci_lower.tolist(),
-        cols.ci_upper.tolist(), cols.covered.tolist(),
-    )
-    records = []
-    for rep_index, (degenerate, *values) in enumerate(rows, start):
-        if degenerate:
-            values = [None] * len(values)
-        records.append(ReplicationRecord(rep_index, n, *values, degenerate=degenerate))
-    return records
+    return replication_columns(n1, n0, truth, z, first_rep)
 
 
 def ks_statistic(values, cdf=normal_cdf) -> float:
@@ -341,7 +348,7 @@ def ks_statistic(values, cdf=normal_cdf) -> float:
     return float(max(d_plus, d_minus))
 
 
-def coverage_rate(records) -> float:
+def coverage_rate(records: ReplicationColumns) -> float:
     """Fraction of non-degenerate records whose interval covers the truth.
 
     Raises
@@ -349,10 +356,11 @@ def coverage_rate(records) -> float:
     ValueError
         If every record is degenerate.
     """
-    covered = [r.covered for r in records if not r.degenerate]
-    if not covered:
+    valid = ~records.degenerate
+    count = int(np.count_nonzero(valid))
+    if not count:
         raise ValueError("coverage_rate needs at least one non-degenerate record")
-    return sum(covered) / len(covered)
+    return int(np.count_nonzero(records.covered[valid])) / count
 
 
 def _median(values) -> float:
@@ -364,22 +372,34 @@ def _median(values) -> float:
     return float(part[k]) if odd else float((part[k - 1] + part[k]) / 2.0)
 
 
-def lln_curve(records) -> dict[int, float]:
+def _n_slices(n: np.ndarray) -> list[tuple[int, slice]]:
+    """``(sample size, rows)`` for each run of equal ``n``, in row order."""
+    steps = np.diff(n)
+    if np.any(steps < 0):
+        raise ValueError("records must be sorted by n")
+    edges = [0, *(np.flatnonzero(steps) + 1).tolist(), len(n)]
+    return [(int(n[a]), slice(a, b)) for a, b in zip(edges, edges[1:]) if a < b]
+
+
+def lln_curve(records: ReplicationColumns) -> dict[int, float]:
     """Median absolute error per sample size, keyed by n in ascending order.
 
     Needs non-degenerate records at two or more distinct sample sizes.
     """
-    by_n: dict[int, list[float]] = {}
-    for rec in records:
-        if not rec.degenerate:
-            by_n.setdefault(rec.n, []).append(abs(rec.eta))
-    if len(by_n) < 2:
-        empty = ", ".join(str(n) for n in sorted({rec.n for rec in records} - set(by_n)))
+    curve: dict[int, float] = {}
+    empty = []
+    for n, rows in _n_slices(records.n):
+        valid = ~records.degenerate[rows]
+        if valid.any():
+            curve[n] = _median(np.abs(records.eta[rows][valid]))
+        else:
+            empty.append(str(n))
+    if len(curve) < 2:
         raise ValueError(
             "lln_curve needs non-degenerate records at >= 2 distinct sample sizes"
-            + (f"; every replication was degenerate at n = {empty}" if empty else "")
+            + (f"; every replication was degenerate at n = {', '.join(empty)}" if empty else "")
         )
-    return {n: _median(by_n[n]) for n in sorted(by_n)}
+    return curve
 
 
 def _variance(arr: np.ndarray) -> float | None:
@@ -388,28 +408,24 @@ def _variance(arr: np.ndarray) -> float | None:
     return float(np.var(arr, ddof=1))
 
 
-def _summarize_n(
-    n: int, records: list[ReplicationRecord], sigma_exact: float
-) -> SampleSizeSummary:
-    replications = len(records)
-    valid = [r for r in records if not r.degenerate]
-    degenerate_count = len(records) - len(valid)
-    if not valid:
-        return SampleSizeSummary(
-            n=n, replications=replications, degenerate_count=degenerate_count,
-            eta_mean=None, eta_median=None, eta_variance=None,
-            scaled_eta_mean=None, scaled_eta_median=None, scaled_eta_variance=None,
-            median_abs_eta=None, ks_normalized=None, coverage=None,
-        )
-    eta = np.array([r.eta for r in valid])
-    scaled = np.array([r.scaled_eta for r in valid])
+def _summarize_n(n: int, records: ReplicationColumns, sigma_exact: float) -> SampleSizeSummary:
+    valid = ~records.degenerate
+    counts = dict(
+        n=n,
+        replications=len(records),
+        degenerate_count=int(np.count_nonzero(records.degenerate)),
+        degenerate_empty_label=int(np.count_nonzero(records.reason == REASON_EMPTY_LABEL)),
+        degenerate_empty_cell=int(np.count_nonzero(records.reason == REASON_EMPTY_CELL)),
+    )
+    if not valid.any():
+        return SampleSizeSummary(**counts)
+    eta = records.eta[valid]
+    scaled = records.scaled_eta[valid]
     ks = None
     if sigma_exact > 0.0:
         ks = ks_statistic(scaled / sigma_exact)
     return SampleSizeSummary(
-        n=n,
-        replications=replications,
-        degenerate_count=degenerate_count,
+        **counts,
         eta_mean=float(eta.mean()),
         eta_median=_median(eta),
         eta_variance=_variance(eta),
@@ -418,11 +434,11 @@ def _summarize_n(
         scaled_eta_variance=_variance(scaled),
         median_abs_eta=_median(np.abs(eta)),
         ks_normalized=ks,
-        coverage=coverage_rate(valid),
+        coverage=coverage_rate(records),
     )
 
 
-def _check_lln(records) -> CheckResult:
+def _check_lln(records: ReplicationColumns) -> CheckResult:
     try:
         curve = lln_curve(records)
     except ValueError as exc:
@@ -497,7 +513,7 @@ def check_bound_rows(rows) -> CheckResult:
     )
 
 
-def replicate(config: ExperimentConfig, workers: int = 1) -> tuple[ReplicationRecord, ...]:
+def replicate(config: ExperimentConfig, workers: int = 1) -> ReplicationColumns:
     """Run every replication of ``config``; records sorted by (n, rep_index).
 
     Parameters
@@ -524,34 +540,34 @@ def replicate(config: ExperimentConfig, workers: int = 1) -> tuple[ReplicationRe
     for n_index, n in enumerate(config.n_values):
         for start in range(0, config.replications, rows):
             size = min(rows, config.replications - start)
-            tasks.append((model, n, size, truth, z, config.master_seed, n_index, start // rows))
+            tasks.append(
+                (model, n, size, truth, z, config.master_seed, n_index, start // rows, start)
+            )
 
     if workers == 1:
-        blocks = map(_block_columns, tasks)
+        blocks = list(map(_block_columns, tasks))
     else:
         from concurrent.futures import ProcessPoolExecutor  # kept off the start-up path
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_block_columns, tasks))
-    records: list[ReplicationRecord] = []
-    for task, cols in zip(tasks, blocks):
-        n, block_index = task[1], task[-1]
-        records.extend(_block_records(n, block_index * rows, cols))
-    return tuple(records)
+    return ReplicationColumns(*(
+        np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(ReplicationColumns)
+    ))
 
 
-def evaluate(config: ExperimentConfig, records) -> ExperimentSummary:
+def evaluate(config: ExperimentConfig, records: ReplicationColumns) -> ExperimentSummary:
     """Summarize ``records`` per sample size and evaluate the requested checks.
 
-    ``records`` come from :func:`replicate`; ``per_n`` covers the sample
-    sizes that have records, so it is empty when there are none.  The
-    bounds check draws its own deviation samples and needs no records;
-    the other checks do.
+    ``records`` come from :func:`replicate`, sorted by n; ``per_n`` covers
+    the sample sizes that have records, so it is empty when there are
+    none (``ReplicationColumns.empty()``).  The bounds check draws its own
+    deviation samples and needs no records; the other checks do.
     """
     sigma2 = exact_sigma2(config.model).sigma2
-    by_n: dict[int, list[ReplicationRecord]] = {}
-    for rec in records:
-        by_n.setdefault(rec.n, []).append(rec)
-    summary_by_n = {n: _summarize_n(n, recs, math.sqrt(sigma2)) for n, recs in by_n.items()}
+    summary_by_n = {
+        n: _summarize_n(n, records[rows], math.sqrt(sigma2))
+        for n, rows in _n_slices(records.n)
+    }
 
     bound_rows: tuple[BoundTableRow, ...] = ()
     checks: list[CheckResult] = []

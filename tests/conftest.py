@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from symkl import PopulationModel
+from symkl import PopulationModel, ReplicationColumns
 
 SIMPLEX_ATTEMPTS = 10_000
 
@@ -35,6 +37,26 @@ def random_model(rng: np.random.Generator, r: int) -> PopulationModel:
             return PopulationModel(
                 label_prob=float(rng.uniform(0.2, 0.8)), cond_p=p, cond_q=q
             )
+
+
+def make_columns(rows) -> ReplicationColumns:
+    """Records from row tuples in ``ReplicationColumns`` field order, with
+    the kernel's column types."""
+    empty = ReplicationColumns.empty()
+    columns = list(zip(*rows)) or [()] * len(fields(ReplicationColumns))
+    return ReplicationColumns(*(
+        np.array(values, dtype=getattr(empty, f.name).dtype)
+        for f, values in zip(fields(ReplicationColumns), columns)
+    ))
+
+
+def assert_columns_equal(a: ReplicationColumns, b: ReplicationColumns) -> None:
+    """Same rows and column types; NaN equals NaN."""
+    for f in fields(ReplicationColumns):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype, f.name
+        assert x.shape == y.shape, f.name
+        np.testing.assert_array_equal(x, y, err_msg=f.name)
 
 
 @pytest.fixture

@@ -336,6 +336,8 @@ class TestBoundTable:
             bound_table(test_model, [10], [0.0])
         with pytest.raises(ValueError, match=">= 1"):
             bound_table(test_model, [0], [0.1])
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            bound_table(test_model, [10, 1 << 63], [0.1])
         with pytest.raises(ValueError, match="replications"):
             bound_table(test_model, [10], [0.1], replications=-1)
 

@@ -301,6 +301,41 @@ class TestSimulate:
         assert "config ok" not in out
         assert "replications" in err
 
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_sample_size_beyond_int64_exit_1(self, tmp_path, capsys, dry_run):
+        path = Path(config_file(tmp_path))
+        data = json.loads(path.read_text())
+        data["n_values"] = [1 << 63]
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        mode = ["--dry-run"] if dry_run else ["--out-dir", str(out_dir)]
+        code, out, err = run(capsys, "simulate", "--config", str(path), *mode)
+        assert code == 1
+        assert "config ok" not in out
+        assert "2**63 - 1" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    @pytest.mark.parametrize("field", ["label_prob", "ci_level", "cond_p"])
+    def test_real_beyond_float_range_exit_1(self, tmp_path, capsys, field, dry_run):
+        path = Path(config_file(tmp_path))
+        data = json.loads(path.read_text())
+        huge = 10 ** 400
+        if field == "ci_level":
+            data["ci_level"] = huge
+            where = "config.ci_level"
+        elif field == "label_prob":
+            data["model"]["label_prob"] = huge
+            where = "config.model.label_prob"
+        else:
+            data["model"]["cond_p"] = [0.5, huge]
+            where = "config.model.cond_p[1]"
+        path.write_text(json.dumps(data))
+        mode = ["--dry-run"] if dry_run else ["--out-dir", str(tmp_path / "out")]
+        code, out, err = run(capsys, "simulate", "--config", str(path), *mode)
+        assert code == 1
+        assert err == f"error: {where}: integer too large for a float\n"
+
     def test_seed_override_changes_records(self, tmp_path, capsys):
         config = config_file(tmp_path)
         dirs = [tmp_path / name for name in ("a", "b")]

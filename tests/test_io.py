@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ from symkl import (
     CountsFormatError,
     ExperimentConfig,
     PopulationModel,
-    ReplicationRecord,
+    ReplicationColumns,
     config_to_dict,
     load_config,
     parse_config_dict,
@@ -21,7 +22,11 @@ from symkl import (
     write_summary_json,
     bound_table,
 )
+from symkl import io as symkl_io
 from symkl.io import BOUNDS_HEADER, RECORDS_HEADER
+from symkl.montecarlo import REASON_EMPTY_CELL, REASON_NONE, REASON_UNKNOWN
+
+from conftest import assert_columns_equal, make_columns
 
 
 def write(path, text):
@@ -180,31 +185,35 @@ class TestConfigJson:
         with pytest.raises(ValueError, match="invalid JSON"):
             load_config(path)
 
+    def test_integer_literal_beyond_digit_limit(self, tmp_path):
+        path = write(tmp_path / "big.json", '{"replications": 1' + "0" * 5000 + "}")
+        with pytest.raises(ValueError, match="config: invalid JSON"):
+            load_config(path)
+
     def test_non_object_rejected(self, tmp_path):
         path = write(tmp_path / "list.json", "[1, 2]")
         with pytest.raises(ValueError, match="expected an object"):
             load_config(path)
 
 
+def assert_read_back(read, written):
+    """``read`` holds ``written``, except the degeneracy reason, which
+    records.csv does not carry."""
+    reason = np.where(written.degenerate, REASON_UNKNOWN, REASON_NONE).astype(np.int8)
+    assert_columns_equal(read, dataclasses.replace(written, reason=reason))
+
+
 class TestRecordsCsv:
     def records(self):
-        return [
-            ReplicationRecord(
-                rep_index=0, n=100, estimate=math.pi / 11, eta=-0.013,
-                scaled_eta=-0.13, sigma2_hat=4.41, ci_lower=0.2, ci_upper=0.35,
-                covered=True, degenerate=False,
-            ),
-            ReplicationRecord(
-                rep_index=1, n=100, estimate=None, eta=None, scaled_eta=None,
-                sigma2_hat=None, ci_lower=None, ci_upper=None, covered=None,
-                degenerate=True,
-            ),
-        ]
+        return make_columns([
+            (100, 0, False, REASON_NONE, math.pi / 11, -0.013, -0.13, 4.41, 0.2, 0.35, True),
+            (100, 1, True, REASON_EMPTY_CELL, *[math.nan] * 6, False),
+        ])
 
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "records.csv"
         write_records_csv(self.records(), path)
-        assert read_records_csv(path) == self.records()
+        assert_read_back(read_records_csv(path), self.records())
 
     def test_layout(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -227,12 +236,115 @@ class TestRecordsCsv:
         result = run_experiment(config)
         path = tmp_path / "records.csv"
         write_records_csv(result.records, path)
-        assert tuple(read_records_csv(path)) == result.records
+        assert_read_back(read_records_csv(path), result.records)
 
     def test_bad_header_rejected(self, tmp_path):
         path = write(tmp_path / "x.csv", "not,a,records,file\n")
         with pytest.raises(ValueError, match="bad header"):
             read_records_csv(path)
+
+    @pytest.mark.parametrize("row", [
+        "0,100,1,2,3,4,5,6,1",  # 9 fields
+        "0,100,1,2,3,4,5,6,1,0,7",  # 11 fields
+        "x,100,1,2,3,4,5,6,1,0",
+        "0,-100,1,2,3,4,5,6,1,0",
+        "-1,100,,,,,,,,1",
+        "0,99999999999999999999,1,2,3,4,5,6,1,0",
+        "0,100,1,2,3,4,5,,1,0",  # a value missing on a non-degenerate row
+        "0,100,1,2,3,4,5,abc,1,0",
+        "0,100,1,2,3,4,5,6,2,0",
+        "0,100,1,2,3,4,5,6,1,1",  # values on a degenerate row
+        "0,100,,,,,,,,2",
+    ])
+    def test_malformed_row_names_its_line(self, tmp_path, row):
+        good = "0,100,1,2,3,4,5,6,1,0"
+        path = write(tmp_path / "x.csv", f"{RECORDS_HEADER}\n{good}\n{good}\n{row}\n{good}\n")
+        with pytest.raises(ValueError, match="line 4: "):
+            read_records_csv(path)
+
+    def test_empty_file_reads_as_no_rows(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(ReplicationColumns.empty(), path)
+        assert path.read_text() == RECORDS_HEADER + "\n"
+        assert_columns_equal(read_records_csv(path), ReplicationColumns.empty())
+
+
+def _fmt_real(value):
+    return "" if value is None else f"{float(value):.17g}"
+
+
+def _fmt_flag(value):
+    return "" if value is None else ("1" if value else "0")
+
+
+def reference_records_csv(records) -> bytes:
+    """records.csv composed field by field, the way per-row records were written."""
+    lines = [RECORDS_HEADER]
+    for i in range(len(records)):
+        degenerate = bool(records.degenerate[i])
+        reals = [None if degenerate else getattr(records, name)[i].item() for name in
+                 ("estimate", "eta", "scaled_eta", "sigma2_hat", "ci_lower", "ci_upper")]
+        covered = None if degenerate else bool(records.covered[i])
+        lines.append(",".join((
+            str(int(records.rep_index[i])), str(int(records.n[i])), *map(_fmt_real, reals),
+            _fmt_flag(covered), _fmt_flag(degenerate),
+        )))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def r1000_records():
+    """An r=1000 run in three blocks per n whose smallest n leaves some
+    replications with an empty cell."""
+    p = np.ones(1000)
+    p[0] = 0.1  # an expected count near 1 in this cell at n=20000
+    q = np.linspace(1.0, 2.0, 1000)
+    model = PopulationModel(label_prob=0.5, cond_p=p / p.sum(), cond_q=q / q.sum())
+    config = ExperimentConfig(
+        model=model, n_values=(20000, 200000), replications=150, master_seed=2024
+    )
+    records = run_experiment(config).records
+    assert 0 < records.degenerate.sum() < 150
+    return records
+
+
+def edge_records():
+    big, tiny = 1.2345678901234567e300, 9.876543210987654e-301
+    return make_columns([
+        # equal empirical laws: zero variance, a point interval
+        (6, 0, False, REASON_NONE, 0.0, -0.25, -0.6123724356957945, 0.0, 0.0, 0.0, False),
+        (6, 1, False, REASON_NONE, -0.0, -0.0, -0.0, 0.0, -0.0, 0.0, True),
+        (6, 2, False, REASON_NONE, tiny, -tiny, 5e-324, tiny, -big, big, True),
+        (6, 3, False, REASON_NONE, big, big, 1.7976931348623157e308, big, 1e-300, 1e300, False),
+        (6, 4, True, REASON_EMPTY_CELL, *[math.nan] * 6, False),
+        ((1 << 63) - 1, (1 << 32) - 1, False, REASON_NONE, 1 / 3, 2 / 3, 0.1, 0.2, 0.3, 1e-5,
+         True),
+    ])
+
+
+class TestRecordsCsvEquivalence:
+    @pytest.mark.parametrize("make", [r1000_records, edge_records])
+    def test_same_bytes_as_per_field_writer(self, tmp_path, make):
+        records = make()
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        assert path.read_bytes() == reference_records_csv(records)
+
+    def test_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        records = r1000_records()
+        monkeypatch.setattr(symkl_io, "_WRITE_ROWS", 7)
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        assert path.read_bytes() == reference_records_csv(records)
+
+    @pytest.mark.parametrize("make", [r1000_records, edge_records])
+    def test_write_read_write_round_trips(self, tmp_path, make):
+        records = make()
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_records_csv(records, first)
+        read = read_records_csv(first)
+        assert_read_back(read, records)
+        write_records_csv(read, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestBoundsCsvAndSummary:
@@ -263,7 +375,8 @@ class TestBoundsCsvAndSummary:
         assert isinstance(data["all_checks_passed"], bool)
         stats = data["per_n"][0]
         assert set(stats) == {
-            "n", "replications", "degenerate_count", "eta_mean", "eta_median",
+            "n", "replications", "degenerate_count", "degenerate_empty_label",
+            "degenerate_empty_cell", "eta_mean", "eta_median",
             "eta_variance", "scaled_eta_mean", "scaled_eta_median",
             "scaled_eta_variance", "median_abs_eta", "ks_normalized", "coverage",
         }

@@ -8,7 +8,7 @@ from symkl import (
     CountTable,
     ExperimentConfig,
     PopulationModel,
-    ReplicationRecord,
+    ReplicationColumns,
     confidence_interval,
     coverage_rate,
     exact_sigma2,
@@ -23,10 +23,18 @@ from symkl import (
     sample_batch,
 )
 from symkl.model import sample_counts
-from symkl.montecarlo import _median, block_rows, replication_columns
+from symkl.montecarlo import (
+    REASON_EMPTY_CELL,
+    REASON_EMPTY_LABEL,
+    REASON_NONE,
+    _median,
+    block_rows,
+    evaluate,
+    replication_columns,
+)
 from symkl.streams import replication_stream
 
-from conftest import random_simplex
+from conftest import assert_columns_equal, make_columns, random_simplex
 
 
 def make_config(test_model, **overrides):
@@ -43,17 +51,11 @@ def make_config(test_model, **overrides):
 
 
 def make_record(n, rep, eta=0.1, covered=True, degenerate=False):
+    """One row for :func:`make_columns`."""
     if degenerate:
-        return ReplicationRecord(
-            rep_index=rep, n=n, estimate=None, eta=None, scaled_eta=None,
-            sigma2_hat=None, ci_lower=None, ci_upper=None, covered=None,
-            degenerate=True,
-        )
-    return ReplicationRecord(
-        rep_index=rep, n=n, estimate=0.27 + eta, eta=eta,
-        scaled_eta=math.sqrt(n) * eta, sigma2_hat=4.4, ci_lower=0.0,
-        ci_upper=1.0, covered=covered, degenerate=False,
-    )
+        return (n, rep, True, REASON_EMPTY_CELL, *[math.nan] * 6, False)
+    return (n, rep, False, REASON_NONE, 0.27 + eta, eta, math.sqrt(n) * eta, 4.4, 0.0, 1.0,
+            covered)
 
 
 class TestExperimentConfig:
@@ -84,6 +86,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="sample sizes"):
             make_config(test_model, n_values=range(1, (1 << 16) + 2))
         make_config(test_model, replications=1 << 32, n_values=range(1, (1 << 16) + 1))
+
+    def test_sample_sizes_fit_int64(self, test_model):
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            make_config(test_model, n_values=(5, 1 << 63))
+        assert make_config(test_model, n_values=((1 << 63) - 1,)).n_values == ((1 << 63) - 1,)
 
     def test_master_seed_range(self, test_model):
         with pytest.raises(ValueError, match="64-bit"):
@@ -159,27 +166,27 @@ class TestKsStatistic:
 class TestCoverageAndCurve:
     def test_coverage_rate(self):
         records = [make_record(100, i, covered=(i % 4 != 0)) for i in range(8)]
-        assert coverage_rate(records) == pytest.approx(0.75)
+        assert coverage_rate(make_columns(records)) == pytest.approx(0.75)
 
     def test_coverage_skips_degenerate(self):
         records = [make_record(100, 0, covered=True), make_record(100, 1, degenerate=True)]
-        assert coverage_rate(records) == 1.0
+        assert coverage_rate(make_columns(records)) == 1.0
 
     def test_coverage_needs_valid_records(self):
         with pytest.raises(ValueError, match="non-degenerate"):
-            coverage_rate([make_record(100, 0, degenerate=True)])
+            coverage_rate(make_columns([make_record(100, 0, degenerate=True)]))
 
     def test_lln_curve_medians(self):
         records = [make_record(100, i, eta=e) for i, e in enumerate((0.1, -0.3, 0.2))]
         records += [make_record(1000, i, eta=e) for i, e in enumerate((0.05, -0.01, 0.02))]
-        curve = lln_curve(records)
+        curve = lln_curve(make_columns(records))
         assert list(curve) == [100, 1000]
         assert curve[100] == pytest.approx(0.2)
         assert curve[1000] == pytest.approx(0.02)
 
     def test_lln_curve_needs_two_sizes(self):
         with pytest.raises(ValueError, match="2 distinct"):
-            lln_curve([make_record(100, i) for i in range(5)])
+            lln_curve(make_columns([make_record(100, i) for i in range(5)]))
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 999, 1000])
     def test_median_equals_numpy(self, size):
@@ -193,7 +200,7 @@ class TestCoverageAndCurve:
         records += [make_record(20000, i, eta=0.01) for i in range(3)]
         records.append(make_record(20000, 3, degenerate=True))
         with pytest.raises(ValueError) as info:
-            lln_curve(records)
+            lln_curve(make_columns(records))
         message = str(info.value)
         assert "2 distinct" in message
         assert "every replication was degenerate at n = 100, 2000" in message
@@ -205,10 +212,11 @@ class TestRunReplication:
         truth = test_model.sym_divergence()
         a = run_replication(test_model, 400, 0.95, truth, 11, 0, 3)
         b = run_replication(test_model, 400, 0.95, truth, 11, 0, 3)
-        assert a == b
-        assert not a.degenerate
-        assert a.scaled_eta == pytest.approx(math.sqrt(400) * a.eta, rel=1e-15)
-        assert a.ci_lower <= a.estimate <= a.ci_upper
+        assert_columns_equal(a, b)
+        assert len(a) == 1
+        assert not a.degenerate[0]
+        assert a.scaled_eta[0] == pytest.approx(math.sqrt(400) * a.eta[0], rel=1e-15)
+        assert a.ci_lower[0] <= a.estimate[0] <= a.ci_upper[0]
 
     def test_matches_scalar_oracles_on_its_stream(self, test_model):
         truth = test_model.sym_divergence()
@@ -217,18 +225,18 @@ class TestRunReplication:
         est = plug_in_estimate(counts)
         variance = plugin_sigma2(counts)
         ci = confidence_interval(est, variance, 0.9)
-        assert rec.rep_index == 5 and rec.n == 400
-        assert rec.estimate == pytest.approx(est.value, rel=1e-13, abs=0.0)
-        assert rec.sigma2_hat == pytest.approx(variance.sigma2, rel=1e-13, abs=0.0)
-        assert rec.ci_lower == pytest.approx(ci.lower, rel=1e-13, abs=0.0)
-        assert rec.ci_upper == pytest.approx(ci.upper, rel=1e-13, abs=0.0)
-        assert rec.covered == ci.contains(truth)
+        assert rec.rep_index.tolist() == [5] and rec.n.tolist() == [400]
+        assert rec.estimate[0] == pytest.approx(est.value, rel=1e-13, abs=0.0)
+        assert rec.sigma2_hat[0] == pytest.approx(variance.sigma2, rel=1e-13, abs=0.0)
+        assert rec.ci_lower[0] == pytest.approx(ci.lower, rel=1e-13, abs=0.0)
+        assert rec.ci_upper[0] == pytest.approx(ci.upper, rel=1e-13, abs=0.0)
+        assert rec.covered[0] == ci.contains(truth)
 
     def test_degenerate_record_has_no_values(self, test_model):
         # two draws cannot populate all four cells
         rec = run_replication(test_model, 2, 0.95, 0.0, 11, 0, 0)
-        assert rec.degenerate
-        assert rec.estimate is None and rec.eta is None and rec.covered is None
+        assert rec.degenerate[0]
+        assert math.isnan(rec.estimate[0]) and math.isnan(rec.eta[0]) and not rec.covered[0]
 
 
 def assert_columns_match_oracle(n1, n0, truth, level=0.95):
@@ -295,10 +303,28 @@ class TestReplicationColumns:
         for truth in (0.0, 0.2):
             cols = assert_columns_match_oracle(n1, n0, truth)
             assert cols.degenerate.tolist() == [True, True, True, True, False, False]
+            assert cols.reason.tolist() == [
+                REASON_EMPTY_LABEL, REASON_EMPTY_LABEL, REASON_EMPTY_CELL, REASON_EMPTY_CELL,
+                REASON_NONE, REASON_NONE,
+            ]
+            assert cols.n.tolist() == (n1.sum(axis=1) + n0.sum(axis=1)).tolist()
+            assert cols.rep_index.tolist() == list(range(6))
             # equal empirical laws: zero variance, point interval at 0
             assert cols.estimate[4] == 0.0 and cols.sigma2_hat[4] == 0.0
             assert cols.ci_lower[4] == cols.ci_upper[4] == 0.0
             assert cols.covered[4] == (truth == 0.0)
+
+    def test_summary_counts_each_reason(self, test_model):
+        # every table holds n = 6 draws
+        n1 = np.array([[0, 0], [4, 2], [1, 1], [2, 3], [1, 2], [0, 4], [3, 1]])
+        n0 = np.array([[2, 4], [0, 0], [0, 4], [0, 1], [1, 2], [1, 1], [1, 1]])
+        records = replication_columns(n1, n0, 0.0, 1.96)
+        config = make_config(test_model, n_values=(6,), replications=7)
+        (stats,) = evaluate(config, records).per_n
+        assert stats.degenerate_empty_label == 2
+        assert stats.degenerate_empty_cell == 3
+        assert stats.degenerate_count == 5
+        assert stats.replications == 7
 
     def test_block_rows(self):
         assert block_rows(2) == 1 << 15
@@ -312,9 +338,9 @@ class TestRunExperiment:
         config = make_config(test_model)
         result = run_experiment(config)
         assert len(result.records) == 2 * 40
-        keys = [(r.n, r.rep_index) for r in result.records]
+        keys = list(zip(result.records.n.tolist(), result.records.rep_index.tolist()))
         assert keys == sorted(keys)
-        assert {r.n for r in result.records} == {300, 900}
+        assert set(result.records.n.tolist()) == {300, 900}
 
     def test_summary_contents(self, test_model):
         config = make_config(test_model, checks=("lln", "clt", "coverage"))
@@ -333,7 +359,7 @@ class TestRunExperiment:
         config = make_config(test_model)
         seq = run_experiment(config, workers=1)
         par = run_experiment(config, workers=3)
-        assert seq.records == par.records
+        assert_columns_equal(seq.records, par.records)
 
     def test_degenerate_replications_counted_not_resampled(self, test_model):
         config = make_config(test_model, n_values=(2, 3), replications=25)
@@ -389,6 +415,66 @@ class TestRunExperiment:
     def test_workers_validation(self, test_model):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(make_config(test_model), workers=0)
+
+
+def reference_summaries(records, sigma_exact):
+    """Per-n statistics computed row by row, as from per-row records."""
+    by_n = {}
+    for row in zip(records.n.tolist(), records.degenerate.tolist(), records.eta.tolist(),
+                   records.scaled_eta.tolist(), records.covered.tolist()):
+        by_n.setdefault(row[0], []).append(row)
+    out = {}
+    for n, group in by_n.items():
+        valid = [row for row in group if not row[1]]
+        head = (n, len(group), len(group) - len(valid))
+        if not valid:
+            out[n] = head + (None,) * 9
+            continue
+        eta = np.array([row[2] for row in valid])
+        scaled = np.array([row[3] for row in valid])
+        covered = [row[4] for row in valid]
+
+        def var(a):
+            return float(np.var(a, ddof=1)) if a.size > 1 else None
+
+        out[n] = head + (
+            float(eta.mean()), float(np.median(eta)), var(eta),
+            float(scaled.mean()), float(np.median(scaled)), var(scaled),
+            float(np.median(np.abs(eta))), ks_statistic(scaled / sigma_exact),
+            sum(covered) / len(covered),
+        )
+    return out
+
+
+class TestColumnarSummaries:
+    def test_per_n_summaries_equal_row_wise_reference(self, test_model):
+        # n=2 is always degenerate at r=2, n=6 often, n=300 rarely
+        config = make_config(test_model, n_values=(2, 6, 40, 300), replications=300)
+        records = run_experiment(config).records
+        assert records.degenerate.any() and not records.degenerate.all()
+        sigma = math.sqrt(exact_sigma2(test_model).sigma2)
+        want = reference_summaries(records, sigma)
+        per_n = evaluate(config, records).per_n
+        assert [s.n for s in per_n] == list(want)
+        for s in per_n:
+            got = (s.n, s.replications, s.degenerate_count, s.eta_mean, s.eta_median,
+                   s.eta_variance, s.scaled_eta_mean, s.scaled_eta_median,
+                   s.scaled_eta_variance, s.median_abs_eta, s.ks_normalized, s.coverage)
+            assert got == want[s.n]
+            assert s.degenerate_empty_label + s.degenerate_empty_cell == s.degenerate_count
+        curve = lln_curve(records)
+        assert curve == {n: row[9] for n, row in want.items() if row[9] is not None}
+
+    def test_rows_must_be_sorted_by_n(self, test_model):
+        records = make_columns([make_record(1000, 0), make_record(100, 0), make_record(1000, 1)])
+        with pytest.raises(ValueError, match="sorted by n"):
+            lln_curve(records)
+        with pytest.raises(ValueError, match="sorted by n"):
+            evaluate(make_config(test_model), records)
+
+    def test_empty_records_give_no_per_n(self, test_model):
+        summary = evaluate(make_config(test_model), ReplicationColumns.empty())
+        assert summary.per_n == ()
 
 
 class TestKsAgainstExactSigmaDecreases:
