@@ -13,9 +13,9 @@ budget, estimates the corresponding deviation frequencies by Monte Carlo
 so each bound can be checked against data.  Samples for which a statistic
 is undefined (empty label class, empty cell inside a log) are counted as
 exceedances, which only pushes the empirical frequency up.  The Monte
-Carlo walks each sample size's draws in row blocks and keeps integer
-exceedance counts per (bound, g, cell), so at most one ``(replications,
-r)`` int64 array is held at a time.
+Carlo counts the estimator's tables (:func:`~symkl.model.table_blocks`)
+one block at a time and keeps integer exceedance counts per (bound, g,
+cell), so it holds one block of tables and temporaries at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAX_COUNT, PopulationModel, sample_count_blocks
-from .streams import TAG_BOUNDS, auxiliary_stream
+from .model import MAX_COUNT, PopulationModel, table_blocks
 
 DEFAULT_G_GRID = (0.05, 0.1, 0.2, 0.5)
 
@@ -228,57 +227,43 @@ class BoundTableRow:
         return self.empirical <= self.bound + 3.0 * self.stderr
 
 
-def _exceed_counts(model: PopulationModel, n: int, replications: int,
-                   g_values: list[float], stream: np.random.Generator) -> dict[str, np.ndarray]:
-    """Count the draws of size n whose deviation statistic exceeds each g.
+def _exceed_counts(counts: dict[str, np.ndarray], model: PopulationModel, n: int,
+                   g_values: list[float], k1, n1, n0) -> None:
+    """Add to ``counts`` the tables of one block whose deviation statistic exceeds each g.
 
-    Returns, per bound name, int64 counts of shape ``(len(g_values),)``
-    for the label frequency and ``(len(g_values), r)``, one per cell, for
-    the others.  The rows are walked in the blocks of
-    :func:`~symkl.model.sample_count_blocks`; only ``n1`` is kept, because
-    the log-ratio pairs each row's ``n1`` with its ``n0``.  Undefined
-    statistics (empty label class, empty cell inside a log) are set
-    infinite, so they exceed every g.
+    ``k1, n1, n0`` are tables of size n as :func:`~symkl.model.sample_counts`
+    returns them.  Per bound name, the counts are int64 of shape
+    ``(len(g_values),)`` for the label frequency and ``(len(g_values), r)``,
+    one per cell, for the others.  Undefined statistics (empty label class,
+    empty cell inside a log) are set infinite, so they exceed every g.
     """
     p = model.label_prob
     q = 1.0 - p
     pv = model.cond_p
     qv = model.cond_q
+    k0 = n - k1
     g_arr = np.asarray(g_values)
-    counts: dict[str, np.ndarray] = {}
 
     def add(name: str, dev: np.ndarray) -> None:
         # joint cells are one-sided; every other statistic is already absolute
         exceed = dev > g_arr.reshape((-1,) + (1,) * dev.ndim)
         counts[name] = counts.get(name, 0) + np.count_nonzero(exceed, axis=1)
 
-    def conditional_dev(cells: np.ndarray, k: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        dev = np.abs(cells / k[:, None] - cond)
-        dev[k == 0, :] = np.inf
-        return dev
-
-    n1 = np.empty((replications, model.r), dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for label, start, block in sample_count_blocks(model, n, replications, stream):
-            rows = slice(start, start + len(block))
-            k = block.sum(axis=1)
-            if label == 1:
-                n1[rows] = block
-                add("label_freq", np.abs(k / n - p))
-                add("joint_cell_y1", block / n - p * pv)
-                add("conditional_cell_p", conditional_dev(block, k, pv))
-                continue
-            add("joint_cell_y0", block / n - q * qv)
-            add("conditional_cell_q", conditional_dev(block, k, qv))
-            n1_rows = n1[rows]
-            log_ratio_dev = np.abs(
-                np.log(n1_rows / (n - k)[:, None]) - np.log(pv)
-                - np.log(block / k[:, None]) + np.log(qv)
-            )
-            # an empty label class leaves every cell of its side empty
-            log_ratio_dev[(n1_rows == 0) | (block == 0)] = np.inf
-            add("log_ratio", log_ratio_dev)
-    return counts
+        add("label_freq", np.abs(k1 / n - p))
+        add("joint_cell_y1", n1 / n - p * pv)
+        add("joint_cell_y0", n0 / n - q * qv)
+        p_hat = n1 / k1[:, None]
+        q_hat = n0 / k0[:, None]
+        for name, hat, k, cond in (("conditional_cell_p", p_hat, k1, pv),
+                                   ("conditional_cell_q", q_hat, k0, qv)):
+            dev = np.abs(hat - cond)
+            dev[k == 0, :] = np.inf
+            add(name, dev)
+        log_ratio_dev = np.abs(np.log(p_hat) - np.log(pv) - np.log(q_hat) + np.log(qv))
+    # an empty label class leaves every cell of its side empty
+    log_ratio_dev[(n1 == 0) | (n0 == 0)] = np.inf
+    add("log_ratio", log_ratio_dev)
 
 
 def bound_table(
@@ -301,7 +286,7 @@ def bound_table(
         Monte Carlo budget per sample size for the empirical frequencies;
         0 evaluates the bounds only.
     master_seed : int
-        Seed for the dedicated bound-validation streams.
+        Seed of the Monte Carlo count tables.
 
     Returns
     -------
@@ -310,13 +295,12 @@ def bound_table(
 
     Notes
     -----
-    Sample size ``n_values[i]`` draws from ``auxiliary_stream(master_seed,
-    TAG_BOUNDS, i)`` in the order of :func:`~symkl.model.sample_counts`.
-    The draws are counted block by block, and a row's ``empirical`` is the
-    largest count over the cells divided by ``replications``, the same
-    float as the mean of the exceedance indicators.  Peak memory is the
-    label-1 counts of one sample size, one ``(replications, r)`` int64
-    array, plus one block of temporaries.
+    The count tables are the blocks :func:`~symkl.model.table_blocks` gives
+    the sorted grid, which :func:`~symkl.montecarlo.replicate` draws for
+    the same sample sizes, replications and seed.  They are counted block
+    by block, and a row's ``empirical`` is the largest count over the cells
+    divided by ``replications``, the same float as the mean of the
+    exceedance indicators.  Peak memory is one block of tables and temporaries.
     """
     n_values = sorted({int(n) for n in n_grid})
     g_values = sorted({float(g) for g in g_grid})
@@ -332,34 +316,23 @@ def bound_table(
     if replications < 0:
         raise ValueError(f"replications must be >= 0, got {replications}")
 
-    counts_by_n: dict[int, dict[str, np.ndarray]] = {}
-    if replications > 0:
-        for n_index, n in enumerate(n_values):
-            rng = auxiliary_stream(master_seed, TAG_BOUNDS, n_index)
-            counts_by_n[n] = _exceed_counts(model, n, replications, g_values, rng)
+    counts_by_n: dict[int, dict[str, np.ndarray]] = {n: {} for n in n_values}
+    for block in table_blocks(model, n_values, replications, master_seed):
+        # held until the next draw, the tables halve the heap's page faults
+        k1, n1, n0 = block.draw()
+        _exceed_counts(counts_by_n[block.n], model, block.n, g_values, k1, n1, n0)
 
     rows: list[BoundTableRow] = []
     for name in BOUND_NAMES:
-        func = _BOUND_FUNCS[name]
         for n in n_values:
             for g_index, g in enumerate(g_values):
-                value = func(BoundInputs(model=model, n=n, g=g)).value
-                empirical = None
-                stderr = None
+                value = _BOUND_FUNCS[name](BoundInputs(model=model, n=n, g=g)).value
+                empirical = stderr = None
                 if replications > 0:
                     # worst cell: the bounds dominate every cell
-                    freq = int(counts_by_n[n][name][g_index].max()) / replications
-                    empirical = freq
-                    stderr = math.sqrt(freq * (1.0 - freq) / replications)
-                rows.append(
-                    BoundTableRow(
-                        name=name,
-                        n=n,
-                        g=g,
-                        bound=value,
-                        informative=value < 1.0,
-                        empirical=empirical,
-                        stderr=stderr,
-                    )
-                )
+                    empirical = int(counts_by_n[n][name][g_index].max()) / replications
+                    stderr = math.sqrt(empirical * (1.0 - empirical) / replications)
+                rows.append(BoundTableRow(name=name, n=n, g=g, bound=value,
+                                          informative=value < 1.0, empirical=empirical,
+                                          stderr=stderr))
     return rows

@@ -5,16 +5,17 @@ alphabet of ``r >= 2`` symbols together with a label probability: a draw is
 ``(X, Y)`` with ``Y ~ Bernoulli(label_prob)``, ``X | Y=1 ~ cond_p`` and
 ``X | Y=0 ~ cond_q``.  Symbols are identified with their indices
 ``0 .. r-1``.  This module owns simplex validation, the KL divergences
-between the two conditionals, and sampling into joint count tables.
+between the two conditionals, and sampling into blocks of joint count tables.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .streams import block_stream
 
 # Entries at or below this are treated as numerically zero; strict
 # positivity means every entry exceeds it.
@@ -28,7 +29,7 @@ MAX_COUNT = (1 << 63) - 1
 
 # Count cells (rows x r) per sampling block, for the Monte Carlo kernel and
 # the bound pass alike.  Part of the stream layout: changing it changes
-# every records.csv.
+# every records.csv and bounds.csv.
 BLOCK_CELLS = 1 << 16
 
 
@@ -258,21 +259,37 @@ def block_rows(r: int) -> int:
     return max(1, BLOCK_CELLS // r)
 
 
-def sample_count_blocks(
-    model: PopulationModel, n: int, rows: int, stream: np.random.Generator
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Draw the tables of :func:`sample_counts` in blocks of ``block_rows(r)`` rows.
+@dataclass(frozen=True)
+class TableBlock:
+    """Count tables ``start .. start + size`` at sample size ``n``, from ``block_stream(*key)``."""
 
-    Consumes ``stream`` in the order :func:`sample_counts` does and draws
-    the same values.  Yields ``(label, start, counts)``: first every
-    label-1 block ``n1[start:start + len(counts)]``, then every label-0
-    block of ``n0``.  A block's row sums are its label counts.
+    model: PopulationModel
+    n: int
+    start: int
+    size: int
+    key: tuple[int, int, int]  # (master_seed, n_index, block_index)
+
+    def draw(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``k1, n1, n0`` of the block's tables, as :func:`sample_counts` returns them."""
+        return sample_counts(self.model, self.n, self.size, block_stream(*self.key))
+
+
+def table_blocks(model: PopulationModel, n_values, replications: int,
+                 master_seed: int) -> list[TableBlock]:
+    """The blocks of ``replications`` count tables at each sample size.
+
+    At sample-size index ``i`` the tables are split into blocks of
+    ``block_rows(r)`` rows, the last holding the remainder; block ``b`` has
+    the key ``(master_seed, i, b)``.  The estimator's replications and the
+    bound Monte Carlo both read their tables here.
     """
     step = block_rows(model.r)
-    k1 = stream.binomial(n, model.label_prob, size=rows)
-    for label, class_counts, cond in ((1, k1, model.cond_p), (0, n - k1, model.cond_q)):
-        for start in range(0, rows, step):
-            yield label, start, stream.multinomial(class_counts[start:start + step], cond)
+    return [
+        TableBlock(model, n, start, min(step, replications - start),
+                   (master_seed, n_index, start // step))
+        for n_index, n in enumerate(n_values)
+        for start in range(0, replications, step)
+    ]
 
 
 def sample_batch(model: PopulationModel, n: int, stream: np.random.Generator) -> CountTable:

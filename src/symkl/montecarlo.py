@@ -13,14 +13,12 @@ the population; interval coverage uses the per-replication plug-in
 variance.  Replications whose plug-in estimate is undefined are recorded
 as degenerate and excluded from the statistics, never resampled.
 
-Replications run in blocks through a vectorized kernel: block ``b`` at
-sample-size index ``i`` holds ``max(1, 2**16 // r)`` replications (the
-last block at each sample size holds the remainder) and draws all of its
-count tables from one Philox stream keyed by ``(master_seed, i, b)``
-under tag 3 (key word ``3 << 48 | i << 32 | b``, see
-:mod:`symkl.streams`).  The layout depends only on ``r`` and the
-replication count, so results are reproducible and identical for any
-worker count.  The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
+Replications run through a vectorized kernel in the blocks of
+:func:`~symkl.model.table_blocks`, ``max(1, 2**16 // r)`` tables each,
+all drawn from one Philox stream per block; the bounds check counts the
+same tables.  The layout depends only on ``r`` and the replication
+count, so results are reproducible and identical for any worker count.
+The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
 :func:`~symkl.asymptotics.plugin_sigma2` and
 :func:`~symkl.asymptotics.confidence_interval` are the kernel's test oracles.
 """
@@ -45,11 +43,11 @@ from .estimator import plug_in_estimate  # noqa: F401  (perfbench's tracer wraps
 from .model import (
     MAX_COUNT,
     PopulationModel,
-    block_rows,
     sample_batch,  # noqa: F401  (perfbench's tracer wraps it here)
     sample_counts,
+    table_blocks,
 )
-from .streams import N_INDEX_LIMIT, REP_INDEX_LIMIT, block_stream, replication_stream
+from .streams import N_INDEX_LIMIT, REP_INDEX_LIMIT, replication_stream
 
 CHECK_NAMES = ("lln", "clt", "coverage", "bounds")
 
@@ -247,7 +245,8 @@ class ReplicationColumns:
     @classmethod
     def empty(cls) -> ReplicationColumns:
         """No rows, with the kernel's column types."""
-        return replication_columns(np.zeros((0, 2)), np.zeros((0, 2)), 0.0, 0.0)
+        types = dict(n=np.int64, rep_index=np.int64, degenerate=bool, reason=np.int8, covered=bool)
+        return cls(*(np.empty(0, dtype=types.get(f.name, np.float64)) for f in fields(cls)))
 
 
 def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> ReplicationColumns:
@@ -324,9 +323,9 @@ def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> R
 
 
 def _block_columns(task) -> ReplicationColumns:
-    model, n, rows, truth, z, master_seed, n_index, block_index, first_rep = task
-    _, n1, n0 = sample_counts(model, n, rows, block_stream(master_seed, n_index, block_index))
-    return replication_columns(n1, n0, truth, z, first_rep)
+    block, truth, z = task
+    _, n1, n0 = block.draw()
+    return replication_columns(n1, n0, truth, z, block.start)
 
 
 def ks_statistic(values, cdf=normal_cdf) -> float:
@@ -532,17 +531,10 @@ def replicate(config: ExperimentConfig, workers: int = 1) -> ReplicationColumns:
     # a fork pool starts all of its processes at once
     workers = min(workers, os.cpu_count() or 1)
 
-    model = config.model
-    truth = model.sym_divergence()
+    truth = config.model.sym_divergence()
     z = normal_quantile((1.0 + config.ci_level) / 2.0)
-    rows = block_rows(model.r)
-    tasks = []
-    for n_index, n in enumerate(config.n_values):
-        for start in range(0, config.replications, rows):
-            size = min(rows, config.replications - start)
-            tasks.append(
-                (model, n, size, truth, z, config.master_seed, n_index, start // rows, start)
-            )
+    layout = table_blocks(config.model, config.n_values, config.replications, config.master_seed)
+    tasks = [(block, truth, z) for block in layout]
 
     if workers == 1:
         blocks = list(map(_block_columns, tasks))
@@ -560,8 +552,8 @@ def evaluate(config: ExperimentConfig, records: ReplicationColumns) -> Experimen
 
     ``records`` come from :func:`replicate`, sorted by n; ``per_n`` covers
     the sample sizes that have records, so it is empty when there are
-    none (``ReplicationColumns.empty()``).  The bounds check draws its own
-    deviation samples and needs no records; the other checks do.
+    none (``ReplicationColumns.empty()``).  The bounds check needs no
+    records: it draws the same tables again.  The other checks do.
     """
     sigma2 = exact_sigma2(config.model).sigma2
     summary_by_n = {

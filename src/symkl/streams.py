@@ -14,13 +14,14 @@ The Philox key is two 64-bit words::
     word 0 = master_seed  (mod 2**64)
     word 1 = tag << 48 | n_index << 32 | index
 
-The Monte Carlo kernel draws each block of replications from one stream
-with ``tag = 3`` and ``index = block_index``.  Single-replication streams
-(:func:`~symkl.montecarlo.run_replication`) use ``tag = 0`` and
-``index = rep_index``.
-Auxiliary domains (tail-bound grids, standalone sampling helpers) use
-tags 1 and 2, their own index in the ``n_index`` field and ``index = 0``.
-Distinct tags keep the domains' streams from ever colliding.
+The Monte Carlo count tables, of the estimator and the bound checks alike,
+come in blocks, each from one stream with ``tag = 3`` and ``index =
+block_index`` (:func:`~symkl.model.table_blocks`).  Single-replication
+streams (:func:`~symkl.montecarlo.run_replication`) use ``tag = 0`` and
+``index = rep_index``.  Auxiliary domains (standalone sampling helpers)
+use tag 1 or 2, their own index in the ``n_index`` field and ``index = 0``;
+no package routine draws from tag 1.  Distinct tags keep the domains'
+streams from ever colliding.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 TAG_REPLICATION = 0
-TAG_BOUNDS = 1
 TAG_SCRATCH = 2
 TAG_BLOCK = 3
 

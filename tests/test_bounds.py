@@ -17,7 +17,8 @@ from symkl import (
     check_bound_rows,
 )
 from symkl.model import block_rows, sample_counts
-from symkl.streams import TAG_BOUNDS, auxiliary_stream
+from symkl.montecarlo import REASON_EMPTY_LABEL, ExperimentConfig, replicate
+from symkl.streams import block_stream
 
 from conftest import random_model, random_simplex
 
@@ -30,7 +31,22 @@ def swap_labels(model: PopulationModel) -> PopulationModel:
     )
 
 
-def reference_deviation_stats(model, n, replications, rng):
+def reference_tables(model, n, n_index, replications, master_seed):
+    """The estimator's count tables at one sample size, as whole arrays.
+
+    Block ``b`` holds ``block_rows(r)`` rows (the last one the remainder)
+    drawn by ``sample_counts`` from ``block_stream(master_seed, n_index, b)``.
+    """
+    step = block_rows(model.r)
+    blocks = [
+        sample_counts(model, n, min(step, replications - start),
+                      block_stream(master_seed, n_index, start // step))
+        for start in range(0, replications, step)
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def reference_deviation_stats(model, n, k1, n1, n0):
     """Every per-replication deviation statistic at once, as R x r arrays.
 
     The full-array computation the blocked counting in ``bound_table``
@@ -40,7 +56,6 @@ def reference_deviation_stats(model, n, replications, rng):
     q = 1.0 - p
     pv = model.cond_p
     qv = model.cond_q
-    k1, n1, n0 = sample_counts(model, n, replications, rng)
     k0 = n - k1
 
     label_dev = np.abs(k1 / n - p)
@@ -81,8 +96,8 @@ def reference_empirical(model, n_values, g_values, replications, master_seed):
     """``{(name, n, g): frequency}`` from the full-array reference."""
     out = {}
     for n_index, n in enumerate(n_values):
-        rng = auxiliary_stream(master_seed, TAG_BOUNDS, n_index)
-        stats = reference_deviation_stats(model, n, replications, rng)
+        tables = reference_tables(model, n, n_index, replications, master_seed)
+        stats = reference_deviation_stats(model, n, *tables)
         for name, stat in stats.items():
             for g in g_values:
                 one_sided = name.startswith("joint_cell")
@@ -398,10 +413,38 @@ class TestBlockedCounting:
         )
         n_values = [1, 6, 400]
         g_values = [0.05, 0.1, 0.2, 0.5, 2.0]
-        k1 = auxiliary_stream(r + 7, TAG_BOUNDS, 0).binomial(1, 0.1, size=replications)
+        k1, _, _ = reference_tables(model, 1, 0, replications, r + 7)
         assert 0 < k1.sum() < replications
         rows = bound_table(model, n_values, g_values, replications, master_seed=r + 7)
         expected = reference_empirical(model, n_values, g_values, replications, r + 7)
         assert len(rows) == len(expected)
         for row in rows:
             assert row.empirical == expected[row.name, row.n, row.g], (row.name, row.n, row.g)
+
+
+class TestOneTableSource:
+    """The bound Monte Carlo reads the tables ``replicate`` draws."""
+
+    def test_empty_label_tables_match_the_estimator_records(self):
+        # r=50 puts 1310 tables in a block: blocks of 1310, 1310 and 380 per n
+        r = 50
+        rng = np.random.default_rng(r)
+        model = PopulationModel(
+            label_prob=0.1, cond_p=random_simplex(rng, r, 0.0), cond_q=random_simplex(rng, r, 0.0)
+        )
+        n_values = [3, 8, 20]
+        replications = 3000
+        assert 2 * block_rows(model.r) < replications < 3 * block_rows(model.r)
+        # no defined conditional deviation exceeds g = 10, so a row counts
+        # exactly the tables whose label class is empty
+        rows = bound_table(model, n_values, [10.0], replications, master_seed=91)
+        empty = {(row.name, row.n): round(row.empirical * replications) for row in rows}
+        records = replicate(ExperimentConfig(
+            model=model, n_values=n_values, replications=replications, master_seed=91
+        ))
+        for n_index, n in enumerate(n_values):
+            k1, _, _ = reference_tables(model, n, n_index, replications, 91)
+            assert empty["conditional_cell_p", n] == np.count_nonzero(k1 == 0) > 0
+            assert empty["conditional_cell_q", n] == np.count_nonzero(k1 == n)
+            label_empty = np.count_nonzero(records.reason[records.n == n] == REASON_EMPTY_LABEL)
+            assert empty["conditional_cell_p", n] + empty["conditional_cell_q", n] == label_empty

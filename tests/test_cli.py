@@ -233,7 +233,8 @@ class TestSimulate:
 
     def test_multi_block_records_independent_of_workers(self, tmp_path, capsys):
         # r=1000 puts 65 replications in a kernel block, so 150 replications
-        # make blocks of 65, 65 and 20 at each n
+        # make blocks of 65, 65 and 20 at each n, for the estimator and the
+        # bound Monte Carlo alike
         weights = [1.0 + (j % 7) / 10 for j in range(1000)]
         config = config_file(
             tmp_path,
@@ -242,7 +243,7 @@ class TestSimulate:
                 "cond_p": [w / sum(weights) for w in weights],
                 "cond_q": [w / sum(weights[::-1]) for w in weights[::-1]],
             },
-            n_values=[20000, 200000], replications=150,
+            n_values=[20000, 200000], replications=150, checks=["bounds"],
         )
         dirs = [tmp_path / name for name in ("w1", "w2", "w3")]
         for out_dir, workers in zip(dirs, ("1", "2", "3")):
@@ -255,8 +256,10 @@ class TestSimulate:
         assert baseline.count(b"\n") == 1 + 2 * 150
         # both outcomes occur, so every column is exercised across blocks
         assert b",1\n" in baseline and b",0\n" in baseline
+        bounds = (dirs[0] / "bounds.csv").read_bytes()
         for out_dir in dirs[1:]:
             assert (out_dir / "records.csv").read_bytes() == baseline
+            assert (out_dir / "bounds.csv").read_bytes() == bounds
 
     def test_pool_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
         started = []

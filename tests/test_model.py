@@ -13,7 +13,7 @@ from symkl import (
     sample_batch,
     sym_kl_divergence,
 )
-from symkl.model import block_rows, sample_count_blocks, sample_counts
+from symkl.model import sample_counts
 from symkl.streams import auxiliary_stream, replication_stream
 
 from conftest import random_simplex
@@ -235,7 +235,7 @@ class TestSampleBatch:
 class TestSampleCounts:
     def test_draw_order_is_fixed(self, test_model):
         # label counts, then label-1 symbols, then label-0 symbols; the
-        # bounds.csv bytes depend on this order
+        # records.csv and bounds.csv bytes depend on this order
         rng = replication_stream(3, 1, 4)
         k1 = rng.binomial(700, test_model.label_prob, size=5)
         n1 = rng.multinomial(k1, test_model.cond_p)
@@ -246,26 +246,6 @@ class TestSampleCounts:
         assert np.array_equal(got_n1, n1) and np.array_equal(got_n0, n0)
         assert np.array_equal(got_n1.sum(axis=1), k1)
         assert np.all(got_n1.sum(axis=1) + got_n0.sum(axis=1) == 700)
-
-    @pytest.mark.parametrize("rows", [1, 64, 65, 150])
-    def test_row_blocks_reproduce_one_call(self, rows):
-        # the bound pass draws n1 and then n0 in row blocks from one stream;
-        # bounds.csv keeps its bytes only because that equals one call
-        rng = np.random.default_rng(rows)
-        model = PopulationModel(
-            label_prob=0.3, cond_p=random_simplex(rng, 1000, 0.0),
-            cond_q=random_simplex(rng, 1000, 0.0),
-        )
-        assert block_rows(model.r) == 65
-        _, n1, n0 = sample_counts(model, 5000, rows, auxiliary_stream(8, 2, 1))
-        blocks = list(sample_count_blocks(model, 5000, rows, auxiliary_stream(8, 2, 1)))
-        per_label = len(range(0, rows, 65))
-        assert [label for label, _, _ in blocks] == [1] * per_label + [0] * per_label
-        for label, full in ((1, n1), (0, n0)):
-            starts = [start for lab, start, _ in blocks if lab == label]
-            assert starts == list(range(0, rows, 65))
-            got = np.concatenate([counts for lab, _, counts in blocks if lab == label])
-            assert got.dtype == full.dtype and np.array_equal(got, full)
 
 
 class TestRandomSimplexHelper:

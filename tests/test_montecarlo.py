@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,13 +23,12 @@ from symkl import (
     run_replication,
     sample_batch,
 )
-from symkl.model import sample_counts
+from symkl.model import block_rows, sample_counts
 from symkl.montecarlo import (
     REASON_EMPTY_CELL,
     REASON_EMPTY_LABEL,
     REASON_NONE,
     _median,
-    block_rows,
     evaluate,
     replication_columns,
 )
@@ -325,6 +325,14 @@ class TestReplicationColumns:
         assert stats.degenerate_empty_cell == 3
         assert stats.degenerate_count == 5
         assert stats.replications == 7
+
+    def test_empty_has_the_kernel_column_types(self):
+        one_table = replication_columns(np.array([[3, 1]]), np.array([[1, 3]]), 0.5, 1.96)
+        empty = ReplicationColumns.empty()
+        for f in fields(ReplicationColumns):
+            column = getattr(empty, f.name)
+            assert column.dtype == getattr(one_table, f.name).dtype, f.name
+            assert column.shape == (0,), f.name
 
     def test_block_rows(self):
         assert block_rows(2) == 1 << 15

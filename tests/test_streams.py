@@ -2,7 +2,6 @@ import pytest
 
 from symkl.streams import (
     TAG_BLOCK,
-    TAG_BOUNDS,
     TAG_SCRATCH,
     auxiliary_stream,
     block_stream,
@@ -18,7 +17,7 @@ class TestBlockStream:
     def test_disjoint_from_other_domains_for_same_numbers(self, index):
         first = block_stream(7, 1, index).random()
         assert first != replication_stream(7, 1, index).random()
-        for tag in (TAG_BOUNDS, TAG_SCRATCH):
+        for tag in (1, TAG_SCRATCH):
             assert first != auxiliary_stream(7, tag, index).random()
             assert first != auxiliary_stream(7, tag, 1).random()
 
