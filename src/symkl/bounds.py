@@ -8,14 +8,11 @@ dominate the worst cell), monotone nonincreasing in both ``n`` and ``g``,
 and valid for all ``n >= 1`` and ``g > 0``; values of 1 or more are
 trivially true and flagged uninformative.
 
-``bound_table`` evaluates a grid of bounds and, given a replication
-budget, estimates the corresponding deviation frequencies by Monte Carlo
-so each bound can be checked against data.  Samples for which a statistic
+This module draws nothing: :func:`~symkl.montecarlo.bound_table` feeds
+the estimator's count tables, block by block, to :func:`_exceed_counts`
+and the sums to :func:`bound_table_rows`.  Samples for which a statistic
 is undefined (empty label class, empty cell inside a log) are counted as
-exceedances, which only pushes the empirical frequency up.  The Monte
-Carlo counts the estimator's tables (:func:`~symkl.model.table_blocks`)
-one block at a time and keeps integer exceedance counts per (bound, g,
-cell), so it holds one block of tables and temporaries at a time.
+exceedances, which only pushes the empirical frequency up.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAX_COUNT, PopulationModel, table_blocks
+from .model import PopulationModel
 
 DEFAULT_G_GRID = (0.05, 0.1, 0.2, 0.5)
 
@@ -227,9 +224,8 @@ class BoundTableRow:
         return self.empirical <= self.bound + 3.0 * self.stderr
 
 
-def _exceed_counts(counts: dict[str, np.ndarray], model: PopulationModel, n: int,
-                   g_values: list[float], k1, n1, n0) -> None:
-    """Add to ``counts`` the tables of one block whose deviation statistic exceeds each g.
+def _exceed_counts(model: PopulationModel, n: int, g_values, k1, n1, n0) -> dict[str, np.ndarray]:
+    """Count the tables of one block whose deviation statistic exceeds each g.
 
     ``k1, n1, n0`` are tables of size n as :func:`~symkl.model.sample_counts`
     returns them.  Per bound name, the counts are int64 of shape
@@ -243,11 +239,12 @@ def _exceed_counts(counts: dict[str, np.ndarray], model: PopulationModel, n: int
     qv = model.cond_q
     k0 = n - k1
     g_arr = np.asarray(g_values)
+    counts: dict[str, np.ndarray] = {}
 
     def add(name: str, dev: np.ndarray) -> None:
         # joint cells are one-sided; every other statistic is already absolute
         exceed = dev > g_arr.reshape((-1,) + (1,) * dev.ndim)
-        counts[name] = counts.get(name, 0) + np.count_nonzero(exceed, axis=1)
+        counts[name] = np.count_nonzero(exceed, axis=1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         add("label_freq", np.abs(k1 / n - p))
@@ -264,64 +261,17 @@ def _exceed_counts(counts: dict[str, np.ndarray], model: PopulationModel, n: int
     # an empty label class leaves every cell of its side empty
     log_ratio_dev[(n1 == 0) | (n0 == 0)] = np.inf
     add("log_ratio", log_ratio_dev)
+    return counts
 
 
-def bound_table(
-    model: PopulationModel,
-    n_grid,
-    g_grid,
-    replications: int = 0,
-    master_seed: int = 0,
-) -> list[BoundTableRow]:
-    """Evaluate every bound over a grid of (n, g) pairs.
+def bound_table_rows(model: PopulationModel, n_values, g_values, replications: int,
+                     counts) -> list[BoundTableRow]:
+    """The rows of :func:`~symkl.montecarlo.bound_table`, sorted by (name, n, g).
 
-    Parameters
-    ----------
-    model : PopulationModel
-        Population the bounds refer to.
-    n_grid, g_grid : sequence
-        Sample sizes (ints >= 1) and thresholds (positive reals); each is
-        deduplicated and sorted ascending.
-    replications : int
-        Monte Carlo budget per sample size for the empirical frequencies;
-        0 evaluates the bounds only.
-    master_seed : int
-        Seed of the Monte Carlo count tables.
-
-    Returns
-    -------
-    list of BoundTableRow
-        Sorted by (name, n, g).
-
-    Notes
-    -----
-    The count tables are the blocks :func:`~symkl.model.table_blocks` gives
-    the sorted grid, which :func:`~symkl.montecarlo.replicate` draws for
-    the same sample sizes, replications and seed.  They are counted block
-    by block, and a row's ``empirical`` is the largest count over the cells
-    divided by ``replications``, the same float as the mean of the
-    exceedance indicators.  Peak memory is one block of tables and temporaries.
+    ``counts[name, n]`` sums the :func:`_exceed_counts` of the ``replications``
+    tables of size n.  ``empirical`` is the worst cell's count over
+    ``replications`` (the mean of its exceedance indicators), none when 0.
     """
-    n_values = sorted({int(n) for n in n_grid})
-    g_values = sorted({float(g) for g in g_grid})
-    if not n_values:
-        raise ValueError("n_grid is empty")
-    if not g_values:
-        raise ValueError("g_grid is empty")
-    if n_values[0] < 1 or n_values[-1] > MAX_COUNT:
-        raise ValueError("sample sizes must be >= 1 and at most 2**63 - 1")
-    if any(not math.isfinite(g) or g <= 0.0 for g in g_values):
-        raise ValueError("thresholds must be positive reals")
-    replications = int(replications)
-    if replications < 0:
-        raise ValueError(f"replications must be >= 0, got {replications}")
-
-    counts_by_n: dict[int, dict[str, np.ndarray]] = {n: {} for n in n_values}
-    for block in table_blocks(model, n_values, replications, master_seed):
-        # held until the next draw, the tables halve the heap's page faults
-        k1, n1, n0 = block.draw()
-        _exceed_counts(counts_by_n[block.n], model, block.n, g_values, k1, n1, n0)
-
     rows: list[BoundTableRow] = []
     for name in BOUND_NAMES:
         for n in n_values:
@@ -330,7 +280,7 @@ def bound_table(
                 empirical = stderr = None
                 if replications > 0:
                     # worst cell: the bounds dominate every cell
-                    empirical = int(counts_by_n[n][name][g_index].max()) / replications
+                    empirical = int(counts[name, n][g_index].max()) / replications
                     stderr = math.sqrt(empirical * (1.0 - empirical) / replications)
                 rows.append(BoundTableRow(name=name, n=n, g=g, bound=value,
                                           informative=value < 1.0, empirical=empirical,

@@ -11,9 +11,9 @@ simulate
     ``bounds.csv`` when the bounds check is requested).
 clt-check, lln-check, bounds-check
     ``simulate`` pinned to a single check, with a built-in default config
-    so they run out of the box.  ``bounds-check`` skips the estimator
-    replications, so it writes no ``records.csv`` and its
-    ``summary.json`` has an empty ``per_n``.
+    so they run out of the box.  ``bounds-check`` runs the same table
+    pass without the estimator kernel, so it writes no ``records.csv``
+    and its ``summary.json`` has an empty ``per_n``.
 
 Exit codes
 ----------
@@ -32,7 +32,6 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .asymptotics import confidence_interval, plugin_sigma2
-from .bounds import bound_table  # noqa: F401  (perfbench's tracer wraps it here)
 from .estimator import DegenerateSampleError, plug_in_estimate
 from .io import (
     CountsFormatError,
@@ -47,7 +46,8 @@ from .io import (
     write_json,  # noqa: F401  (perfbench's tracer wraps it here)
 )
 from .model import PopulationModel
-from .montecarlo import ExperimentConfig, ReplicationColumns, evaluate, run_experiment
+from .montecarlo import ExperimentConfig, run_experiment
+from .montecarlo import bound_table  # noqa: F401  (perfbench's tracer wraps it here)
 
 DEFAULT_MODEL_PARAMS = {
     "label_prob": 0.5,
@@ -168,7 +168,7 @@ def _dry_run_report(config: ExperimentConfig) -> int:
 
 
 def cmd_run(args) -> int:
-    """``simulate`` and the check presets; ``bounds-check`` runs no replications."""
+    """``simulate`` and the check presets; ``bounds-check`` keeps no records."""
     config = _load_or_default_config(args)
     if args.workers < 1:
         raise _UsageError(f"--workers must be >= 1, got {args.workers}")
@@ -180,11 +180,10 @@ def cmd_run(args) -> int:
 
     started = _utc_now()
     outputs = ["summary.json", "manifest.json"]
-    if args.command == "bounds-check":
-        summary = evaluate(config, ReplicationColumns.empty())
-    else:
-        result = run_experiment(config, workers=args.workers)
-        summary = result.summary
+    keep_records = args.command != "bounds-check"
+    result = run_experiment(config, workers=args.workers, records=keep_records)
+    summary = result.summary
+    if keep_records:
         write_records_csv(result.records, os.path.join(args.out_dir, "records.csv"))
         outputs.insert(0, "records.csv")
     if summary.bound_rows:

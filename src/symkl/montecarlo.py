@@ -13,11 +13,11 @@ the population; interval coverage uses the per-replication plug-in
 variance.  Replications whose plug-in estimate is undefined are recorded
 as degenerate and excluded from the statistics, never resampled.
 
-Replications run through a vectorized kernel in the blocks of
-:func:`~symkl.model.table_blocks`, ``max(1, 2**16 // r)`` tables each,
-all drawn from one Philox stream per block; the bounds check counts the
-same tables.  The layout depends only on ``r`` and the replication
-count, so results are reproducible and identical for any worker count.
+One pass, :func:`_table_pass`, draws each block of ``max(1, 2**16 // r)``
+tables once, from its own Philox stream, for the vectorized kernel and the
+bounds check's exceedance counts; :func:`bound_table` runs it without the
+kernel.  The layout depends only on ``r`` and the replication count, so
+results are reproducible and identical for any worker count.
 The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
 :func:`~symkl.asymptotics.plugin_sigma2` and
 :func:`~symkl.asymptotics.confidence_interval` are the kernel's test oracles.
@@ -25,6 +25,7 @@ The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, fields
@@ -38,7 +39,7 @@ from .asymptotics import (
     normal_quantile,
     plugin_sigma2,  # noqa: F401  (perfbench's tracer wraps it here)
 )
-from .bounds import DEFAULT_G_GRID, BoundTableRow, bound_table
+from .bounds import DEFAULT_G_GRID, BoundTableRow, _exceed_counts, bound_table_rows
 from .estimator import plug_in_estimate  # noqa: F401  (perfbench's tracer wraps it here)
 from .model import (
     MAX_COUNT,
@@ -65,6 +66,18 @@ REASON_UNKNOWN = -1
 # Two conditional laws closer than this are treated as equal (the null);
 # the scaled error degenerates there and normality must not be checked.
 NULL_ATOL = 1e-12
+
+
+def _check_run_size(n_values, replications: int, fewest: int) -> None:
+    """Reject sample sizes and replication counts beyond int64 or the stream key."""
+    if len(n_values) > N_INDEX_LIMIT:
+        raise ValueError(f"at most {N_INDEX_LIMIT} sample sizes fit the stream key")
+    if any(not 1 <= n <= MAX_COUNT for n in n_values):
+        raise ValueError("sample sizes must be >= 1 and at most 2**63 - 1")
+    if not fewest <= replications <= REP_INDEX_LIMIT:
+        raise ValueError(
+            f"replications must be in [{fewest}, {REP_INDEX_LIMIT}], got {replications}"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,17 +111,10 @@ class ExperimentConfig:
         n_values = tuple(int(n) for n in self.n_values)
         if not n_values:
             raise ValueError("n_values is empty")
-        if len(n_values) > N_INDEX_LIMIT:
-            raise ValueError(f"at most {N_INDEX_LIMIT} sample sizes fit the stream key")
-        if any(not 1 <= n <= MAX_COUNT for n in n_values):
-            raise ValueError("sample sizes must be >= 1 and at most 2**63 - 1")
+        replications = int(self.replications)
+        _check_run_size(n_values, replications, fewest=1)
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        replications = int(self.replications)
-        if not 1 <= replications <= REP_INDEX_LIMIT:
-            raise ValueError(
-                f"replications must be in [1, {REP_INDEX_LIMIT}], got {replications}"
-            )
         master_seed = int(self.master_seed)
         if not 0 <= master_seed < 1 << 64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
@@ -203,7 +209,7 @@ def run_replication(
     """Run one replication through the kernel on its own stream; one row.
 
     The count table is drawn from ``replication_stream(master_seed,
-    n_index, rep_index)``; :func:`replicate` draws from block streams
+    n_index, rep_index)``; :func:`run_experiment` draws from block streams
     instead, so this does not reproduce a row of its records.
     """
     _, n1, n0 = sample_counts(model, n, 1, replication_stream(master_seed, n_index, rep_index))
@@ -322,10 +328,104 @@ def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> R
     )
 
 
-def _block_columns(task) -> ReplicationColumns:
-    block, truth, z = task
-    _, n1, n0 = block.draw()
-    return replication_columns(n1, n0, truth, z, block.start)
+def _block_passes(tasks):
+    """Draw each task's block; yield its kernel columns (None without ``z``) and counts."""
+    for block, truth, z, g_values in tasks:
+        # without the kernel, a block's tables held until the next draw halve the
+        # heap's page faults; beside the kernel's columns they only raise the peak
+        k1, n1, n0 = block.draw()
+        columns = None if z is None else replication_columns(n1, n0, truth, z, block.start)
+        counts = _exceed_counts(block.model, block.n, g_values, k1, n1, n0) if g_values else {}
+        if z is not None:
+            del k1, n1, n0
+        yield columns, counts
+
+
+def _block_pass(task):
+    return next(_block_passes([task]))
+
+
+def _table_pass(model: PopulationModel, n_values, replications: int, master_seed: int,
+                workers: int = 1, z: float | None = None, g_values=()):
+    """Draw each block of :func:`~symkl.model.table_blocks` once and feed its consumers.
+
+    Returns the blocks' :func:`replication_columns` at interval quantile
+    ``z`` (no rows without) and the bound rows at ``g_values``, whose
+    exceedance counts are added as each block arrives.  ``workers`` (capped
+    at the CPU count) changes no byte: every block has its own stream.
+    """
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    # a fork pool starts all of its processes at once
+    workers = min(workers, os.cpu_count() or 1)
+
+    truth = model.sym_divergence()
+    layout = table_blocks(model, n_values, replications, master_seed)
+    tasks = [(block, truth, z, g_values) for block in layout]
+    columns = [ReplicationColumns.empty()]
+    counts: dict[tuple[str, int], np.ndarray] = {}
+    with contextlib.ExitStack() as stack:
+        results = _block_passes(tasks)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # kept off the start-up path
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_block_pass, tasks)
+        for block, (block_columns, block_counts) in zip(layout, results):
+            if block_columns is not None:
+                columns.append(block_columns)
+            for name, count in block_counts.items():
+                counts[name, block.n] = counts.get((name, block.n), 0) + count
+    return ReplicationColumns(*(
+        np.concatenate([getattr(c, f.name) for c in columns]) for f in fields(ReplicationColumns)
+    )), bound_table_rows(model, n_values, g_values, replications, counts)
+
+
+def bound_table(
+    model: PopulationModel,
+    n_grid,
+    g_grid,
+    replications: int = 0,
+    master_seed: int = 0,
+) -> list[BoundTableRow]:
+    """Evaluate every bound over a grid of (n, g) pairs.
+
+    Parameters
+    ----------
+    model : PopulationModel
+        Population the bounds refer to.
+    n_grid, g_grid : sequence
+        Sample sizes (ints >= 1) and thresholds (positive reals); each is
+        deduplicated and sorted ascending.
+    replications : int
+        Monte Carlo budget per sample size for the empirical frequencies;
+        0 evaluates the bounds only.
+    master_seed : int
+        Seed of the Monte Carlo count tables.
+
+    Returns
+    -------
+    list of BoundTableRow
+        Sorted by (name, n, g).
+
+    Notes
+    -----
+    The count tables are those :func:`run_experiment` draws for the same
+    sorted sample sizes, replications and seed.  One :func:`_table_pass`
+    in this process counts them block by block, so peak memory is one
+    block of tables and temporaries.
+    """
+    n_values = sorted({int(n) for n in n_grid})
+    g_values = sorted({float(g) for g in g_grid})
+    if not n_values:
+        raise ValueError("n_grid is empty")
+    if not g_values:
+        raise ValueError("g_grid is empty")
+    if any(not math.isfinite(g) or g <= 0.0 for g in g_values):
+        raise ValueError("thresholds must be positive reals")
+    replications = int(replications)
+    _check_run_size(n_values, replications, fewest=0)
+    return _table_pass(model, n_values, replications, master_seed, g_values=g_values)[1]
 
 
 def ks_statistic(values, cdf=normal_cdf) -> float:
@@ -512,48 +612,13 @@ def check_bound_rows(rows) -> CheckResult:
     )
 
 
-def replicate(config: ExperimentConfig, workers: int = 1) -> ReplicationColumns:
-    """Run every replication of ``config``; records sorted by (n, rep_index).
-
-    Parameters
-    ----------
-    config : ExperimentConfig
-        What to run.
-    workers : int
-        Process count for kernel blocks, capped at the CPU count.  Results
-        are byte-for-byte independent of this value: the block layout
-        depends only on the alphabet size and the replication count, and
-        every block uses its own stream.
-    """
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    # a fork pool starts all of its processes at once
-    workers = min(workers, os.cpu_count() or 1)
-
-    truth = config.model.sym_divergence()
-    z = normal_quantile((1.0 + config.ci_level) / 2.0)
-    layout = table_blocks(config.model, config.n_values, config.replications, config.master_seed)
-    tasks = [(block, truth, z) for block in layout]
-
-    if workers == 1:
-        blocks = list(map(_block_columns, tasks))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # kept off the start-up path
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_block_columns, tasks))
-    return ReplicationColumns(*(
-        np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(ReplicationColumns)
-    ))
-
-
-def evaluate(config: ExperimentConfig, records: ReplicationColumns) -> ExperimentSummary:
+def evaluate(config: ExperimentConfig, records: ReplicationColumns,
+             bound_rows: tuple[BoundTableRow, ...]) -> ExperimentSummary:
     """Summarize ``records`` per sample size and evaluate the requested checks.
 
-    ``records`` come from :func:`replicate`, sorted by n; ``per_n`` covers
-    the sample sizes that have records, so it is empty when there are
-    none (``ReplicationColumns.empty()``).  The bounds check needs no
-    records: it draws the same tables again.  The other checks do.
+    ``records`` are sorted by n; ``per_n`` covers the sample sizes that
+    have records, so it is empty when there are none.  The bounds check
+    reads ``bound_rows`` and needs no records.  The other checks do.
     """
     sigma2 = exact_sigma2(config.model).sigma2
     summary_by_n = {
@@ -561,7 +626,6 @@ def evaluate(config: ExperimentConfig, records: ReplicationColumns) -> Experimen
         for n, rows in _n_slices(records.n)
     }
 
-    bound_rows: tuple[BoundTableRow, ...] = ()
     checks: list[CheckResult] = []
     largest_n = config.n_values[-1]
     for name in config.checks:
@@ -572,15 +636,6 @@ def evaluate(config: ExperimentConfig, records: ReplicationColumns) -> Experimen
         elif name == "coverage":
             checks.append(_check_coverage(summary_by_n, largest_n, config.ci_level))
         elif name == "bounds":
-            bound_rows = tuple(
-                bound_table(
-                    config.model,
-                    config.n_values,
-                    DEFAULT_G_GRID,
-                    replications=config.replications,
-                    master_seed=config.master_seed,
-                )
-            )
             checks.append(check_bound_rows(bound_rows))
 
     return ExperimentSummary(
@@ -593,11 +648,16 @@ def evaluate(config: ExperimentConfig, records: ReplicationColumns) -> Experimen
     )
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, workers: int = 1,
+                   records: bool = True) -> ExperimentResult:
     """Run the replicated experiment and evaluate the requested checks.
 
-    :func:`replicate` followed by :func:`evaluate`; ``workers`` is passed
-    to the former.
+    One :func:`_table_pass` on ``workers`` processes, then :func:`evaluate`.
+    ``records=False`` skips the kernel: no records, so only the bounds
+    check has data.
     """
-    records = replicate(config, workers)
-    return ExperimentResult(records=records, summary=evaluate(config, records))
+    g_values = DEFAULT_G_GRID if "bounds" in config.checks else ()
+    z = normal_quantile((1.0 + config.ci_level) / 2.0) if records else None
+    columns, bound_rows = _table_pass(config.model, config.n_values, config.replications,
+                                      config.master_seed, workers, z, g_values)
+    return ExperimentResult(records=columns, summary=evaluate(config, columns, tuple(bound_rows)))

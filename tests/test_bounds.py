@@ -16,9 +16,9 @@ from symkl import (
     bound_table,
     check_bound_rows,
 )
-from symkl.model import block_rows, sample_counts
-from symkl.montecarlo import REASON_EMPTY_LABEL, ExperimentConfig, replicate
-from symkl.streams import block_stream
+from symkl.model import TableBlock, block_rows, sample_counts
+from symkl.montecarlo import REASON_EMPTY_LABEL, ExperimentConfig, run_experiment
+from symkl.streams import N_INDEX_LIMIT, REP_INDEX_LIMIT, block_stream
 
 from conftest import random_model, random_simplex
 
@@ -356,6 +356,20 @@ class TestBoundTable:
         with pytest.raises(ValueError, match="replications"):
             bound_table(test_model, [10], [0.1], replications=-1)
 
+    def test_stream_key_limits_checked_before_drawing(self, test_model, monkeypatch):
+        def no_draw(block):
+            raise AssertionError("drew tables before validating the grid")
+
+        monkeypatch.setattr(TableBlock, "draw", no_draw)
+        with pytest.raises(ValueError, match=f"at most {N_INDEX_LIMIT} sample sizes"):
+            bound_table(test_model, range(1, N_INDEX_LIMIT + 2), [0.1], replications=1)
+        # at r=2 a block holds 32768 tables, so the second count would make
+        # 2**32 + 1 blocks if the layout were built before the check
+        message = rf"replications must be in \[0, {REP_INDEX_LIMIT}\]"
+        for replications in (REP_INDEX_LIMIT + 1, 2**32 * 32768 + 5):
+            with pytest.raises(ValueError, match=message):
+                bound_table(test_model, [10], [0.1], replications=replications)
+
     def test_invalid_row_detected(self, test_model):
         from symkl import BoundTableRow
 
@@ -423,7 +437,7 @@ class TestBlockedCounting:
 
 
 class TestOneTableSource:
-    """The bound Monte Carlo reads the tables ``replicate`` draws."""
+    """The bound Monte Carlo reads the tables the estimator's records come from."""
 
     def test_empty_label_tables_match_the_estimator_records(self):
         # r=50 puts 1310 tables in a block: blocks of 1310, 1310 and 380 per n
@@ -439,9 +453,9 @@ class TestOneTableSource:
         # exactly the tables whose label class is empty
         rows = bound_table(model, n_values, [10.0], replications, master_seed=91)
         empty = {(row.name, row.n): round(row.empirical * replications) for row in rows}
-        records = replicate(ExperimentConfig(
+        records = run_experiment(ExperimentConfig(
             model=model, n_values=n_values, replications=replications, master_seed=91
-        ))
+        )).records
         for n_index, n in enumerate(n_values):
             k1, _, _ = reference_tables(model, n, n_index, replications, 91)
             assert empty["conditional_cell_p", n] == np.count_nonzero(k1 == 0) > 0

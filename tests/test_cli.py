@@ -260,10 +260,17 @@ class TestSimulate:
         for out_dir in dirs[1:]:
             assert (out_dir / "records.csv").read_bytes() == baseline
             assert (out_dir / "bounds.csv").read_bytes() == bounds
+        for workers in ("1", "2", "3"):
+            out_dir = tmp_path / f"bounds-check-w{workers}"
+            code, _, _ = run(
+                capsys, "bounds-check", "--config", config,
+                "--out-dir", str(out_dir), "--workers", workers,
+            )
+            assert code == 0
+            assert (out_dir / "bounds.csv").read_bytes() == bounds
 
-    def test_pool_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
-        started = []
-
+    @staticmethod
+    def recording_pool(monkeypatch, started):
         class RecordingPool:
             # runs the tasks in-process and records the size it was asked for
             def __init__(self, max_workers):
@@ -278,9 +285,13 @@ class TestSimulate:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        # replicate imports the pool class from concurrent.futures when it needs one
+        # the table pass imports the pool class from concurrent.futures when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+
+    def test_pool_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
+        started = []
+        self.recording_pool(monkeypatch, started)
         config = config_file(tmp_path)
         dirs = [tmp_path / "one", tmp_path / "many"]
         for out_dir, workers in zip(dirs, ("1", "64")):
@@ -293,6 +304,21 @@ class TestSimulate:
         assert (dirs[0] / "records.csv").read_bytes() == (dirs[1] / "records.csv").read_bytes()
         manifest = json.loads((dirs[1] / "manifest.json").read_text())
         assert manifest["workers"] == 64
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_bounds_check_runs_in_the_pool(self, tmp_path, capsys, monkeypatch, cpus):
+        started = []
+        self.recording_pool(monkeypatch, started)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        config = config_file(tmp_path, n_values=[100, 400], replications=300)
+        code, out, _ = run(
+            capsys, "bounds-check", "--config", config,
+            "--out-dir", str(tmp_path / "out"), "--workers", "2",
+        )
+        assert code == 0
+        assert "check bounds: pass" in out
+        # one worker runs in-process, without a pool
+        assert started == ([2] if cpus > 1 else [])
 
     def test_dry_run_rejects_replications_beyond_stream_key(self, tmp_path, capsys):
         path = Path(config_file(tmp_path))

@@ -23,7 +23,7 @@ from symkl import (
     run_replication,
     sample_batch,
 )
-from symkl.model import block_rows, sample_counts
+from symkl.model import TableBlock, block_rows, sample_counts, table_blocks
 from symkl.montecarlo import (
     REASON_EMPTY_CELL,
     REASON_EMPTY_LABEL,
@@ -320,7 +320,7 @@ class TestReplicationColumns:
         n0 = np.array([[2, 4], [0, 0], [0, 4], [0, 1], [1, 2], [1, 1], [1, 1]])
         records = replication_columns(n1, n0, 0.0, 1.96)
         config = make_config(test_model, n_values=(6,), replications=7)
-        (stats,) = evaluate(config, records).per_n
+        (stats,) = evaluate(config, records, ()).per_n
         assert stats.degenerate_empty_label == 2
         assert stats.degenerate_empty_cell == 3
         assert stats.degenerate_count == 5
@@ -408,6 +408,29 @@ class TestRunExperiment:
         assert len(result.summary.bound_rows) == 6 * 2 * 4
         assert all(r.empirical is not None for r in result.summary.bound_rows)
 
+    @pytest.mark.parametrize("records", [True, False])
+    def test_each_table_drawn_once(self, monkeypatch, records):
+        # r=1000 puts 65 tables in a block: blocks of 65, 65 and 20 at each n
+        weights = np.array([1.0 + (j % 7) / 10 for j in range(1000)])
+        model = PopulationModel(label_prob=0.4, cond_p=weights / weights.sum(),
+                                cond_q=weights[::-1] / weights.sum())
+        config = make_config(model, n_values=(2000, 20000), replications=150,
+                             checks=("lln", "bounds"))
+        draw = TableBlock.draw
+        drawn = []
+
+        def counting_draw(block):
+            drawn.append(block.key)
+            return draw(block)
+
+        monkeypatch.setattr(TableBlock, "draw", counting_draw)
+        result = run_experiment(config, records=records)
+        layout = table_blocks(model, config.n_values, config.replications, config.master_seed)
+        assert len(layout) == 6
+        assert drawn == [block.key for block in layout]
+        assert len(result.records) == (300 if records else 0)
+        assert len(result.summary.bound_rows) == 6 * 2 * 4
+
     def test_scaled_error_normalized_ks_is_small(self, test_model):
         # the 0.04 threshold is calibrated for 2000 replications: KS noise
         # alone sits near 1.36/sqrt(M) at the 5% point
@@ -462,7 +485,7 @@ class TestColumnarSummaries:
         assert records.degenerate.any() and not records.degenerate.all()
         sigma = math.sqrt(exact_sigma2(test_model).sigma2)
         want = reference_summaries(records, sigma)
-        per_n = evaluate(config, records).per_n
+        per_n = evaluate(config, records, ()).per_n
         assert [s.n for s in per_n] == list(want)
         for s in per_n:
             got = (s.n, s.replications, s.degenerate_count, s.eta_mean, s.eta_median,
@@ -478,10 +501,10 @@ class TestColumnarSummaries:
         with pytest.raises(ValueError, match="sorted by n"):
             lln_curve(records)
         with pytest.raises(ValueError, match="sorted by n"):
-            evaluate(make_config(test_model), records)
+            evaluate(make_config(test_model), records, ())
 
     def test_empty_records_give_no_per_n(self, test_model):
-        summary = evaluate(make_config(test_model), ReplicationColumns.empty())
+        summary = evaluate(make_config(test_model), ReplicationColumns.empty(), ())
         assert summary.per_n == ()
 
 
