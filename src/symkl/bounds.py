@@ -8,10 +8,12 @@ dominate the worst cell), monotone nonincreasing in both ``n`` and ``g``,
 and valid for all ``n >= 1`` and ``g > 0``; values of 1 or more are
 trivially true and flagged uninformative.
 
-This module draws nothing: :func:`~symkl.montecarlo.bound_table` feeds
-the estimator's count tables, block by block, to :func:`_exceed_counts`
-and the sums to :func:`bound_table_rows`.  Samples for which a statistic
-is undefined (empty label class, empty cell inside a log) are counted as
+:func:`~symkl.montecarlo.bound_table`, the one public way to the bounds,
+validates the (n, g) grid; with its default of 0 replications it returns
+the closed forms alone.  This module draws nothing: ``bound_table`` feeds
+the estimator's count tables, block by block, to :func:`_exceed_counts` and
+the sums to :func:`bound_table_rows`.  Samples for which a statistic is
+undefined (empty label class, empty cell inside a log) are counted as
 exceedances, which only pushes the empirical frequency up.
 """
 
@@ -36,107 +38,6 @@ BOUND_NAMES = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class BoundInputs:
-    """A model together with the sample size and deviation threshold."""
-
-    model: PopulationModel
-    n: int
-    g: float
-
-    def __post_init__(self) -> None:
-        n = int(self.n)
-        g = float(self.g)
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if not math.isfinite(g) or g <= 0.0:
-            raise ValueError(f"g must be a positive real, got {g!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "g", g)
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    """A tail-probability bound; informative only when below 1."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not self.value >= 0.0:
-            raise ValueError(f"bound must be nonnegative, got {self.value!r}")
-
-    @property
-    def informative(self) -> bool:
-        return self.value < 1.0
-
-
-@dataclass(frozen=True)
-class _Extrema:
-    """Derived model constants shared by all bounds."""
-
-    p: float
-    q: float
-    label_max: float  # max(p, q)
-    p_min: float
-    p_max: float
-    q_min: float
-    q_max: float
-    dp: float  # max(p * p_max, 1 - p * p_min)
-    dq: float  # max(q * q_max, 1 - q * q_min)
-
-
-def _extrema(model: PopulationModel) -> _Extrema:
-    p = model.label_prob
-    q = 1.0 - p
-    p_min = float(model.cond_p.min())
-    p_max = float(model.cond_p.max())
-    q_min = float(model.cond_q.min())
-    q_max = float(model.cond_q.max())
-    return _Extrema(
-        p=p,
-        q=q,
-        label_max=max(p, q),
-        p_min=p_min,
-        p_max=p_max,
-        q_min=q_min,
-        q_max=q_max,
-        dp=max(p * p_max, 1.0 - p * p_min),
-        dq=max(q * q_max, 1.0 - q * q_min),
-    )
-
-
-def bound_label_freq(inputs: BoundInputs) -> BoundValue:
-    """Tail bound for the empirical label frequency of either label.
-
-    ``P(|hat_p_n - p| > g) <= 2 exp(-n g^2 / (2 max(p, q)^2))``; the
-    label-0 frequency deviates by exactly the same amount, so one bound
-    covers both.
-    """
-    e = _extrema(inputs.model)
-    n, g = inputs.n, inputs.g
-    return BoundValue(2.0 * math.exp(-n * g * g / (2.0 * e.label_max**2)))
-
-
-def bound_joint_cell(inputs: BoundInputs, j: int, label: int) -> BoundValue:
-    """Upper-tail bound for one joint (symbol, label) cell frequency.
-
-    For label 1 the bound is
-    ``2 exp(-n g^2 / (2 max(p p_max, 1 - p p_min)^2))`` and for label 0
-    the mirror with ``q``.  The bound dominates the worst cell, so it does
-    not depend on which symbol ``j`` is asked about; ``j`` is validated
-    against the alphabet.
-    """
-    j = int(j)
-    if not 0 <= j < inputs.model.r:
-        raise ValueError(f"symbol index must lie in [0, {inputs.model.r}), got {j}")
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    e = _extrema(inputs.model)
-    denom = e.dp if label == 1 else e.dq
-    n, g = inputs.n, inputs.g
-    return BoundValue(2.0 * math.exp(-n * g * g / (2.0 * denom**2)))
-
-
 def _conditional_cell_terms(n: int, g: float, side_p: float, v_min: float, v_max: float,
                             label_max: float, d_side: float) -> float:
     return (
@@ -144,22 +45,6 @@ def _conditional_cell_terms(n: int, g: float, side_p: float, v_min: float, v_max
         + 2.0 * math.exp(-n * g * g * side_p**2 / (8.0 * d_side**2))
         + math.exp(-n * side_p**2 * v_min**2 / (2.0 * d_side**2))
         + math.exp(-n * side_p**2 / (8.0 * label_max**2))
-    )
-
-
-def bound_conditional_cell_p(inputs: BoundInputs) -> BoundValue:
-    """Tail bound for the worst conditional cell frequency given label 1."""
-    e = _extrema(inputs.model)
-    return BoundValue(
-        _conditional_cell_terms(inputs.n, inputs.g, e.p, e.p_min, e.p_max, e.label_max, e.dp)
-    )
-
-
-def bound_conditional_cell_q(inputs: BoundInputs) -> BoundValue:
-    """Tail bound for the worst conditional cell frequency given label 0."""
-    e = _extrema(inputs.model)
-    return BoundValue(
-        _conditional_cell_terms(inputs.n, inputs.g, e.q, e.q_min, e.q_max, e.label_max, e.dq)
     )
 
 
@@ -178,27 +63,37 @@ def _log_ratio_side(n: int, g: float, side_p: float, v_min: float, v_max: float,
     )
 
 
-def bound_log_ratio(inputs: BoundInputs) -> BoundValue:
-    """Tail bound for the worst per-symbol plug-in log-ratio deviation.
+def _bound_values(model: PopulationModel, n: int, g: float) -> dict[str, float]:
+    """The six bounds at a validated sample size ``n`` and threshold ``g``, by name.
 
-    Bounds ``P(|ln(hat_p_j q_j / (p_j hat_q_j))| > g)`` uniformly in the
-    symbol by twelve exponential terms, six per label class.
+    With ``m = max(p, q)`` and, per label side ``s`` (``p`` with ``cond_p``,
+    ``q`` with ``cond_q``) of extreme entries ``v_min``, ``v_max``,
+    ``d = max(s v_max, 1 - s v_min)``:
+
+    - ``label_freq``: ``P(|hat_p_n - p| > g) <= 2 exp(-n g^2 / (2 m^2))``;
+      the label-0 frequency deviates by exactly the same amount.
+    - ``joint_cell_y1``, ``joint_cell_y0``: ``2 exp(-n g^2 / (2 d^2))``,
+      the upper tail of every joint (symbol, label) cell frequency.
+    - ``conditional_cell_p``, ``conditional_cell_q``: four terms for the
+      worst conditional cell frequency of the side.
+    - ``log_ratio``: ``P(|ln(hat_p_j q_j / (p_j hat_q_j))| > g)``,
+      uniformly in the symbol, by twelve terms, six per side.
     """
-    e = _extrema(inputs.model)
-    n, g = inputs.n, inputs.g
-    value = _log_ratio_side(n, g, e.p, e.p_min, e.p_max, e.label_max, e.dp)
-    value += _log_ratio_side(n, g, e.q, e.q_min, e.q_max, e.label_max, e.dq)
-    return BoundValue(value)
-
-
-_BOUND_FUNCS = {
-    "conditional_cell_p": bound_conditional_cell_p,
-    "conditional_cell_q": bound_conditional_cell_q,
-    "joint_cell_y0": lambda inputs: bound_joint_cell(inputs, 0, 0),
-    "joint_cell_y1": lambda inputs: bound_joint_cell(inputs, 0, 1),
-    "label_freq": bound_label_freq,
-    "log_ratio": bound_log_ratio,
-}
+    p = model.label_prob
+    q = 1.0 - p
+    label_max = max(p, q)
+    values = {"label_freq": 2.0 * math.exp(-n * g * g / (2.0 * label_max**2)), "log_ratio": 0.0}
+    for side, vec, cond_name, joint_name in (
+        (p, model.cond_p, "conditional_cell_p", "joint_cell_y1"),
+        (q, model.cond_q, "conditional_cell_q", "joint_cell_y0"),
+    ):
+        v_min = float(vec.min())
+        v_max = float(vec.max())
+        d = max(side * v_max, 1.0 - side * v_min)
+        values[joint_name] = 2.0 * math.exp(-n * g * g / (2.0 * d**2))
+        values[cond_name] = _conditional_cell_terms(n, g, side, v_min, v_max, label_max, d)
+        values["log_ratio"] += _log_ratio_side(n, g, side, v_min, v_max, label_max, d)
+    return values
 
 
 @dataclass(frozen=True)
@@ -209,9 +104,13 @@ class BoundTableRow:
     n: int
     g: float
     bound: float
-    informative: bool
     empirical: float | None
     stderr: float | None
+
+    @property
+    def informative(self) -> bool:
+        """A bound of 1 or more is trivially true."""
+        return self.bound < 1.0
 
     def empirically_valid(self) -> bool:
         """True when the observed frequency does not contradict the bound.
@@ -271,18 +170,21 @@ def bound_table_rows(model: PopulationModel, n_values, g_values, replications: i
     ``counts[name, n]`` sums the :func:`_exceed_counts` of the ``replications``
     tables of size n.  ``empirical`` is the worst cell's count over
     ``replications`` (the mean of its exceedance indicators), none when 0.
+    A bound that is not a number >= 0 raises ``ValueError``.
     """
+    values = {(n, g): _bound_values(model, n, g) for n in n_values for g in g_values}
     rows: list[BoundTableRow] = []
     for name in BOUND_NAMES:
         for n in n_values:
             for g_index, g in enumerate(g_values):
-                value = _BOUND_FUNCS[name](BoundInputs(model=model, n=n, g=g)).value
+                value = values[n, g][name]
+                if not value >= 0.0:
+                    raise ValueError(f"{name} at n={n} g={g} is {value!r}, not a bound >= 0")
                 empirical = stderr = None
                 if replications > 0:
                     # worst cell: the bounds dominate every cell
                     empirical = int(counts[name, n][g_index].max()) / replications
                     stderr = math.sqrt(empirical * (1.0 - empirical) / replications)
                 rows.append(BoundTableRow(name=name, n=n, g=g, bound=value,
-                                          informative=value < 1.0, empirical=empirical,
-                                          stderr=stderr))
+                                          empirical=empirical, stderr=stderr))
     return rows

@@ -33,6 +33,16 @@ MAX_COUNT = (1 << 63) - 1
 BLOCK_CELLS = 1 << 16
 
 
+def as_integral(value, name: str) -> int:
+    """``value`` as an int: integral floats such as ``1e4`` pass, others raise ValueError."""
+    if hasattr(value, "__index__"):  # int, bool and the numpy integer types
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
     """Validate ``values`` as a probability vector.
 
@@ -307,7 +317,7 @@ def sample_batch(model: PopulationModel, n: int, stream: np.random.Generator) ->
     stream : numpy.random.Generator
         Private random stream (see :mod:`symkl.streams`).
     """
-    n = int(n)
+    n = as_integral(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _, n1, n0 = sample_counts(model, n, 1, stream)

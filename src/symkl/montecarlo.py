@@ -44,6 +44,7 @@ from .estimator import plug_in_estimate  # noqa: F401  (perfbench's tracer wraps
 from .model import (
     MAX_COUNT,
     PopulationModel,
+    as_integral,
     sample_batch,  # noqa: F401  (perfbench's tracer wraps it here)
     sample_counts,
     table_blocks,
@@ -89,7 +90,8 @@ class ExperimentConfig:
     model : PopulationModel
         Population to sample from.
     n_values : tuple of int
-        At most ``2**16`` strictly increasing sample sizes in ``[1, 2**63 - 1]``.
+        At most ``2**16`` strictly increasing sample sizes in ``[1, 2**63 - 1]``;
+        like the other integers here, integral floats such as ``1e4`` pass.
     replications : int
         Replications per sample size, in ``[1, 2**32]``.
     master_seed : int
@@ -108,14 +110,14 @@ class ExperimentConfig:
     checks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        n_values = tuple(int(n) for n in self.n_values)
+        n_values = tuple(as_integral(n, "n_values") for n in self.n_values)
         if not n_values:
             raise ValueError("n_values is empty")
-        replications = int(self.replications)
+        replications = as_integral(self.replications, "replications")
         _check_run_size(n_values, replications, fewest=1)
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        master_seed = int(self.master_seed)
+        master_seed = as_integral(self.master_seed, "master_seed")
         if not 0 <= master_seed < 1 << 64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         level = float(self.ci_level)
@@ -354,7 +356,7 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
     exceedance counts are added as each block arrives.  ``workers`` (capped
     at the CPU count) changes no byte: every block has its own stream.
     """
-    workers = int(workers)
+    workers = as_integral(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # a fork pool starts all of its processes at once
@@ -395,8 +397,8 @@ def bound_table(
     model : PopulationModel
         Population the bounds refer to.
     n_grid, g_grid : sequence
-        Sample sizes (ints >= 1) and thresholds (positive reals); each is
-        deduplicated and sorted ascending.
+        Sample sizes (integers >= 1; integral floats such as ``1e4`` pass) and
+        thresholds (positive reals); each is deduplicated and sorted ascending.
     replications : int
         Monte Carlo budget per sample size for the empirical frequencies;
         0 evaluates the bounds only.
@@ -415,7 +417,7 @@ def bound_table(
     in this process counts them block by block, so peak memory is one
     block of tables and temporaries.
     """
-    n_values = sorted({int(n) for n in n_grid})
+    n_values = sorted({as_integral(n, "n_grid") for n in n_grid})
     g_values = sorted({float(g) for g in g_grid})
     if not n_values:
         raise ValueError("n_grid is empty")
@@ -423,9 +425,10 @@ def bound_table(
         raise ValueError("g_grid is empty")
     if any(not math.isfinite(g) or g <= 0.0 for g in g_values):
         raise ValueError("thresholds must be positive reals")
-    replications = int(replications)
+    replications = as_integral(replications, "replications")
     _check_run_size(n_values, replications, fewest=0)
-    return _table_pass(model, n_values, replications, master_seed, g_values=g_values)[1]
+    return _table_pass(model, n_values, replications, as_integral(master_seed, "master_seed"),
+                       g_values=g_values)[1]
 
 
 def ks_statistic(values, cdf=normal_cdf) -> float:

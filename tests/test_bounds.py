@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,14 +6,8 @@ import pytest
 
 from symkl import (
     BOUND_NAMES,
-    BoundInputs,
-    BoundValue,
+    BoundTableRow,
     PopulationModel,
-    bound_conditional_cell_p,
-    bound_conditional_cell_q,
-    bound_joint_cell,
-    bound_label_freq,
-    bound_log_ratio,
     bound_table,
     check_bound_rows,
 )
@@ -21,6 +16,11 @@ from symkl.montecarlo import REASON_EMPTY_LABEL, ExperimentConfig, run_experimen
 from symkl.streams import N_INDEX_LIMIT, REP_INDEX_LIMIT, block_stream
 
 from conftest import random_model, random_simplex
+
+
+def bounds_at(model, n, g):
+    """``{name: bound}`` of the closed forms at one grid point."""
+    return {row.name: row.bound for row in bound_table(model, [n], [g])}
 
 
 def swap_labels(model: PopulationModel) -> PopulationModel:
@@ -160,43 +160,81 @@ def oracle_log_ratio(model, n, g):
 class TestValidation:
     def test_inputs_require_positive_g(self, test_model):
         for bad in (0.0, -0.5, float("nan")):
-            with pytest.raises(ValueError, match="g must be"):
-                BoundInputs(model=test_model, n=100, g=bad)
+            with pytest.raises(ValueError, match="thresholds must be positive"):
+                bound_table(test_model, [100], [bad])
 
     def test_inputs_require_positive_n(self, test_model):
-        with pytest.raises(ValueError, match="n must be"):
-            BoundInputs(model=test_model, n=0, g=0.1)
+        with pytest.raises(ValueError, match="sample sizes must be >= 1"):
+            bound_table(test_model, [0], [0.1])
 
     def test_bound_value_nonnegative(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            BoundValue(-0.25)
+        # inf * 0 makes the conditional-cell bound NaN; it raises, never
+        # reaches a row
+        model = PopulationModel(label_prob=1e-300, cond_p=(0.5, 0.5), cond_q=(0.25, 0.75))
+        with pytest.raises(ValueError, match="not a bound >= 0"):
+            bound_table(model, [100], [1e200])
 
     def test_informative_flag(self):
-        assert BoundValue(0.5).informative
-        assert not BoundValue(1.0).informative
-        assert not BoundValue(3.2).informative
+        def row(bound):
+            return BoundTableRow(name="label_freq", n=10, g=0.1, bound=bound,
+                                 empirical=None, stderr=None)
 
-    def test_joint_cell_domain(self, test_model):
-        inputs = BoundInputs(model=test_model, n=100, g=0.1)
-        with pytest.raises(ValueError, match="symbol index"):
-            bound_joint_cell(inputs, 2, 1)
-        with pytest.raises(ValueError, match="label"):
-            bound_joint_cell(inputs, 0, 5)
+        assert row(0.5).informative
+        assert not row(1.0).informative
+        assert not row(3.2).informative
 
 
 class TestGoldenValues:
     def test_label_freq(self, test_model):
         # exponent is exactly -2 here
-        inputs = BoundInputs(model=test_model, n=100, g=0.1)
-        value = bound_label_freq(inputs).value
+        value = bounds_at(test_model, 100, 0.1)["label_freq"]
         assert value == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
 
     def test_joint_cell(self, test_model):
         # worst label-1 cell constant is 0.75, so the exponent is -8/9
-        inputs = BoundInputs(model=test_model, n=100, g=0.1)
-        value = bound_joint_cell(inputs, 0, 1).value
+        value = bounds_at(test_model, 100, 0.1)["joint_cell_y1"]
         assert value == pytest.approx(2.0 * math.exp(-8.0 / 9.0), rel=1e-12)
         assert value == pytest.approx(0.8222245810143747, rel=1e-12)
+
+    def test_bit_for_bit(self):
+        # a reordered exponent changes the bytes of bounds.csv; these values,
+        # from a Linux x86-64 run, pin every bound exactly
+        model = PopulationModel(label_prob=0.3, cond_p=(0.1, 0.3, 0.6), cond_q=(0.5, 0.25, 0.25))
+        expected = {
+            ("conditional_cell_p", 10, 0.05): 5.7892897008424296,
+            ("conditional_cell_p", 10, 0.5): 5.711357340024798,
+            ("conditional_cell_p", 1000, 0.05): 4.541128217063949,
+            ("conditional_cell_p", 1000, 0.5): 1.4588612704608928,
+            ("conditional_cell_q", 10, 0.05): 5.078982974242852,
+            ("conditional_cell_q", 10, 0.5): 4.531806074431924,
+            ("conditional_cell_q", 1000, 0.05): 3.446766727361538,
+            ("conditional_cell_q", 1000, 0.5): 0.0008092908473884633,
+            ("joint_cell_y0", 10, 0.05): 1.9636042893853198,
+            ("joint_cell_y0", 10, 0.5): 0.3187334483723237,
+            ("joint_cell_y0", 1000, 0.05): 0.3187334483723237,
+            ("joint_cell_y0", 1000, 0.5): 3.473718071987941e-80,
+            ("joint_cell_y1", 10, 0.05): 1.973605411250314,
+            ("joint_cell_y1", 10, 0.5): 0.529740470433406,
+            ("joint_cell_y1", 1000, 0.05): 0.529740470433406,
+            ("joint_cell_y1", 1000, 0.5): 4.021107807635429e-58,
+            ("label_freq", 10, 0.05): 1.949624863698719,
+            ("label_freq", 10, 0.5): 0.15600406293707522,
+            ("label_freq", 1000, 0.05): 0.15600406293707522,
+            ("label_freq", 1000, 0.5): 3.2480398346030413e-111,
+            ("log_ratio", 10, 0.05): 32.586865688255685,
+            ("log_ratio", 10, 0.5): 32.58208016467971,
+            ("log_ratio", 1000, 0.05): 23.49356146457926,
+            ("log_ratio", 1000, 0.5): 23.031689521587097,
+        }
+        rows = bound_table(model, [10, 1000], [0.05, 0.5])
+        assert {(r.name, r.n, r.g): r.bound for r in rows} == expected
+        # a regrouped product moves one bound in a few hundred by an ulp, so a
+        # dense grid is pinned too, by the digest of every bound's float.hex
+        n_grid = [10**k // d for k in range(1, 8) for d in (1, 2, 5)]
+        g_grid = [k / 40 for k in range(1, 121)]
+        rows = bound_table(model, n_grid, g_grid)
+        digest = hashlib.sha256(" ".join(r.bound.hex() for r in rows).encode()).hexdigest()
+        assert digest == "6b15d0f84a7c823becf74fb11c5b8a35d88259c6a7d95d55494b976549a280e1"
 
 
 class TestAgainstIndependentTranscription:
@@ -210,74 +248,61 @@ class TestAgainstIndependentTranscription:
     def test_label_freq(self):
         for model in self.models():
             for n, g in self.grid():
-                inputs = BoundInputs(model=model, n=n, g=g)
-                assert bound_label_freq(inputs).value == pytest.approx(
+                assert bounds_at(model, n, g)["label_freq"] == pytest.approx(
                     oracle_label_freq(model, n, g), rel=1e-10
                 )
 
     def test_joint_cell(self):
         for model in self.models():
             for n, g in self.grid():
-                inputs = BoundInputs(model=model, n=n, g=g)
+                values = bounds_at(model, n, g)
                 for label in (0, 1):
-                    assert bound_joint_cell(inputs, 0, label).value == pytest.approx(
+                    assert values[f"joint_cell_y{label}"] == pytest.approx(
                         oracle_joint_cell(model, n, g, label), rel=1e-10
                     )
 
     def test_conditional_cell(self):
         for model in self.models():
             for n, g in self.grid():
-                inputs = BoundInputs(model=model, n=n, g=g)
-                assert bound_conditional_cell_p(inputs).value == pytest.approx(
+                values = bounds_at(model, n, g)
+                assert values["conditional_cell_p"] == pytest.approx(
                     oracle_conditional_cell(model, n, g, 1), rel=1e-10
                 )
-                assert bound_conditional_cell_q(inputs).value == pytest.approx(
+                assert values["conditional_cell_q"] == pytest.approx(
                     oracle_conditional_cell(model, n, g, 0), rel=1e-10
                 )
 
     def test_log_ratio(self):
         for model in self.models():
             for n, g in self.grid():
-                inputs = BoundInputs(model=model, n=n, g=g)
-                assert bound_log_ratio(inputs).value == pytest.approx(
+                assert bounds_at(model, n, g)["log_ratio"] == pytest.approx(
                     oracle_log_ratio(model, n, g), rel=1e-10
                 )
 
 
 class TestStructuralProperties:
-    def test_joint_cell_uniform_over_symbols(self):
-        rng = np.random.default_rng(52)
-        model = random_model(rng, 5)
-        inputs = BoundInputs(model=model, n=500, g=0.1)
-        values = {bound_joint_cell(inputs, j, 1).value for j in range(5)}
-        assert len(values) == 1
-
     def test_label_swap_symmetry(self):
         # tolerance, not equality: complementing the label probability twice
         # need not round back to the same float
         rng = np.random.default_rng(53)
+        mirror = {
+            "label_freq": "label_freq",
+            "conditional_cell_p": "conditional_cell_q",
+            "joint_cell_y1": "joint_cell_y0",
+            "log_ratio": "log_ratio",
+        }
         for _ in range(5):
             model = random_model(rng, 4)
             swapped = swap_labels(model)
             for n, g in ((50, 0.2), (800, 0.05)):
-                a = BoundInputs(model=model, n=n, g=g)
-                b = BoundInputs(model=swapped, n=n, g=g)
-                assert bound_label_freq(a).value == pytest.approx(
-                    bound_label_freq(b).value, rel=1e-12
-                )
-                assert bound_conditional_cell_p(a).value == pytest.approx(
-                    bound_conditional_cell_q(b).value, rel=1e-12
-                )
-                assert bound_joint_cell(a, 0, 1).value == pytest.approx(
-                    bound_joint_cell(b, 0, 0).value, rel=1e-12
-                )
-                assert bound_log_ratio(a).value == pytest.approx(
-                    bound_log_ratio(b).value, rel=1e-12
-                )
+                a = bounds_at(model, n, g)
+                b = bounds_at(swapped, n, g)
+                for name, mirrored in mirror.items():
+                    assert a[name] == pytest.approx(b[mirrored], rel=1e-12)
 
     def test_log_ratio_large_g_limit(self, test_model):
         # threshold-dependent terms vanish, leaving the ten fixed ones
-        value = bound_log_ratio(BoundInputs(model=test_model, n=200, g=1e9)).value
+        value = bounds_at(test_model, 200, 1e9)["log_ratio"]
         expected = 0.0
         for label in (1, 0):
             terms = oracle_log_ratio_terms(test_model, 200, 1.0, label)
@@ -287,22 +312,15 @@ class TestStructuralProperties:
     def test_monotone_in_g_and_n(self):
         rng = np.random.default_rng(54)
         model = random_model(rng, 3)
-        funcs = {
-            "label_freq": bound_label_freq,
-            "joint_1": lambda i: bound_joint_cell(i, 0, 1),
-            "joint_0": lambda i: bound_joint_cell(i, 0, 0),
-            "cond_p": bound_conditional_cell_p,
-            "cond_q": bound_conditional_cell_q,
-            "log_ratio": bound_log_ratio,
-        }
         n_grid = (10, 100, 1000, 10_000)
         g_grid = (0.02, 0.05, 0.1, 0.3, 0.8)
-        for func in funcs.values():
+        bound = {(r.name, r.n, r.g): r.bound for r in bound_table(model, n_grid, g_grid)}
+        for name in BOUND_NAMES:
             for n in n_grid:
-                values = [func(BoundInputs(model=model, n=n, g=g)).value for g in g_grid]
+                values = [bound[name, n, g] for g in g_grid]
                 assert all(b <= a for a, b in zip(values, values[1:]))
             for g in g_grid:
-                values = [func(BoundInputs(model=model, n=n, g=g)).value for n in n_grid]
+                values = [bound[name, n, g] for n in n_grid]
                 assert all(b <= a for a, b in zip(values, values[1:]))
 
 
@@ -347,14 +365,23 @@ class TestBoundTable:
             bound_table(test_model, [], [0.1])
         with pytest.raises(ValueError, match="empty"):
             bound_table(test_model, [10], [])
-        with pytest.raises(ValueError, match="positive"):
-            bound_table(test_model, [10], [0.0])
+        for bad in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                bound_table(test_model, [10], [bad])
         with pytest.raises(ValueError, match=">= 1"):
             bound_table(test_model, [0], [0.1])
         with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
             bound_table(test_model, [10, 1 << 63], [0.1])
         with pytest.raises(ValueError, match="replications"):
             bound_table(test_model, [10], [0.1], replications=-1)
+        # sizes, counts and seeds with a fractional part are not truncated
+        with pytest.raises(ValueError, match="n_grid must be an integer, got 100.9"):
+            bound_table(test_model, [100.9], [0.1])
+        with pytest.raises(ValueError, match="replications must be an integer, got 5.5"):
+            bound_table(test_model, [100], [0.1], replications=5.5)
+        with pytest.raises(ValueError, match="master_seed must be an integer, got 1.5"):
+            bound_table(test_model, [100], [0.1], replications=5, master_seed=1.5)
+        assert bound_table(test_model, [1e2], [0.1]) == bound_table(test_model, [100], [0.1])
 
     def test_stream_key_limits_checked_before_drawing(self, test_model, monkeypatch):
         def no_draw(block):
@@ -371,11 +398,8 @@ class TestBoundTable:
                 bound_table(test_model, [10], [0.1], replications=replications)
 
     def test_invalid_row_detected(self, test_model):
-        from symkl import BoundTableRow
-
         row = BoundTableRow(
-            name="label_freq", n=10, g=0.5, bound=0.01,
-            informative=True, empirical=0.5, stderr=0.01,
+            name="label_freq", n=10, g=0.5, bound=0.01, empirical=0.5, stderr=0.01,
         )
         assert not row.empirically_valid()
         check = check_bound_rows([row])
@@ -388,8 +412,7 @@ class TestBoundTable:
 
         def grid_point(name, empirical, bound):
             return BoundTableRow(
-                name=name, n=100, g=0.1, bound=bound,
-                informative=bound < 1.0, empirical=empirical, stderr=0.01,
+                name=name, n=100, g=0.1, bound=bound, empirical=empirical, stderr=0.01,
             )
 
         # the detail names the largest margin, not the first failing row

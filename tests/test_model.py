@@ -206,6 +206,12 @@ class TestSampleBatch:
         with pytest.raises(ValueError, match=">= 1"):
             sample_batch(test_model, 0, replication_stream(5, 0, 0))
 
+    def test_rejects_fractional_n(self, test_model):
+        for bad in (10.9, math.nan):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sample_batch(test_model, bad, replication_stream(5, 0, 0))
+        assert sample_batch(test_model, 1e3, replication_stream(5, 0, 0)).n == 1000
+
     def test_same_stream_same_counts(self, test_model):
         a = sample_batch(test_model, 500, replication_stream(9, 2, 7))
         b = sample_batch(test_model, 500, replication_stream(9, 2, 7))

@@ -99,6 +99,17 @@ class TestExperimentConfig:
             make_config(test_model, master_seed=1 << 64)
         make_config(test_model, master_seed=(1 << 64) - 1)
 
+    def test_non_integral_values_rejected(self, test_model):
+        # a fractional part is an error, never truncated; integral floats pass
+        for field, bad in (("n_values", (100.9, 1000.5)), ("n_values", (100, math.inf)),
+                           ("replications", 10.7), ("master_seed", 3.9),
+                           ("master_seed", math.nan)):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                make_config(test_model, **{field: bad})
+        config = make_config(test_model, n_values=(1e2, 1e4), replications=1e1, master_seed=3.0)
+        assert (config.n_values, config.replications, config.master_seed) == ((100, 10000), 10, 3)
+        assert all(type(n) is int for n in config.n_values)
+
     def test_level_domain(self, test_model):
         with pytest.raises(ValueError, match="ci_level"):
             make_config(test_model, ci_level=1.0)
@@ -268,20 +279,24 @@ class TestReplicationColumns:
     @pytest.mark.parametrize("r", [2, 50, 1000])
     def test_random_tables_match_scalar_oracles(self, r):
         rng = np.random.default_rng(r)
-        tables = []
-        for trial in range(4):
-            model = PopulationModel(
-                label_prob=float(rng.uniform(0.2, 0.8)),
-                cond_p=random_simplex(rng, r, min_entry=1e-7),
-                cond_q=random_simplex(rng, r, min_entry=1e-7),
-            )
-            # a small n leaves empty cells in many rows, a large n in none
-            for n in (4 * r, 2000 * r):
-                tables.append(sample_counts(model, n, 10, rng)[1:])
-        n1 = np.vstack([t[0] for t in tables])
-        n0 = np.vstack([t[1] for t in tables])
-        cols = assert_columns_match_oracle(n1, n0, truth=0.5)
-        assert cols.degenerate.any() and not cols.degenerate.all()
+        # four label probabilities from uniform(0.2, 0.8), then two far from
+        # 0.5, where a wrong variance shows most.  A small n leaves empty cells
+        # in many rows, a large n in none; far from 0.5 at r = 1000, n = 2000 r
+        # still leaves every row degenerate, so those take 10**6 r.
+        for label_probs, large_n in (([None] * 4, 2000 * r), ([0.02, 0.98], 10**6 * r)):
+            tables = []
+            for label_prob in label_probs:
+                model = PopulationModel(
+                    label_prob=float(rng.uniform(0.2, 0.8)) if label_prob is None else label_prob,
+                    cond_p=random_simplex(rng, r, min_entry=1e-7),
+                    cond_q=random_simplex(rng, r, min_entry=1e-7),
+                )
+                for n in (4 * r, large_n):
+                    tables.append(sample_counts(model, n, 10, rng)[1:])
+            n1 = np.vstack([t[0] for t in tables])
+            n0 = np.vstack([t[1] for t in tables])
+            cols = assert_columns_match_oracle(n1, n0, truth=0.5)
+            assert cols.degenerate.any() and not cols.degenerate.all()
 
     def test_hand_made_tables(self):
         n1 = np.array([
@@ -446,6 +461,8 @@ class TestRunExperiment:
     def test_workers_validation(self, test_model):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(make_config(test_model), workers=0)
+        with pytest.raises(ValueError, match="workers must be an integer, got 2.5"):
+            run_experiment(make_config(test_model), workers=2.5)
 
 
 def reference_summaries(records, sigma_exact):
