@@ -11,10 +11,10 @@ trivially true and flagged uninformative.
 :func:`~symkl.montecarlo.bound_table`, the one public way to the bounds,
 validates the (n, g) grid; with its default of 0 replications it returns
 the closed forms alone.  This module draws nothing: ``bound_table`` feeds
-the estimator's count tables, block by block, to :func:`_exceed_counts` and
-the sums to :func:`bound_table_rows`.  Samples for which a statistic is
-undefined (empty label class, empty cell inside a log) are counted as
-exceedances, which only pushes the empirical frequency up.
+the estimator's count tables, block by block, to :func:`_exceed_counts`,
+which counts in place, and the sums to :func:`bound_table_rows`.  Samples
+where a statistic is undefined (empty label class, empty cell inside a log)
+count as exceedances, which only pushes the empirical frequency up.
 """
 
 from __future__ import annotations
@@ -129,37 +129,42 @@ def _exceed_counts(model: PopulationModel, n: int, g_values, k1, n1, n0) -> dict
     ``k1, n1, n0`` are tables of size n as :func:`~symkl.model.sample_counts`
     returns them.  Per bound name, the counts are int64 of shape
     ``(len(g_values),)`` for the label frequency and ``(len(g_values), r)``,
-    one per cell, for the others.  Undefined statistics (empty label class,
-    empty cell inside a log) are set infinite, so they exceed every g.
+    one per cell, for the others; each ``(rows, r)`` statistic is computed in
+    place in one scratch array.  Undefined statistics (empty label class, empty
+    cell inside a log) are set infinite, so they exceed every g.
     """
     p = model.label_prob
     q = 1.0 - p
     pv = model.cond_p
     qv = model.cond_q
     k0 = n - k1
-    g_arr = np.asarray(g_values)
+    k1, p_hat, q_hat = (a.astype(np.float64) for a in (k1, n1, n0))
+    dev = np.empty_like(p_hat)
+    ones = np.ones(len(k1), np.float32)
     counts: dict[str, np.ndarray] = {}
 
-    def add(name: str, dev: np.ndarray) -> None:
-        # joint cells are one-sided; every other statistic is already absolute
-        exceed = dev > g_arr.reshape((-1,) + (1,) * dev.ndim)
-        counts[name] = np.count_nonzero(exceed, axis=1)
+    def add(name: str, stat: np.ndarray) -> None:
+        # joint cells one-sided, the rest absolute; float32 sums of <= 2**16 0/1s are exact
+        hits = np.empty(stat.shape, np.float32)
+        counts[name] = np.array([ones @ np.greater(stat, g, out=hits) for g in g_values], np.int64)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         add("label_freq", np.abs(k1 / n - p))
-        add("joint_cell_y1", n1 / n - p * pv)
-        add("joint_cell_y0", n0 / n - q * qv)
-        p_hat = n1 / k1[:, None]
-        q_hat = n0 / k0[:, None]
+        add("joint_cell_y1", np.subtract(np.divide(p_hat, n, out=dev), p * pv, out=dev))
+        add("joint_cell_y0", np.subtract(np.divide(q_hat, n, out=dev), q * qv, out=dev))
+        p_hat /= k1[:, None]
+        q_hat /= k0[:, None]
         for name, hat, k, cond in (("conditional_cell_p", p_hat, k1, pv),
                                    ("conditional_cell_q", q_hat, k0, qv)):
-            dev = np.abs(hat - cond)
+            np.abs(np.subtract(hat, cond, out=dev), out=dev)
             dev[k == 0, :] = np.inf
             add(name, dev)
-        log_ratio_dev = np.abs(np.log(p_hat) - np.log(pv) - np.log(q_hat) + np.log(qv))
+        np.subtract(np.log(p_hat, out=p_hat), np.log(pv), out=dev)
+        np.subtract(dev, np.log(q_hat, out=q_hat), out=dev)
+        np.abs(np.add(dev, np.log(qv), out=dev), out=dev)
     # an empty label class leaves every cell of its side empty
-    log_ratio_dev[(n1 == 0) | (n0 == 0)] = np.inf
-    add("log_ratio", log_ratio_dev)
+    dev[(n1 == 0) | (n0 == 0)] = np.inf
+    add("log_ratio", dev)
     return counts
 
 

@@ -15,9 +15,9 @@ as degenerate and excluded from the statistics, never resampled.
 
 One pass, :func:`_table_pass`, draws each block of ``max(1, 2**16 // r)``
 tables once, from its own Philox stream, for the vectorized kernel and the
-bounds check's exceedance counts; :func:`bound_table` runs it without the
-kernel.  The layout depends only on ``r`` and the replication count, so
-results are reproducible and identical for any worker count.
+bound exceedance counts, in processes whose heap is pinned by :func:`_pin_heap`;
+:func:`bound_table` runs it without the kernel.  The layout depends only on
+``r`` and the replication count, so results are the same for any worker count.
 The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
 :func:`~symkl.asymptotics.plugin_sigma2` and
 :func:`~symkl.asymptotics.confidence_interval` are the kernel's test oracles.
@@ -26,6 +26,7 @@ The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -42,6 +43,7 @@ from .asymptotics import (
 from .bounds import DEFAULT_G_GRID, BoundTableRow, _exceed_counts, bound_table_rows
 from .estimator import plug_in_estimate  # noqa: F401  (perfbench's tracer wraps it here)
 from .model import (
+    BLOCK_CELLS,
     MAX_COUNT,
     PopulationModel,
     as_integral,
@@ -69,8 +71,8 @@ REASON_UNKNOWN = -1
 NULL_ATOL = 1e-12
 
 
-def _check_run_size(n_values, replications: int, fewest: int) -> None:
-    """Reject sample sizes and replication counts beyond int64 or the stream key."""
+def _check_run_size(n_values, replications: int, master_seed: int, fewest: int) -> None:
+    """Reject sample sizes, replication counts and seeds beyond int64 or the stream key."""
     if len(n_values) > N_INDEX_LIMIT:
         raise ValueError(f"at most {N_INDEX_LIMIT} sample sizes fit the stream key")
     if any(not 1 <= n <= MAX_COUNT for n in n_values):
@@ -79,6 +81,8 @@ def _check_run_size(n_values, replications: int, fewest: int) -> None:
         raise ValueError(
             f"replications must be in [{fewest}, {REP_INDEX_LIMIT}], got {replications}"
         )
+    if not 0 <= master_seed < 1 << 64:
+        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -114,12 +118,10 @@ class ExperimentConfig:
         if not n_values:
             raise ValueError("n_values is empty")
         replications = as_integral(self.replications, "replications")
-        _check_run_size(n_values, replications, fewest=1)
+        master_seed = as_integral(self.master_seed, "master_seed")
+        _check_run_size(n_values, replications, master_seed, fewest=1)
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        master_seed = as_integral(self.master_seed, "master_seed")
-        if not 0 <= master_seed < 1 << 64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         level = float(self.ci_level)
         if not 0.0 < level < 1.0:
             raise ValueError(f"ci_level must lie strictly in (0, 1), got {level!r}")
@@ -330,16 +332,29 @@ def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> R
     )
 
 
+@functools.cache
+def _pin_heap() -> None:
+    """Stop glibc trimming this process's heap after each block of tables, so the
+    next block need not fault the pages back in; both thresholds sit well above a
+    block's float64 array.  A no-op without glibc's ``mallopt``."""
+    import ctypes  # kept off the start-up path
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)  # restype: the default, c_int
+    mallopt(-1, 32 * 8 * BLOCK_CELLS)  # M_TRIM_THRESHOLD: 16 MiB
+    mallopt(-3, 8 * 8 * BLOCK_CELLS)  # M_MMAP_THRESHOLD: 4 MiB
+
+
 def _block_passes(tasks):
     """Draw each task's block; yield its kernel columns (None without ``z``) and counts."""
+    _pin_heap()
     for block, truth, z, g_values in tasks:
-        # without the kernel, a block's tables held until the next draw halve the
-        # heap's page faults; beside the kernel's columns they only raise the peak
         k1, n1, n0 = block.draw()
         columns = None if z is None else replication_columns(n1, n0, truth, z, block.start)
         counts = _exceed_counts(block.model, block.n, g_values, k1, n1, n0) if g_values else {}
-        if z is not None:
-            del k1, n1, n0
+        del k1, n1, n0
         yield columns, counts
 
 
@@ -403,7 +418,7 @@ def bound_table(
         Monte Carlo budget per sample size for the empirical frequencies;
         0 evaluates the bounds only.
     master_seed : int
-        Seed of the Monte Carlo count tables.
+        Seed of the Monte Carlo count tables, in ``[0, 2**64)``.
 
     Returns
     -------
@@ -426,9 +441,9 @@ def bound_table(
     if any(not math.isfinite(g) or g <= 0.0 for g in g_values):
         raise ValueError("thresholds must be positive reals")
     replications = as_integral(replications, "replications")
-    _check_run_size(n_values, replications, fewest=0)
-    return _table_pass(model, n_values, replications, as_integral(master_seed, "master_seed"),
-                       g_values=g_values)[1]
+    master_seed = as_integral(master_seed, "master_seed")
+    _check_run_size(n_values, replications, master_seed, fewest=0)
+    return _table_pass(model, n_values, replications, master_seed, g_values=g_values)[1]
 
 
 def ks_statistic(values, cdf=normal_cdf) -> float:

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import math
 
@@ -11,11 +12,21 @@ from symkl import (
     bound_table,
     check_bound_rows,
 )
+from symkl.bounds import _exceed_counts
 from symkl.model import TableBlock, block_rows, sample_counts
 from symkl.montecarlo import REASON_EMPTY_LABEL, ExperimentConfig, run_experiment
 from symkl.streams import N_INDEX_LIMIT, REP_INDEX_LIMIT, block_stream
 
-from conftest import random_model, random_simplex
+from conftest import random_model, random_simplex, run_child
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+try:
+    libc = ctypes.CDLL(None)
+except (OSError, TypeError):
+    libc = None
 
 
 def bounds_at(model, n, g):
@@ -382,6 +393,7 @@ class TestBoundTable:
         with pytest.raises(ValueError, match="master_seed must be an integer, got 1.5"):
             bound_table(test_model, [100], [0.1], replications=5, master_seed=1.5)
         assert bound_table(test_model, [1e2], [0.1]) == bound_table(test_model, [100], [0.1])
+        assert bound_table(test_model, [100], [0.1], replications=5, master_seed=2**64 - 1)
 
     def test_stream_key_limits_checked_before_drawing(self, test_model, monkeypatch):
         def no_draw(block):
@@ -396,6 +408,10 @@ class TestBoundTable:
         for replications in (REP_INDEX_LIMIT + 1, 2**32 * 32768 + 5):
             with pytest.raises(ValueError, match=message):
                 bound_table(test_model, [10], [0.1], replications=replications)
+        # the stream key would wrap these onto seeds 2**64 - 1, 0 and 2**64 - 1
+        for master_seed in (-1, 2**64, 5 * 2**64 - 1):
+            with pytest.raises(ValueError, match="master_seed must fit in an unsigned 64-bit"):
+                bound_table(test_model, [10], [0.1], replications=1, master_seed=master_seed)
 
     def test_invalid_row_detected(self, test_model):
         row = BoundTableRow(
@@ -457,6 +473,62 @@ class TestBlockedCounting:
         assert len(rows) == len(expected)
         for row in rows:
             assert row.empirical == expected[row.name, row.n, row.g], (row.name, row.n, row.g)
+
+    @pytest.mark.parametrize("r", [2, 50, 1000])
+    def test_cell_counts_equal_full_array_reference(self, r):
+        rng = np.random.default_rng(r)
+        model = PopulationModel(
+            label_prob=0.1, cond_p=random_simplex(rng, r, 0.0), cond_q=random_simplex(rng, r, 0.0)
+        )
+        empty_label = empty_cell = False
+        tied = set()
+        for n_index, n in enumerate([1, 6, 400]):
+            k1, n1, n0 = sample_counts(model, n, block_rows(r), block_stream(r, n_index, 0))
+            empty_label |= bool(np.any(k1 == 0) and np.any(k1 == n))
+            empty_cell |= bool(np.any((n1 == 0) & (k1 > 0)[:, None]))
+            stats = reference_deviation_stats(model, n, k1, n1, n0)
+            # one realised deviation per statistic as a threshold: a tie must not count
+            ties = {}
+            for name, stat in stats.items():
+                realised = np.unique(stat[np.isfinite(stat) & (stat > 0.0)])
+                if realised.size:
+                    ties[name] = float(realised[len(realised) // 2])
+            tied |= ties.keys()
+            g_values = sorted({*ties.values(), 0.05, 0.5})
+            counts = _exceed_counts(model, n, g_values, k1, n1, n0)
+            assert counts.keys() == stats.keys()
+            for name, stat in stats.items():
+                # joint cells are one-sided; the other statistics are absolute
+                expected = np.array([np.count_nonzero(stat > g, axis=0) for g in g_values])
+                assert counts[name].dtype == np.int64
+                assert counts[name].shape == expected.shape, (name, n)
+                assert np.all(counts[name] == expected), (name, n)
+        assert empty_label and empty_cell
+        assert tied == set(BOUND_NAMES)
+
+    @pytest.mark.skipif(resource is None or not hasattr(libc, "mallopt"),
+                        reason="needs resource and glibc mallopt")
+    def test_repeated_pass_takes_few_page_faults(self):
+        # a fresh interpreter, since the heap's history in this one sets its
+        # trim threshold; r=50 puts 1310 tables in a block
+        blocks = 20
+        child = run_child(
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from symkl import PopulationModel, bound_table\n"
+            "from symkl.model import block_rows\n"
+            "weights = np.arange(1.0, 51.0)\n"
+            "model = PopulationModel(0.4, np.full(50, 0.02), weights / weights.sum())\n"
+            "replications = int(sys.argv[1]) * block_rows(model.r)\n"
+            "bound_table(model, [100], [0.05, 0.5], replications, master_seed=5)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "bound_table(model, [100], [0.05, 0.5], replications, master_seed=6)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+            str(blocks),
+        )
+        assert child.returncode == 0, child.stderr
+        faults = int(child.stdout)
+        assert faults < 64 * blocks, faults
 
 
 class TestOneTableSource:

@@ -3,15 +3,14 @@ import importlib
 import importlib.util
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from symkl import cli, montecarlo
 from symkl.io import parse_config_dict, save_config
+
+from conftest import run_child
 
 
 def run(capsys, *argv):
@@ -481,17 +480,6 @@ class TestEntry:
         with pytest.raises(SystemExit) as info:
             cli.entry()
         assert info.value.code == 0
-
-
-def run_child(code, *args):
-    """Run ``python -c code`` in a fresh interpreter that imports this symkl."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
 
 
 class TestColdStart:
