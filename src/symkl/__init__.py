@@ -29,7 +29,6 @@ from .estimator import (
     EmpiricalMeasures,
     EstimateResult,
     empirical_measures,
-    estimation_error,
     plug_in_estimate,
 )
 from .io import (
@@ -40,7 +39,6 @@ from .io import (
     parse_config_dict,
     read_counts_csv,
     read_records_csv,
-    save_config,
     write_bounds_csv,
     write_manifest,
     write_records_csv,
@@ -73,9 +71,8 @@ from .montecarlo import (
     ks_statistic,
     lln_curve,
     run_experiment,
-    run_replication,
 )
-from .streams import auxiliary_stream, replication_stream
+from .streams import replication_stream
 
 __version__ = "0.1.0"
 
@@ -106,14 +103,12 @@ __all__ = [
     "VarianceResult",
     "as_positive_prob_vector",
     "as_prob_vector",
-    "auxiliary_stream",
     "bound_table",
     "check_bound_rows",
     "confidence_interval",
     "config_to_dict",
     "coverage_rate",
     "empirical_measures",
-    "estimation_error",
     "exact_sigma2",
     "influence_coefficients",
     "influence_value",
@@ -130,9 +125,7 @@ __all__ = [
     "read_records_csv",
     "replication_stream",
     "run_experiment",
-    "run_replication",
     "sample_batch",
-    "save_config",
     "sym_kl_divergence",
     "write_bounds_csv",
     "write_manifest",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CountTable, PopulationModel, sym_kl_divergence
+from .model import CountTable, sym_kl_divergence
 
 
 class DegenerateSampleError(ValueError):
@@ -102,23 +102,3 @@ def plug_in_estimate(counts: CountTable) -> EstimateResult:
     value = sym_kl_divergence(emp.p_hat, emp.q_hat)
     return EstimateResult(value=value, degenerate=False, reason=None, n=emp.n)
 
-
-def estimation_error(counts: CountTable, model: PopulationModel) -> float:
-    """Signed error of the plug-in estimate against the population value.
-
-    Raises
-    ------
-    DegenerateSampleError
-        If the plug-in estimate is undefined for ``counts``.
-    ValueError
-        If the table and the model do not share one alphabet.
-    """
-    if counts.r != model.r:
-        raise ValueError(
-            f"counts have {counts.r} symbols but model has {model.r}"
-        )
-    est = plug_in_estimate(counts)
-    if est.degenerate:
-        raise DegenerateSampleError(est.reason)
-    truth = model.sym_divergence()
-    return est.value - truth

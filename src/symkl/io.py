@@ -236,10 +236,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def save_config(config: ExperimentConfig, path) -> None:
-    write_json(config_to_dict(config), path)
-
-
 def _fmt_real(value: float | None) -> str:
     if value is None:
         return ""

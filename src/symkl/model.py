@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import block_stream
+from .streams import as_integral, block_stream
 
 # Entries at or below this are treated as numerically zero; strict
 # positivity means every entry exceeds it.
@@ -31,16 +31,6 @@ MAX_COUNT = (1 << 63) - 1
 # the bound pass alike.  Part of the stream layout: changing it changes
 # every records.csv and bounds.csv.
 BLOCK_CELLS = 1 << 16
-
-
-def as_integral(value, name: str) -> int:
-    """``value`` as an int: integral floats such as ``1e4`` pass, others raise ValueError."""
-    if hasattr(value, "__index__"):  # int, bool and the numpy integer types
-        return int(value)
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(number)
 
 
 def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
@@ -313,12 +303,12 @@ def sample_batch(model: PopulationModel, n: int, stream: np.random.Generator) ->
     model : PopulationModel
         Population to sample.
     n : int
-        Number of draws, ``n >= 1``.
+        Number of draws, in ``[1, 2**63 - 1]``.
     stream : numpy.random.Generator
         Private random stream (see :mod:`symkl.streams`).
     """
     n = as_integral(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_COUNT:
+        raise ValueError("sample sizes must be >= 1 and at most 2**63 - 1")
     _, n1, n0 = sample_counts(model, n, 1, stream)
     return CountTable(n1=n1[0], n0=n0[0])

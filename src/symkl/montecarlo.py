@@ -14,10 +14,12 @@ variance.  Replications whose plug-in estimate is undefined are recorded
 as degenerate and excluded from the statistics, never resampled.
 
 One pass, :func:`_table_pass`, draws each block of ``max(1, 2**16 // r)``
-tables once, from its own Philox stream, for the vectorized kernel and the
-bound exceedance counts, in processes whose heap is pinned by :func:`_pin_heap`;
-:func:`bound_table` runs it without the kernel.  The layout depends only on
-``r`` and the replication count, so results are the same for any worker count.
+tables once, from its own :func:`~symkl.streams.block_stream`, and
+:func:`_block_pass` feeds it to the vectorized kernel and the bound
+exceedance counts, in processes whose heap is pinned by :func:`_pin_heap`;
+:func:`bound_table` runs it without the kernel.  No other stream feeds a
+run.  The layout depends only on ``r`` and the replication count, so results
+are the same for any worker count.
 The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
 :func:`~symkl.asymptotics.plugin_sigma2` and
 :func:`~symkl.asymptotics.confidence_interval` are the kernel's test oracles.
@@ -46,12 +48,15 @@ from .model import (
     BLOCK_CELLS,
     MAX_COUNT,
     PopulationModel,
-    as_integral,
     sample_batch,  # noqa: F401  (perfbench's tracer wraps it here)
-    sample_counts,
     table_blocks,
 )
-from .streams import N_INDEX_LIMIT, REP_INDEX_LIMIT, replication_stream
+from .streams import (
+    N_INDEX_LIMIT,
+    REP_INDEX_LIMIT,
+    as_integral,
+    replication_stream,  # noqa: F401  (perfbench's tracer wraps it here)
+)
 
 CHECK_NAMES = ("lln", "clt", "coverage", "bounds")
 
@@ -201,26 +206,6 @@ class ExperimentResult:
     summary: ExperimentSummary
 
 
-def run_replication(
-    model: PopulationModel,
-    n: int,
-    ci_level: float,
-    true_divergence: float,
-    master_seed: int,
-    n_index: int,
-    rep_index: int,
-) -> ReplicationColumns:
-    """Run one replication through the kernel on its own stream; one row.
-
-    The count table is drawn from ``replication_stream(master_seed,
-    n_index, rep_index)``; :func:`run_experiment` draws from block streams
-    instead, so this does not reproduce a row of its records.
-    """
-    _, n1, n0 = sample_counts(model, n, 1, replication_stream(master_seed, n_index, rep_index))
-    z = normal_quantile((1.0 + ci_level) / 2.0)
-    return replication_columns(n1, n0, true_divergence, z, first_rep=rep_index)
-
-
 @dataclass(frozen=True, eq=False)
 class ReplicationColumns:
     """Outcomes of replications, one numpy column per field.
@@ -347,19 +332,14 @@ def _pin_heap() -> None:
     mallopt(-3, 8 * 8 * BLOCK_CELLS)  # M_MMAP_THRESHOLD: 4 MiB
 
 
-def _block_passes(tasks):
-    """Draw each task's block; yield its kernel columns (None without ``z``) and counts."""
-    _pin_heap()
-    for block, truth, z, g_values in tasks:
-        k1, n1, n0 = block.draw()
-        columns = None if z is None else replication_columns(n1, n0, truth, z, block.start)
-        counts = _exceed_counts(block.model, block.n, g_values, k1, n1, n0) if g_values else {}
-        del k1, n1, n0
-        yield columns, counts
-
-
 def _block_pass(task):
-    return next(_block_passes([task]))
+    """Draw one task's block; return its kernel columns (None without ``z``) and counts."""
+    block, truth, z, g_values = task
+    _pin_heap()
+    k1, n1, n0 = block.draw()
+    columns = None if z is None else replication_columns(n1, n0, truth, z, block.start)
+    counts = _exceed_counts(block.model, block.n, g_values, k1, n1, n0) if g_values else {}
+    return columns, counts
 
 
 def _table_pass(model: PopulationModel, n_values, replications: int, master_seed: int,
@@ -383,7 +363,7 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
     columns = [ReplicationColumns.empty()]
     counts: dict[tuple[str, int], np.ndarray] = {}
     with contextlib.ExitStack() as stack:
-        results = _block_passes(tasks)
+        results = map(_block_pass, tasks)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # kept off the start-up path
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))

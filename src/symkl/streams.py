@@ -1,27 +1,27 @@
 """Deterministic derivation of independent random streams.
 
 Every stochastic routine in this package receives its randomness through
-:func:`block_stream`, :func:`replication_stream` or :func:`auxiliary_stream`.
-Each derives a counter-based Philox generator from an explicit 128-bit key,
-so stream construction is pure: the same ``(master_seed, tag, n_index,
-index)`` always yields the same stream, independent of call order,
-scheduling, or worker count, and no global RNG state is read or written.
+:func:`block_stream` or :func:`replication_stream`.  Each derives a
+counter-based Philox generator from an explicit 128-bit key, so stream
+construction is pure: the same ``(master_seed, tag, n_index, index)``
+always yields the same stream, independent of call order, scheduling, or
+worker count, and no global RNG state is read or written.
 
 Key layout
 ----------
 The Philox key is two 64-bit words::
 
-    word 0 = master_seed  (mod 2**64)
+    word 0 = master_seed  (in [0, 2**64))
     word 1 = tag << 48 | n_index << 32 | index
 
 The Monte Carlo count tables, of the estimator and the bound checks alike,
 come in blocks, each from one stream with ``tag = 3`` and ``index =
-block_index`` (:func:`~symkl.model.table_blocks`).  Single-replication
-streams (:func:`~symkl.montecarlo.run_replication`) use ``tag = 0`` and
-``index = rep_index``.  Auxiliary domains (standalone sampling helpers)
-use tag 1 or 2, their own index in the ``n_index`` field and ``index = 0``;
-no package routine draws from tag 1.  Distinct tags keep the domains'
-streams from ever colliding.
+block_index`` (:func:`~symkl.model.table_blocks`).  Single tables for
+:func:`~symkl.model.sample_batch` come from :func:`replication_stream`
+with ``tag = 0`` and ``index = rep_index``.  Tags 1 and 2 are reserved and
+unused.  Distinct tags keep the domains' streams from ever colliding.
+Key fields are integers under :func:`as_integral`, and one outside its
+range raises ``ValueError`` rather than wrap onto the key.
 """
 
 from __future__ import annotations
@@ -29,17 +29,29 @@ from __future__ import annotations
 import numpy as np
 
 TAG_REPLICATION = 0
-TAG_SCRATCH = 2
 TAG_BLOCK = 3
-
-_MASK64 = (1 << 64) - 1
 
 # Exclusive upper ends of the n_index and rep_index (or block_index) key fields.
 N_INDEX_LIMIT = 1 << 16
 REP_INDEX_LIMIT = 1 << 32
 
 
+def as_integral(value, name: str) -> int:
+    """``value`` as an int: integral floats such as ``1e4`` pass, others raise ValueError."""
+    if hasattr(value, "__index__"):  # int, bool and the numpy integer types
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _philox(master_seed: int, tag: int, n_index: int, index: int) -> np.random.Generator:
+    master_seed = as_integral(master_seed, "master_seed")
+    n_index = as_integral(n_index, "n_index")
+    index = as_integral(index, "rep_index or block_index")
+    if not 0 <= master_seed < 1 << 64:
+        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
     if not 0 <= tag < 1 << 16:
         raise ValueError(f"tag must be in [0, 2^16), got {tag}")
     if not 0 <= n_index < N_INDEX_LIMIT:
@@ -47,7 +59,7 @@ def _philox(master_seed: int, tag: int, n_index: int, index: int) -> np.random.G
     if not 0 <= index < REP_INDEX_LIMIT:
         raise ValueError(f"rep_index or block_index must be in [0, 2^32), got {index}")
     word = (tag << 48) | (n_index << 32) | index
-    key = np.array([int(master_seed) & _MASK64, word], dtype=np.uint64)
+    key = np.array([master_seed, word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -57,7 +69,7 @@ def replication_stream(master_seed: int, n_index: int, rep_index: int) -> np.ran
     Parameters
     ----------
     master_seed : int
-        Experiment-level seed (reduced mod 2**64).
+        Experiment-level seed, in ``[0, 2**64)``.
     n_index : int
         Position of the sample size in the experiment's ``n_values`` grid.
     rep_index : int
@@ -72,21 +84,10 @@ def block_stream(master_seed: int, n_index: int, block_index: int) -> np.random.
     Parameters
     ----------
     master_seed : int
-        Experiment-level seed (reduced mod 2**64).
+        Experiment-level seed, in ``[0, 2**64)``.
     n_index : int
         Position of the sample size in the experiment's ``n_values`` grid.
     block_index : int
         Block number at that sample size, ``0 <= block_index < 2**32``.
     """
     return _philox(master_seed, TAG_BLOCK, n_index, block_index)
-
-
-def auxiliary_stream(master_seed: int, tag: int, index: int = 0) -> np.random.Generator:
-    """Stream for a non-replication domain.
-
-    ``tag`` is neither ``TAG_REPLICATION`` nor ``TAG_BLOCK``, which keeps
-    the stream disjoint from every replication stream.
-    """
-    if tag < 1 or tag == TAG_BLOCK:
-        raise ValueError(f"auxiliary tags start at 1 and exclude {TAG_BLOCK}, got {tag}")
-    return _philox(master_seed, tag, index, 0)

@@ -17,7 +17,7 @@ from symkl import (
     plug_in_estimate,
     plugin_sigma2,
 )
-from symkl.streams import TAG_SCRATCH, auxiliary_stream
+from symkl.streams import block_stream
 
 from conftest import random_model
 
@@ -229,7 +229,7 @@ class TestExactSigma2:
             + [influence_value(test_model, j, 0) for j in range(test_model.r)]
         )
         m = 1_000_000
-        counts = auxiliary_stream(97, TAG_SCRATCH).multinomial(m, probs)
+        counts = block_stream(97, 0, 0).multinomial(m, probs)
         mean = float(counts @ w) / m
         var = float(counts @ ((w - mean) ** 2)) / (m - 1)
         sigma2 = exact_sigma2(test_model).sigma2

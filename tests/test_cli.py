@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from symkl import cli, montecarlo
-from symkl.io import parse_config_dict, save_config
+from symkl.io import config_to_dict, parse_config_dict, write_json
 
 from conftest import run_child
 
@@ -40,7 +40,7 @@ def config_file(tmp_path, **overrides):
     }
     data.update(overrides)
     path = tmp_path / "config.json"
-    save_config(parse_config_dict(data), path)
+    write_json(config_to_dict(parse_config_dict(data)), path)
     return str(path)
 
 

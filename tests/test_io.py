@@ -16,7 +16,6 @@ from symkl import (
     read_counts_csv,
     read_records_csv,
     run_experiment,
-    save_config,
     write_bounds_csv,
     write_records_csv,
     write_summary_json,
@@ -177,7 +176,7 @@ class TestConfigJson:
     def test_file_round_trip(self, tmp_path):
         config = parse_config_dict(config_dict())
         path = tmp_path / "config.json"
-        save_config(config, path)
+        symkl_io.write_json(config_to_dict(config), path)
         assert load_config(path) == config
 
     def test_invalid_json_message(self, tmp_path):

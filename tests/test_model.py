@@ -14,7 +14,7 @@ from symkl import (
     sym_kl_divergence,
 )
 from symkl.model import sample_counts
-from symkl.streams import auxiliary_stream, replication_stream
+from symkl.streams import block_stream, replication_stream
 
 from conftest import random_simplex
 
@@ -203,8 +203,9 @@ class TestSampleBatch:
         assert table.n == 1234
 
     def test_rejects_nonpositive_n(self, test_model):
-        with pytest.raises(ValueError, match=">= 1"):
-            sample_batch(test_model, 0, replication_stream(5, 0, 0))
+        for bad in (0, 2**63):
+            with pytest.raises(ValueError, match=r">= 1 and at most 2\*\*63 - 1"):
+                sample_batch(test_model, bad, replication_stream(5, 0, 0))
 
     def test_rejects_fractional_n(self, test_model):
         for bad in (10.9, math.nan):
@@ -227,7 +228,7 @@ class TestSampleBatch:
             label_prob=0.3, cond_p=(0.2, 0.5, 0.3), cond_q=(0.4, 0.4, 0.2)
         )
         n = 200_000
-        table = sample_batch(model, n, auxiliary_stream(77, 2))
+        table = sample_batch(model, n, block_stream(77, 0, 0))
         m1 = table.n1.sum()
         # 5 sigma bands around the exact marginals
         assert abs(m1 / n - 0.3) < 5 * math.sqrt(0.3 * 0.7 / n)

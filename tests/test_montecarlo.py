@@ -10,6 +10,7 @@ from symkl import (
     ExperimentConfig,
     PopulationModel,
     ReplicationColumns,
+    bound_table,
     confidence_interval,
     coverage_rate,
     exact_sigma2,
@@ -20,9 +21,8 @@ from symkl import (
     plug_in_estimate,
     plugin_sigma2,
     run_experiment,
-    run_replication,
-    sample_batch,
 )
+from symkl import streams
 from symkl.model import TableBlock, block_rows, sample_counts, table_blocks
 from symkl.montecarlo import (
     REASON_EMPTY_CELL,
@@ -32,7 +32,6 @@ from symkl.montecarlo import (
     evaluate,
     replication_columns,
 )
-from symkl.streams import replication_stream
 
 from conftest import assert_columns_equal, make_columns, random_simplex
 
@@ -216,38 +215,6 @@ class TestCoverageAndCurve:
         assert "2 distinct" in message
         assert "every replication was degenerate at n = 100, 2000" in message
         assert "20000" not in message
-
-
-class TestRunReplication:
-    def test_deterministic(self, test_model):
-        truth = test_model.sym_divergence()
-        a = run_replication(test_model, 400, 0.95, truth, 11, 0, 3)
-        b = run_replication(test_model, 400, 0.95, truth, 11, 0, 3)
-        assert_columns_equal(a, b)
-        assert len(a) == 1
-        assert not a.degenerate[0]
-        assert a.scaled_eta[0] == pytest.approx(math.sqrt(400) * a.eta[0], rel=1e-15)
-        assert a.ci_lower[0] <= a.estimate[0] <= a.ci_upper[0]
-
-    def test_matches_scalar_oracles_on_its_stream(self, test_model):
-        truth = test_model.sym_divergence()
-        rec = run_replication(test_model, 400, 0.9, truth, 11, 2, 5)
-        counts = sample_batch(test_model, 400, replication_stream(11, 2, 5))
-        est = plug_in_estimate(counts)
-        variance = plugin_sigma2(counts)
-        ci = confidence_interval(est, variance, 0.9)
-        assert rec.rep_index.tolist() == [5] and rec.n.tolist() == [400]
-        assert rec.estimate[0] == pytest.approx(est.value, rel=1e-13, abs=0.0)
-        assert rec.sigma2_hat[0] == pytest.approx(variance.sigma2, rel=1e-13, abs=0.0)
-        assert rec.ci_lower[0] == pytest.approx(ci.lower, rel=1e-13, abs=0.0)
-        assert rec.ci_upper[0] == pytest.approx(ci.upper, rel=1e-13, abs=0.0)
-        assert rec.covered[0] == ci.contains(truth)
-
-    def test_degenerate_record_has_no_values(self, test_model):
-        # two draws cannot populate all four cells
-        rec = run_replication(test_model, 2, 0.95, 0.0, 11, 0, 0)
-        assert rec.degenerate[0]
-        assert math.isnan(rec.estimate[0]) and math.isnan(rec.eta[0]) and not rec.covered[0]
 
 
 def assert_columns_match_oracle(n1, n0, truth, level=0.95):
@@ -537,3 +504,20 @@ class TestKsAgainstExactSigmaDecreases:
             ks_small.append(per_n[0].ks_normalized)
             ks_large.append(per_n[1].ks_normalized)
         assert float(np.median(ks_large)) <= float(np.median(ks_small))
+
+
+class TestOneStreamFamily:
+    def test_run_and_bound_table_draw_only_block_streams(self, test_model, monkeypatch):
+        tags = []
+        philox = streams._philox
+
+        def recording(master_seed, tag, n_index, index):
+            tags.append(tag)
+            return philox(master_seed, tag, n_index, index)
+
+        monkeypatch.setattr(streams, "_philox", recording)
+        run_experiment(make_config(test_model, checks=("lln", "bounds")), workers=1, records=True)
+        assert tags and set(tags) == {streams.TAG_BLOCK}
+        tags.clear()
+        bound_table(test_model, [100, 1000], [0.1], replications=50, master_seed=3)
+        assert tags and set(tags) == {streams.TAG_BLOCK}
