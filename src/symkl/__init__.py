@@ -9,11 +9,9 @@ convergence, normality, coverage, and bound claims against simulated data.
 
 from .asymptotics import (
     ConfidenceInterval,
-    InfluenceCoefficients,
     VarianceResult,
     confidence_interval,
     exact_sigma2,
-    influence_coefficients,
     influence_value,
     normal_cdf,
     normal_quantile,
@@ -51,7 +49,6 @@ from .model import (
     PopulationModel,
     as_positive_prob_vector,
     as_prob_vector,
-    kl_divergence,
     sample_batch,
     sym_kl_divergence,
 )
@@ -95,7 +92,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ExperimentSummary",
-    "InfluenceCoefficients",
     "PopulationModel",
     "ReplicationColumns",
     "RunManifest",
@@ -110,9 +106,7 @@ __all__ = [
     "coverage_rate",
     "empirical_measures",
     "exact_sigma2",
-    "influence_coefficients",
     "influence_value",
-    "kl_divergence",
     "ks_statistic",
     "lln_curve",
     "load_config",

@@ -3,10 +3,11 @@
 Scaled by ``sqrt(n)``, the estimation error is asymptotically normal with a
 variance that has a closed form: each draw ``(x, y)`` contributes a linear
 influence value ``W(x, y)`` with mean zero, and the limit variance is
-``Var W``.  This module computes the influence coefficients, the influence
-value itself, the exact limit variance by enumerating the ``2 r`` possible
-outcomes of one draw, its plug-in counterpart evaluated at the empirical
-measures, and the resulting asymptotic confidence interval.
+``Var W``.  This module computes the influence value, the exact limit
+variance by enumerating the ``2 r`` possible outcomes of one draw, its
+plug-in counterpart evaluated at the empirical measures, and the resulting
+asymptotic confidence interval.  It checks no law: a model was checked when
+it was built, and positive counts give positive empirical laws.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .estimator import DegenerateSampleError, EstimateResult, empirical_measures
-from .model import CountTable, PopulationModel, as_positive_prob_vector, _check_same_length
+from .model import CountTable, PopulationModel
 
 _SQRT_HALF = 0.7071067811865476  # 1/sqrt(2) rounded to double
 _SQRT_HALF_LO = -4.833646656726457e-17  # 1/sqrt(2) - _SQRT_HALF
@@ -59,32 +60,11 @@ def normal_quantile(prob: float) -> float:
     return NormalDist().inv_cdf(prob)
 
 
-@dataclass(frozen=True, eq=False)
-class InfluenceCoefficients:
-    """Per-symbol sensitivities of the symmetric divergence.
-
-    ``b[j]`` weights perturbations of the label-1 cell of symbol ``j`` and
-    ``c[j]`` those of the label-0 cell:
-
-    - ``b_j = 1 + ln(p_j / q_j) - q_j / p_j``
-    - ``c_j = 1 + ln(q_j / p_j) - p_j / q_j``
-    """
-
-    b: np.ndarray
-    c: np.ndarray
-
-
-def influence_coefficients(cond_p, cond_q) -> InfluenceCoefficients:
-    """Coefficients for a strictly positive pair of conditional laws."""
-    p = as_positive_prob_vector(cond_p, name="cond_p")
-    q = as_positive_prob_vector(cond_q, name="cond_q")
-    _check_same_length(p, q)
+def _coefficients(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sensitivities of the symmetric divergence to the label-1 and label-0
+    cells of each symbol: ``b = 1 + ln(p / q) - q / p``, ``c = 1 + ln(q / p) - p / q``."""
     log_ratio = np.log(p) - np.log(q)
-    b = 1.0 + log_ratio - q / p
-    c = 1.0 - log_ratio - p / q
-    b.flags.writeable = False
-    c.flags.writeable = False
-    return InfluenceCoefficients(b=b, c=c)
+    return 1.0 + log_ratio - q / p, 1.0 - log_ratio - p / q
 
 
 def influence_value(model: PopulationModel, x: int, y: int) -> float:
@@ -100,7 +80,7 @@ def influence_value(model: PopulationModel, x: int, y: int) -> float:
         raise ValueError(f"symbol index must lie in [0, {model.r}), got {x}")
     if y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y}")
-    coeffs = influence_coefficients(model.cond_p, model.cond_q)
+    b, c = _coefficients(model.cond_p, model.cond_q)
     p = model.label_prob
     q = 1.0 - p
     pv = model.cond_p
@@ -115,7 +95,7 @@ def influence_value(model: PopulationModel, x: int, y: int) -> float:
         ind_x0[x] = 1.0
     bracket_p = (ind_x1 - p * pv) / p - pv * (ind_y1 - p)
     bracket_q = (ind_x0 - q * qv) / q - qv * (ind_y0 - q)
-    terms = bracket_p * coeffs.b + bracket_q * coeffs.c
+    terms = bracket_p * b + bracket_q * c
     return math.fsum(terms.tolist())
 
 
@@ -131,29 +111,21 @@ class VarianceResult:
     mean_check: float
 
 
-def _influence_table(model: PopulationModel) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probabilities and influence values for the 2r draw outcomes.
+def _influence_table(label_prob: float, pv: np.ndarray, qv: np.ndarray) -> VarianceResult:
+    """``Var W`` over the table of the 2r draw outcomes of a positive law.
 
     The constant-in-j parts of the bracket collapse into two inner products,
     leaving a closed per-outcome form (label-1 outcomes first).
     """
-    coeffs = influence_coefficients(model.cond_p, model.cond_q)
-    p = model.label_prob
+    b, c = _coefficients(pv, qv)
+    p = label_prob
     q = 1.0 - p
-    pv = model.cond_p
-    qv = model.cond_q
-    s_pb = math.fsum((pv * coeffs.b).tolist())
-    s_qc = math.fsum((qv * coeffs.c).tolist())
-    w1 = coeffs.b / p - (2.0 - p) * s_pb - p * s_qc
-    w0 = coeffs.c / q - q * s_pb - (2.0 - q) * s_qc
+    s_pb = math.fsum((pv * b).tolist())
+    s_qc = math.fsum((qv * c).tolist())
+    w1 = b / p - (2.0 - p) * s_pb - p * s_qc
+    w0 = c / q - q * s_pb - (2.0 - q) * s_qc
     probs = np.concatenate([p * pv, q * qv])
     values = np.concatenate([w1, w0])
-    return probs, values
-
-
-def exact_sigma2(model: PopulationModel) -> VarianceResult:
-    """Exact limit variance ``Var W`` by enumeration of all 2r outcomes."""
-    probs, values = _influence_table(model)
     mean = math.fsum((probs * values).tolist())
     second = math.fsum((probs * values * values).tolist())
     sigma2 = second - mean * mean
@@ -162,26 +134,28 @@ def exact_sigma2(model: PopulationModel) -> VarianceResult:
     return VarianceResult(sigma2=sigma2, mean_check=mean)
 
 
-def plugin_sigma2(counts: CountTable) -> VarianceResult:
-    """Limit variance evaluated at the empirical measures.
+def exact_sigma2(model: PopulationModel) -> VarianceResult:
+    """Exact limit variance ``Var W`` by enumeration of all 2r outcomes."""
+    return _influence_table(model.label_prob, model.cond_p, model.cond_q)
 
-    Requires a non-degenerate table: both label classes populated and every
-    cell count positive, so the empirical measures form a valid model.
+
+def plugin_sigma2(counts: CountTable) -> VarianceResult:
+    """Limit variance at the empirical measures of a table whose cells are
+    all positive, however small a frequency; no model is built.
 
     Raises
     ------
     DegenerateSampleError
-        If any empirical measure is undefined or has a zero cell.
+        If a cell is empty or the label-1 frequency rounds to 1.
     """
     emp = empirical_measures(counts)
     if emp.p_hat is None or emp.q_hat is None:
         raise DegenerateSampleError("empty label class; plug-in variance undefined")
     if np.any(emp.p_hat == 0.0) or np.any(emp.q_hat == 0.0):
         raise DegenerateSampleError("zero empirical cell; plug-in variance undefined")
-    empirical_model = PopulationModel(
-        label_prob=emp.p_n_hat, cond_p=emp.p_hat, cond_q=emp.q_hat
-    )
-    return exact_sigma2(empirical_model)
+    if emp.q_n_hat == 0.0:
+        raise DegenerateSampleError("label-1 frequency rounds to 1; plug-in variance undefined")
+    return _influence_table(emp.p_n_hat, emp.p_hat, emp.q_hat)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ clt-check, lln-check, bounds-check
 Exit codes
 ----------
 0 success; 1 usage error or malformed input; 2 degenerate data
-(estimate undefined); 3 a requested check failed (reports are still
-written).
+(estimate or plug-in variance undefined); 3 a requested check failed
+(reports are still written).
 """
 
 from __future__ import annotations
@@ -248,3 +248,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

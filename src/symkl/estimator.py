@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CountTable, sym_kl_divergence
+from .model import CountTable, _jeffreys
 
 
 class DegenerateSampleError(ValueError):
@@ -92,13 +92,13 @@ def plug_in_estimate(counts: CountTable) -> EstimateResult:
     """Symmetric divergence of the empirical conditional laws.
 
     Equals ``sym_kl_divergence(p_hat, q_hat)`` whenever both label classes
-    are populated and every cell count is positive; otherwise a degenerate
-    flagged result with no value.
+    are populated and every cell count is positive, however small a
+    frequency; otherwise a degenerate flagged result with no value.
     """
     emp = empirical_measures(counts)
     reason = _degeneracy_reason(emp)
     if reason is not None:
         return EstimateResult(value=None, degenerate=True, reason=reason, n=emp.n)
-    value = sym_kl_divergence(emp.p_hat, emp.q_hat)
+    value = _jeffreys(emp.p_hat, emp.q_hat)
     return EstimateResult(value=value, degenerate=False, reason=None, n=emp.n)
 

@@ -84,7 +84,7 @@ def read_counts_csv(path) -> CountTable:
     """
     data_rows: list[tuple[int, list[str]]] = []
     header: tuple[int, list[str]] | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_number, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -212,7 +212,7 @@ def parse_config_dict(data) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate an experiment config JSON file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # also an integer literal beyond int()'s digit limit

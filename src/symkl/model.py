@@ -4,8 +4,9 @@ A population is a pair of strictly positive conditional laws over a finite
 alphabet of ``r >= 2`` symbols together with a label probability: a draw is
 ``(X, Y)`` with ``Y ~ Bernoulli(label_prob)``, ``X | Y=1 ~ cond_p`` and
 ``X | Y=0 ~ cond_q``.  Symbols are identified with their indices
-``0 .. r-1``.  This module owns simplex validation, the KL divergences
-between the two conditionals, and sampling into blocks of joint count tables.
+``0 .. r-1``.  This module owns simplex validation, done once when a
+:class:`PopulationModel` is built, the symmetric divergence between the two
+conditionals, and sampling into blocks of joint count tables.
 """
 
 from __future__ import annotations
@@ -75,28 +76,16 @@ def _check_same_length(p: np.ndarray, q: np.ndarray) -> None:
         )
 
 
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler divergence ``sum_j p_j (ln p_j - ln q_j)``.
-
-    Both arguments must be strictly positive probability vectors of the
-    same length.  Terms are accumulated with compensated summation; a
-    roundoff-negative result within ``SIMPLEX_ATOL`` of zero is clamped
-    to exactly 0.
-    """
-    p = as_positive_prob_vector(p, name="p")
-    q = as_positive_prob_vector(q, name="q")
-    _check_same_length(p, q)
-    terms = p * (np.log(p) - np.log(q))
-    value = math.fsum(terms.tolist())
-    if -SIMPLEX_ATOL < value < 0.0:
-        value = 0.0
-    return value
+def _jeffreys(p: np.ndarray, q: np.ndarray) -> float:
+    """``sum_j (p_j - q_j)(ln p_j - ln q_j)`` of two positive arrays, unchecked."""
+    return math.fsum(((p - q) * (np.log(p) - np.log(q))).tolist())
 
 
 def sym_kl_divergence(p, q) -> float:
     """Symmetric (Jeffreys) divergence ``sum_j (p_j - q_j)(ln p_j - ln q_j)``.
 
-    Equals ``kl_divergence(p, q) + kl_divergence(q, p)``.  Every term is
+    Equals ``KL(p || q) + KL(q || p)`` for strictly positive probability
+    vectors of one length, which are checked here.  Every term is
     nonnegative (the factors share a sign), so the compensated sum is
     nonnegative with no clamping, and swapping the arguments permutes
     nothing: the result is bitwise symmetric in ``p`` and ``q``.
@@ -104,8 +93,7 @@ def sym_kl_divergence(p, q) -> float:
     p = as_positive_prob_vector(p, name="p")
     q = as_positive_prob_vector(q, name="q")
     _check_same_length(p, q)
-    terms = (p - q) * (np.log(p) - np.log(q))
-    return math.fsum(terms.tolist())
+    return _jeffreys(p, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +132,7 @@ class PopulationModel:
 
     def sym_divergence(self) -> float:
         """Symmetric divergence between the two conditionals."""
-        return sym_kl_divergence(self.cond_p, self.cond_q)
+        return _jeffreys(self.cond_p, self.cond_q)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PopulationModel):

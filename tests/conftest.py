@@ -13,15 +13,19 @@ from symkl import PopulationModel, ReplicationColumns
 SIMPLEX_ATTEMPTS = 10_000
 
 
-def run_child(code, *args):
-    """Run ``python -c code`` in a fresh interpreter that imports this symkl."""
+def run_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this symkl."""
     src = str(Path(symkl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_child(code, *args):
+    """Run ``python -c code`` in a fresh interpreter that imports this symkl."""
+    return run_python("-c", code, *args)
 
 
 def random_simplex(rng: np.random.Generator, r: int, min_entry: float = 1e-3) -> np.ndarray:

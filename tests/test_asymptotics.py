@@ -10,13 +10,13 @@ from symkl import (
     PopulationModel,
     confidence_interval,
     exact_sigma2,
-    influence_coefficients,
     influence_value,
     normal_cdf,
     normal_quantile,
     plug_in_estimate,
     plugin_sigma2,
 )
+from symkl.asymptotics import _coefficients
 from symkl.streams import block_stream
 
 from conftest import random_model
@@ -134,29 +134,20 @@ class TestNormalAccuracy:
 
 class TestInfluenceCoefficients:
     def test_golden_values(self, test_model):
-        coeffs = influence_coefficients(test_model.cond_p, test_model.cond_q)
+        b, c = _coefficients(test_model.cond_p, test_model.cond_q)
         np.testing.assert_allclose(
-            coeffs.b, [1.0 + math.log(2.0) - 0.5, 1.0 + math.log(2.0 / 3.0) - 1.5],
+            b, [1.0 + math.log(2.0) - 0.5, 1.0 + math.log(2.0 / 3.0) - 1.5],
             rtol=0, atol=1e-15,
         )
         np.testing.assert_allclose(
-            coeffs.c, [1.0 - math.log(2.0) - 2.0, 1.0 + math.log(1.5) - 2.0 / 3.0],
+            c, [1.0 - math.log(2.0) - 2.0, 1.0 + math.log(1.5) - 2.0 / 3.0],
             rtol=0, atol=1e-15,
         )
 
     def test_vanish_at_equal_laws(self):
-        coeffs = influence_coefficients((0.3, 0.7), (0.3, 0.7))
-        np.testing.assert_array_equal(coeffs.b, [0.0, 0.0])
-        np.testing.assert_array_equal(coeffs.c, [0.0, 0.0])
-
-    def test_rejects_zero_entries(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            influence_coefficients((0.0, 1.0), (0.5, 0.5))
-
-    def test_read_only(self, test_model):
-        coeffs = influence_coefficients(test_model.cond_p, test_model.cond_q)
-        with pytest.raises(ValueError):
-            coeffs.b[0] = 0.0
+        b, c = _coefficients(np.array([0.3, 0.7]), np.array([0.3, 0.7]))
+        np.testing.assert_array_equal(b, [0.0, 0.0])
+        np.testing.assert_array_equal(c, [0.0, 0.0])
 
 
 class TestInfluenceValue:
@@ -251,10 +242,23 @@ class TestPluginSigma2:
             plugin_sigma2(CountTable(n1=np.array([5, 0]), n0=np.array([2, 3])))
         with pytest.raises(DegenerateSampleError, match="empty label class"):
             plugin_sigma2(CountTable(n1=np.array([0, 0]), n0=np.array([2, 3])))
+        with pytest.raises(DegenerateSampleError, match="label-1 frequency rounds to 1"):
+            plugin_sigma2(CountTable(n1=np.array([4 * 10**18, 4 * 10**18]), n0=np.array([1, 1])))
 
     def test_zero_when_empirical_laws_match(self):
         counts = CountTable(n1=np.array([2, 2]), n0=np.array([2, 2]))
         assert plugin_sigma2(counts).sigma2 == 0.0
+
+    def test_tiny_empirical_frequency(self):
+        # p_hat[1] is about 1e-13, below the population models' floor; the
+        # empirical laws are not models, so the table still has its values
+        counts = CountTable(n1=np.array([10**13, 1]), n0=np.array([5, 5]))
+        est = plug_in_estimate(counts)
+        variance = plugin_sigma2(counts)
+        ci = confidence_interval(est, variance, 0.95)
+        assert est.value == 14.966803104458304
+        assert variance.sigma2 == 461186201737754.75
+        assert ci.lower < est.value < ci.upper
 
 
 class TestConfidenceInterval:

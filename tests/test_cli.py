@@ -10,7 +10,7 @@ import pytest
 from symkl import cli, montecarlo
 from symkl.io import config_to_dict, parse_config_dict, write_json
 
-from conftest import run_child
+from conftest import run_child, run_python
 
 
 def run(capsys, *argv):
@@ -73,6 +73,11 @@ class TestEstimate:
         width95 = float(narrow["ci_hi"]) - float(narrow["ci_lo"])
         width99 = float(wide["ci_hi"]) - float(wide["ci_lo"])
         assert width99 > width95
+
+    def test_tiny_frequency_exit_0(self, tmp_path, capsys):
+        code, out, err = run(capsys, "estimate", counts_file(tmp_path, "10000000000000,1\n5,5\n"))
+        assert (code, err) == (0, "")
+        assert "estimate: 14.966803104458304\n" in out
 
     def test_degenerate_counts_exit_2(self, tmp_path, capsys):
         code, out, err = run(capsys, "estimate", counts_file(tmp_path, "3,0\n1,3\n"))
@@ -480,6 +485,14 @@ class TestEntry:
         with pytest.raises(SystemExit) as info:
             cli.entry()
         assert info.value.code == 0
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        child = run_python("-W", "error", "-m", "symkl.cli", "estimate", counts_file(tmp_path))
+        assert child.returncode == 0, child.stderr
+        assert "estimate: " in child.stdout
+        child = run_python("-m", "symkl.cli", "estimate", str(tmp_path / "missing.csv"))
+        assert child.returncode == 1
+        assert "no such file" in child.stderr
 
 
 class TestColdStart:

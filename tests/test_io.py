@@ -56,6 +56,9 @@ class TestCountsCsv:
         table = read_counts_csv(path)
         np.testing.assert_array_equal(table.n1, [3, 1])
         np.testing.assert_array_equal(table.n0, [1, 3])
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        path.write_text("3,1\n1,3\n", encoding="utf-8-sig")
+        assert read_counts_csv(path) == table
 
     def test_header_comments_and_blanks(self, tmp_path):
         text = "# raw counts\n\nsym_a,sym_b\n# label one first\n10,20\n30,40\n\n"
@@ -72,6 +75,9 @@ class TestCountsCsv:
         with pytest.raises(CountsFormatError, match="line 3") as info:
             read_counts_csv(path)
         assert info.value.line_number == 3
+        path.write_text("# note\n3,1\n1,x\n", encoding="utf-8-sig")  # with a byte-order mark
+        with pytest.raises(CountsFormatError, match="line 3: expected an integer count, got 'x'"):
+            read_counts_csv(path)
 
     def test_mixed_row_is_not_a_header(self, tmp_path):
         path = write(tmp_path / "c.csv", "1,x\n2,3\n")
@@ -177,6 +183,8 @@ class TestConfigJson:
         config = parse_config_dict(config_dict())
         path = tmp_path / "config.json"
         symkl_io.write_json(config_to_dict(config), path)
+        assert load_config(path) == config
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # a UTF-8 byte-order mark
         assert load_config(path) == config
 
     def test_invalid_json_message(self, tmp_path):

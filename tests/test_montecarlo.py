@@ -14,6 +14,7 @@ from symkl import (
     confidence_interval,
     coverage_rate,
     exact_sigma2,
+    influence_value,
     ks_statistic,
     lln_curve,
     normal_cdf,
@@ -21,7 +22,9 @@ from symkl import (
     plug_in_estimate,
     plugin_sigma2,
     run_experiment,
+    sym_kl_divergence,
 )
+from symkl import model as symkl_model
 from symkl import streams
 from symkl.model import TableBlock, block_rows, sample_counts, table_blocks
 from symkl.montecarlo import (
@@ -295,6 +298,9 @@ class TestReplicationColumns:
             assert cols.estimate[4] == 0.0 and cols.sigma2_hat[4] == 0.0
             assert cols.ci_lower[4] == cols.ci_upper[4] == 0.0
             assert cols.covered[4] == (truth == 0.0)
+            # p_hat[1] near 1e-13: every cell is positive, so the table has an estimate
+            tiny = assert_columns_match_oracle(np.array([[10**13, 1]]), np.array([[5, 5]]), truth)
+            assert tiny.estimate.tolist() == [14.966803104458304]
 
     def test_summary_counts_each_reason(self, test_model):
         # every table holds n = 6 draws
@@ -521,3 +527,48 @@ class TestOneStreamFamily:
         tags.clear()
         bound_table(test_model, [100, 1000], [0.1], replications=50, master_seed=3)
         assert tags and set(tags) == {streams.TAG_BLOCK}
+
+
+def count_law_checks(monkeypatch) -> list[str]:
+    """From now on, the names of the vectors ``as_prob_vector`` checks."""
+    names = []
+    real = symkl_model.as_prob_vector
+
+    def counting(values, *, name="probability vector"):
+        names.append(name)
+        return real(values, name=name)
+
+    monkeypatch.setattr(symkl_model, "as_prob_vector", counting)
+    return names
+
+
+class TestValidationOnce:
+    """A law is checked where it enters: a PopulationModel is built, or
+    sym_kl_divergence gets raw arrays.  Nothing below checks it again."""
+
+    def test_nothing_below_the_boundary_checks_a_law(self, monkeypatch):
+        model = PopulationModel(label_prob=0.3, cond_p=(0.2, 0.5, 0.3), cond_q=(0.4, 0.4, 0.2))
+        config = make_config(model, checks=("lln", "bounds"))
+        counts = CountTable(n1=np.array([10**13, 1]), n0=np.array([5, 5]))
+        names = count_law_checks(monkeypatch)
+        for step in (
+            lambda: run_experiment(config, workers=1),
+            lambda: exact_sigma2(model),
+            model.sym_divergence,
+            lambda: influence_value(model, 0, 1),
+            lambda: plug_in_estimate(counts),
+            lambda: plugin_sigma2(counts),
+        ):
+            step()
+            assert names == []
+
+    def test_the_boundary_checks_and_rejects(self, monkeypatch):
+        checks = count_law_checks(monkeypatch)
+        PopulationModel(label_prob=0.5, cond_p=(0.5, 0.5), cond_q=(0.25, 0.75))
+        assert checks == ["cond_p", "cond_q"]
+        sym_kl_divergence([0.5, 0.5], [0.25, 0.75])
+        assert checks == ["cond_p", "cond_q", "p", "q"]
+        with pytest.raises(ValueError, match="cond_p must be strictly positive"):
+            PopulationModel(label_prob=0.5, cond_p=(0.0, 1.0), cond_q=(0.5, 0.5))
+        with pytest.raises(ValueError, match="p must be strictly positive"):
+            sym_kl_divergence([0.0, 1.0], [0.5, 0.5])
