@@ -43,8 +43,8 @@ BOUNDS_HEADER = "name,n,g,bound,informative,empirical,stderr,valid"
 _RECORD_LINE = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,0\n"
 _DEGENERATE_LINE = "%d,%d,,,,,,,,1\n"
 _REAL_COLUMNS = ("estimate", "eta", "scaled_eta", "sigma2_hat", "ci_lower", "ci_upper")
-# Rows formatted per write, so that memory stays flat for any run size.
-_WRITE_ROWS = 1 << 14
+# Rows formatted per write: under 1 MB of lines and floats, whatever the run size.
+_WRITE_ROWS = 1 << 10
 
 
 class CountsFormatError(ValueError):

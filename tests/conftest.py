@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -77,6 +78,23 @@ def assert_columns_equal(a: ReplicationColumns, b: ReplicationColumns) -> None:
         assert x.dtype == y.dtype, f.name
         assert x.shape == y.shape, f.name
         np.testing.assert_array_equal(x, y, err_msg=f.name)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` holds at once, as tracemalloc sees them
+    (numpy's buffers included); a first untraced call pays one-time set-up."""
+    fn(*args)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from symkl import io as symkl_io
 from symkl.io import BOUNDS_HEADER, RECORDS_HEADER
 from symkl.montecarlo import REASON_EMPTY_CELL, REASON_NONE, REASON_UNKNOWN
 
-from conftest import assert_columns_equal, make_columns
+from conftest import assert_columns_equal, make_columns, traced_peak
 
 
 def write(path, text):
@@ -352,6 +352,25 @@ class TestRecordsCsvEquivalence:
         assert_read_back(read, records)
         write_records_csv(read, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestRecordsCsvMemory:
+    def test_writer_peak_stays_under_a_megabyte(self, tmp_path):
+        rows = 48_000
+        rng = np.random.default_rng(48)
+        degenerate = np.arange(rows) % 7 == 3
+        reals = rng.standard_normal((6, rows))
+        reals[:, degenerate] = math.nan
+        records = ReplicationColumns(
+            np.full(rows, 10**6, dtype=np.int64), np.arange(rows, dtype=np.int64), degenerate,
+            np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8), *reals,
+            (rng.random(rows) < 0.95) & ~degenerate,
+        )
+        path = tmp_path / "records.csv"
+        assert traced_peak(write_records_csv, records, path) < 1 << 20
+        lines = path.read_text().splitlines()
+        assert len(lines) == rows + 1
+        assert lines[4] == "3,1000000,,,,,,,,1"
 
 
 class TestBoundsCsvAndSummary:

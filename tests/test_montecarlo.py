@@ -7,6 +7,7 @@ import pytest
 from symkl import (
     CHECK_NAMES,
     CountTable,
+    DegenerateSampleError,
     ExperimentConfig,
     PopulationModel,
     ReplicationColumns,
@@ -36,7 +37,7 @@ from symkl.montecarlo import (
     replication_columns,
 )
 
-from conftest import assert_columns_equal, make_columns, random_simplex
+from conftest import assert_columns_equal, make_columns, random_simplex, traced_peak
 
 
 def make_config(test_model, **overrides):
@@ -221,16 +222,23 @@ class TestCoverageAndCurve:
 
 
 def assert_columns_match_oracle(n1, n0, truth, level=0.95):
-    """Every row of the kernel against the scalar functions on its table."""
+    """Every row of the kernel against the scalar functions on its table.
+
+    A row is degenerate when ``plug_in_estimate`` is or ``plugin_sigma2``
+    raises ``DegenerateSampleError``.
+    """
     cols = replication_columns(n1, n0, truth, normal_quantile((1.0 + level) / 2.0))
     for i in range(len(n1)):
         counts = CountTable(n1=n1[i], n0=n0[i])
         est = plug_in_estimate(counts)
-        assert cols.degenerate[i] == est.degenerate
-        if est.degenerate:
+        try:
+            variance = None if est.degenerate else plugin_sigma2(counts)
+        except DegenerateSampleError:
+            variance = None
+        assert cols.degenerate[i] == (variance is None)
+        if variance is None:
             assert np.isnan(cols.estimate[i]) and not cols.covered[i]
             continue
-        variance = plugin_sigma2(counts)
         ci = confidence_interval(est, variance, level)
         assert cols.covered[i] == ci.contains(truth)
         for got, want in (
@@ -243,6 +251,54 @@ def assert_columns_match_oracle(n1, n0, truth, level=0.95):
         assert cols.eta[i] == cols.estimate[i] - truth
         assert cols.scaled_eta[i] == math.sqrt(counts.n) * cols.eta[i]
     return cols
+
+
+def out_of_place_columns(n1, n0, truth, z, first_rep=0):
+    """The kernel as plain expressions, one new array per step: the reference
+    for the in-place kernel's bits.  It lacks the kernel's rounding test for
+    the label-1 frequency, which only sizes above 2**53 reach."""
+    m1 = n1.sum(axis=1)
+    m0 = n0.sum(axis=1)
+    sizes = m1 + m0
+    degenerate = np.any(n1 == 0, axis=1) | np.any(n0 == 0, axis=1)
+    reason = np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8)
+    reason[(m1 == 0) | (m0 == 0)] = REASON_EMPTY_LABEL
+    ok = ~degenerate
+    n1, n0, m1, m0, n = n1[ok], n0[ok], m1[ok], m0[ok], sizes[ok]
+    p_hat = n1 / m1[:, None]
+    q_hat = n0 / m0[:, None]
+    log_ratio = np.log(p_hat) - np.log(q_hat)
+    estimate = np.sum((p_hat - q_hat) * log_ratio, axis=1)
+    b = 1.0 + log_ratio - q_hat / p_hat
+    c = 1.0 - log_ratio - p_hat / q_hat
+    s_pb = np.sum(p_hat * b, axis=1)[:, None]
+    s_qc = np.sum(q_hat * c, axis=1)[:, None]
+    p = (m1 / n)[:, None]
+    q = 1.0 - p
+    w1 = b / p - (2.0 - p) * s_pb - p * s_qc
+    w0 = c / q - q * s_pb - (2.0 - q) * s_qc
+    t1 = p * p_hat * w1
+    t0 = q * q_hat * w0
+    mean = np.sum(t1, axis=1) + np.sum(t0, axis=1)
+    second = np.sum(t1 * w1, axis=1) + np.sum(t0 * w0, axis=1)
+    sigma2 = np.maximum(second - mean * mean, 0.0)
+    half = z * np.sqrt(sigma2 / n)
+    lower = estimate - half
+    upper = estimate + half
+    eta = estimate - truth
+
+    def column(values, fill=np.nan):
+        out = np.full(ok.shape, fill, dtype=values.dtype)
+        out[ok] = values
+        return out
+
+    return ReplicationColumns(
+        n=sizes, rep_index=np.arange(first_rep, first_rep + ok.size, dtype=np.int64),
+        degenerate=degenerate, reason=reason, estimate=column(estimate), eta=column(eta),
+        scaled_eta=column(np.sqrt(n) * eta), sigma2_hat=column(sigma2),
+        ci_lower=column(lower), ci_upper=column(upper),
+        covered=column((lower <= truth) & (truth <= upper), fill=False),
+    )
 
 
 class TestReplicationColumns:
@@ -301,6 +357,41 @@ class TestReplicationColumns:
             # p_hat[1] near 1e-13: every cell is positive, so the table has an estimate
             tiny = assert_columns_match_oracle(np.array([[10**13, 1]]), np.array([[5, 5]]), truth)
             assert tiny.estimate.tolist() == [14.966803104458304]
+            # the label-1 frequency rounds to 1: label 0 is empty in double precision
+            n1_huge, n0_huge = np.array([[4 * 10**18, 4 * 10**18]]), np.array([[1, 1]])
+            with pytest.raises(DegenerateSampleError, match="rounds to 1"):
+                plugin_sigma2(CountTable(n1=n1_huge[0], n0=n0_huge[0]))
+            huge = assert_columns_match_oracle(n1_huge, n0_huge, truth)
+            assert huge.reason.tolist() == [REASON_EMPTY_LABEL]
+
+    @pytest.mark.parametrize("r", [2, 50, 1000])
+    def test_in_place_kernel_keeps_every_bit(self, r):
+        # the oracle tests allow 1e-13, which a reordered operation would pass
+        rng = np.random.default_rng(40 + r)
+        model = PopulationModel(label_prob=0.3, cond_p=random_simplex(rng, r, min_entry=0.0),
+                                cond_q=random_simplex(rng, r, min_entry=0.0))
+        reasons = set()
+        for n in (4 * r, 10**5 * r):
+            _, n1, n0 = sample_counts(model, n, block_rows(r), rng)
+            n1[0] = 0
+            n0[1] = 0
+            got = replication_columns(n1, n0, 0.25, 1.96, 3)
+            want = out_of_place_columns(n1, n0, 0.25, 1.96, 3)
+            assert_columns_equal(got, want)
+            for f in fields(ReplicationColumns):  # signed zeros too
+                assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+            reasons.update(got.reason.tolist())
+        assert reasons == {REASON_NONE, REASON_EMPTY_LABEL, REASON_EMPTY_CELL}
+
+    def test_kernel_peak_is_a_few_block_arrays(self):
+        # 65 tables at r = 1000 and a large n, none degenerate: a full block
+        rng = np.random.default_rng(65)
+        model = PopulationModel(label_prob=0.4, cond_p=random_simplex(rng, 1000, min_entry=0.0),
+                                cond_q=random_simplex(rng, 1000, min_entry=0.0))
+        _, n1, n0 = sample_counts(model, 10**9, block_rows(1000), rng)
+        assert n1.shape == (65, 1000)
+        peak = traced_peak(replication_columns, n1, n0, 0.1, 1.96)
+        assert peak <= 7 * n1.size * 8
 
     def test_summary_counts_each_reason(self, test_model):
         # every table holds n = 6 draws
