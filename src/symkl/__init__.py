@@ -31,7 +31,6 @@ from .estimator import (
 )
 from .io import (
     CountsFormatError,
-    RunManifest,
     config_to_dict,
     load_config,
     parse_config_dict,
@@ -94,7 +93,6 @@ __all__ = [
     "ExperimentSummary",
     "PopulationModel",
     "ReplicationColumns",
-    "RunManifest",
     "SampleSizeSummary",
     "VarianceResult",
     "as_positive_prob_vector",

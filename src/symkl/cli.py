@@ -35,7 +35,6 @@ from .asymptotics import confidence_interval, plugin_sigma2
 from .estimator import DegenerateSampleError, plug_in_estimate
 from .io import (
     CountsFormatError,
-    RunManifest,
     config_to_dict,
     load_config,
     read_counts_csv,
@@ -136,8 +135,9 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _manifest(args, config: ExperimentConfig, checks, outputs, started_utc) -> RunManifest:
-    return RunManifest(
+def _manifest(args, config: ExperimentConfig, checks, outputs, started_utc) -> dict:
+    """Provenance for one run: package version, inputs, check outcomes, outputs."""
+    return dict(
         package_version=__version__,
         started_utc=started_utc,
         finished_utc=_utc_now(),
@@ -146,7 +146,7 @@ def _manifest(args, config: ExperimentConfig, checks, outputs, started_utc) -> R
         workers=args.workers,
         config=config_to_dict(config),
         checks={c.name: c.passed for c in checks},
-        outputs=tuple(outputs),
+        outputs=list(outputs),
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -324,27 +324,11 @@ def write_summary_json(summary: ExperimentSummary, path) -> None:
     write_json(summary_to_dict(summary), path)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance for one CLI run: inputs, environment, check outcomes."""
-
-    package_version: str
-    started_utc: str
-    finished_utc: str
-    subcommand: str
-    master_seed: int
-    workers: int
-    config: dict
-    checks: dict
-    outputs: tuple[str, ...]
-
-
-def write_manifest(manifest: RunManifest, path) -> None:
-    write_json(asdict(manifest), path)
-
-
 def write_json(obj, path) -> None:
     """Write any plain object as pretty, key-sorted JSON with a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+write_manifest = write_json  # the run manifest is a plain dict

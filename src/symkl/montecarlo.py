@@ -486,66 +486,71 @@ def _n_slices(n: np.ndarray) -> list[tuple[int, slice]]:
     return [(int(n[a]), slice(a, b)) for a, b in zip(edges, edges[1:]) if a < b]
 
 
-def lln_curve(records: ReplicationColumns) -> dict[int, float]:
-    """Median absolute error per sample size, keyed by n in ascending order.
-
-    Needs non-degenerate records at two or more distinct sample sizes.
-    """
-    curve: dict[int, float] = {}
-    empty = []
-    for n, rows in _n_slices(records.n):
-        valid = ~records.degenerate[rows]
-        if valid.any():
-            curve[n] = _median(np.abs(records.eta[rows][valid]))
-        else:
-            empty.append(str(n))
-    if len(curve) < 2:
-        raise ValueError(
-            "lln_curve needs non-degenerate records at >= 2 distinct sample sizes"
-            + (f"; every replication was degenerate at n = {', '.join(empty)}" if empty else "")
-        )
-    return curve
-
-
 def _variance(arr: np.ndarray) -> float | None:
     if arr.size < 2:
         return None
     return float(np.var(arr, ddof=1))
 
 
-def _summarize_n(n: int, records: ReplicationColumns, sigma_exact: float) -> SampleSizeSummary:
-    valid = ~records.degenerate
-    counts = dict(
-        n=n,
-        replications=len(records),
-        degenerate_count=int(np.count_nonzero(records.degenerate)),
-        degenerate_empty_label=int(np.count_nonzero(records.reason == REASON_EMPTY_LABEL)),
-        degenerate_empty_cell=int(np.count_nonzero(records.reason == REASON_EMPTY_CELL)),
-    )
-    if not valid.any():
-        return SampleSizeSummary(**counts)
-    eta = records.eta[valid]
-    scaled = records.scaled_eta[valid]
-    ks = None
-    if sigma_exact > 0.0:
-        ks = ks_statistic(scaled / sigma_exact)
-    return SampleSizeSummary(
-        **counts,
-        eta_mean=float(eta.mean()),
-        eta_median=_median(eta),
-        eta_variance=_variance(eta),
-        scaled_eta_mean=float(scaled.mean()),
-        scaled_eta_median=_median(scaled),
-        scaled_eta_variance=_variance(scaled),
-        median_abs_eta=_median(np.abs(eta)),
-        ks_normalized=ks,
-        coverage=coverage_rate(records),
-    )
+def _per_n(records: ReplicationColumns, sigma_exact: float) -> list[SampleSizeSummary]:
+    """One summary per sample size of the n-sorted ``records``, ascending in n;
+    the statistics cover the non-degenerate rows and are None without any."""
+    summaries = []
+    for n, rows in _n_slices(records.n):
+        at_n = records[rows]
+        valid = ~at_n.degenerate
+        counts = dict(
+            n=n,
+            replications=len(at_n),
+            degenerate_count=int(np.count_nonzero(at_n.degenerate)),
+            degenerate_empty_label=int(np.count_nonzero(at_n.reason == REASON_EMPTY_LABEL)),
+            degenerate_empty_cell=int(np.count_nonzero(at_n.reason == REASON_EMPTY_CELL)),
+        )
+        if not valid.any():
+            summaries.append(SampleSizeSummary(**counts))
+            continue
+        eta = at_n.eta[valid]
+        scaled = at_n.scaled_eta[valid]
+        summaries.append(SampleSizeSummary(
+            **counts,
+            eta_mean=float(eta.mean()),
+            eta_median=_median(eta),
+            eta_variance=_variance(eta),
+            scaled_eta_mean=float(scaled.mean()),
+            scaled_eta_median=_median(scaled),
+            scaled_eta_variance=_variance(scaled),
+            median_abs_eta=_median(np.abs(eta)),
+            ks_normalized=ks_statistic(scaled / sigma_exact) if sigma_exact > 0.0 else None,
+            coverage=coverage_rate(at_n),
+        ))
+    return summaries
 
 
-def _check_lln(records: ReplicationColumns) -> CheckResult:
+def _lln_curve(per_n) -> dict[int, float]:
+    """``median_abs_eta`` by n, over the summaries that have one."""
+    curve = {s.n: s.median_abs_eta for s in per_n if s.median_abs_eta is not None}
+    if len(curve) < 2:
+        empty = ", ".join(str(s.n) for s in per_n if s.median_abs_eta is None)
+        raise ValueError(
+            "lln_curve needs non-degenerate records at >= 2 distinct sample sizes"
+            + (f"; every replication was degenerate at n = {empty}" if empty else "")
+        )
+    return curve
+
+
+def lln_curve(records: ReplicationColumns) -> dict[int, float]:
+    """Median absolute error per sample size, keyed by n in ascending order.
+
+    The ``median_abs_eta`` of the per-n summaries that :func:`evaluate`
+    records, so the same curve the ``lln`` check reads.  Needs records
+    sorted by n, non-degenerate at two or more distinct sample sizes.
+    """
+    return _lln_curve(_per_n(records, 0.0))
+
+
+def _check_lln(per_n) -> CheckResult:
     try:
-        curve = lln_curve(records)
+        curve = _lln_curve(per_n)
     except ValueError as exc:
         return CheckResult(name="lln", passed=False, detail=str(exc))
     medians = list(curve.values())
@@ -556,36 +561,22 @@ def _check_lln(records: ReplicationColumns) -> CheckResult:
     return CheckResult(name="lln", passed=decreasing, detail=detail)
 
 
-def _check_clt(summary_by_n: dict[int, SampleSizeSummary], largest_n: int) -> CheckResult:
-    ks = summary_by_n[largest_n].ks_normalized
-    if ks is None:
+def _check_largest(name: str, largest: SampleSizeSummary, level: float) -> CheckResult:
+    """The ``clt`` or ``coverage`` check on the summary at the largest n."""
+    n = largest.n
+    value = largest.ks_normalized if name == "clt" else largest.coverage
+    if value is None:
+        return CheckResult(name=name, passed=False, detail=f"no usable replications at n={n}")
+    if name == "clt":
         return CheckResult(
-            name="clt", passed=False,
-            detail=f"no usable replications at n={largest_n}",
+            name=name,
+            passed=value <= KS_THRESHOLD,
+            detail=f"ks={value:.6g} at n={n} (threshold {KS_THRESHOLD})",
         )
     return CheckResult(
-        name="clt",
-        passed=ks <= KS_THRESHOLD,
-        detail=f"ks={ks:.6g} at n={largest_n} (threshold {KS_THRESHOLD})",
-    )
-
-
-def _check_coverage(
-    summary_by_n: dict[int, SampleSizeSummary], largest_n: int, level: float
-) -> CheckResult:
-    cov = summary_by_n[largest_n].coverage
-    if cov is None:
-        return CheckResult(
-            name="coverage", passed=False,
-            detail=f"no usable replications at n={largest_n}",
-        )
-    return CheckResult(
-        name="coverage",
-        passed=abs(cov - level) <= COVERAGE_TOLERANCE,
-        detail=(
-            f"coverage={cov:.4f} at n={largest_n} "
-            f"(nominal {level}, tolerance {COVERAGE_TOLERANCE})"
-        ),
+        name=name,
+        passed=abs(value - level) <= COVERAGE_TOLERANCE,
+        detail=f"coverage={value:.4f} at n={n} (nominal {level}, tolerance {COVERAGE_TOLERANCE})",
     )
 
 
@@ -620,35 +611,37 @@ def check_bound_rows(rows) -> CheckResult:
 
 def evaluate(config: ExperimentConfig, records: ReplicationColumns,
              bound_rows: tuple[BoundTableRow, ...]) -> ExperimentSummary:
-    """Summarize ``records`` per sample size and evaluate the requested checks.
+    """Reduce ``records`` to one summary per sample size and evaluate the checks.
 
     ``records`` are sorted by n; ``per_n`` covers the sample sizes that
-    have records, so it is empty when there are none.  The bounds check
-    reads ``bound_rows`` and needs no records.  The other checks do.
+    have records, so it is empty when there are none.  ``lln`` reads
+    ``per_n``; ``clt`` and ``coverage`` read its entry at the largest
+    configured n, a summary of no replications when that n has no records,
+    so they fail with "no usable replications".  ``bounds`` reads
+    ``bound_rows``.
     """
     sigma2 = exact_sigma2(config.model).sigma2
-    summary_by_n = {
-        n: _summarize_n(n, records[rows], math.sqrt(sigma2))
-        for n, rows in _n_slices(records.n)
-    }
-
-    checks: list[CheckResult] = []
+    per_n = _per_n(records, math.sqrt(sigma2))
     largest_n = config.n_values[-1]
+    largest = next(
+        (s for s in per_n if s.n == largest_n),
+        SampleSizeSummary(largest_n, replications=0, degenerate_count=0,
+                          degenerate_empty_label=0, degenerate_empty_cell=0),
+    )
+    checks: list[CheckResult] = []
     for name in config.checks:
         if name == "lln":
-            checks.append(_check_lln(records))
-        elif name == "clt":
-            checks.append(_check_clt(summary_by_n, largest_n))
-        elif name == "coverage":
-            checks.append(_check_coverage(summary_by_n, largest_n, config.ci_level))
+            checks.append(_check_lln(per_n))
         elif name == "bounds":
             checks.append(check_bound_rows(bound_rows))
+        else:
+            checks.append(_check_largest(name, largest, config.ci_level))
 
     return ExperimentSummary(
         true_divergence=config.model.sym_divergence(),
         sigma2_exact=sigma2,
         ci_level=config.ci_level,
-        per_n=tuple(summary_by_n.values()),
+        per_n=tuple(per_n),
         checks=tuple(checks),
         bound_rows=bound_rows,
     )
@@ -660,7 +653,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
 
     One :func:`_table_pass` on ``workers`` processes, then :func:`evaluate`.
     ``records=False`` skips the kernel: no records, so only the bounds
-    check has data.
+    check has data, and ``lln``, ``clt`` and ``coverage`` fail.
     """
     g_values = DEFAULT_G_GRID if "bounds" in config.checks else ()
     z = normal_quantile((1.0 + config.ci_level) / 2.0) if records else None

@@ -72,12 +72,16 @@ def make_columns(rows) -> ReplicationColumns:
 
 
 def assert_columns_equal(a: ReplicationColumns, b: ReplicationColumns) -> None:
-    """Same rows and column types; NaN equals NaN."""
+    """Same rows and column types; NaN equals NaN, but ``-0.0`` and ``0.0``
+    differ, as ``records.csv`` writes them."""
     for f in fields(ReplicationColumns):
         x, y = getattr(a, f.name), getattr(b, f.name)
         assert x.dtype == y.dtype, f.name
         assert x.shape == y.shape, f.name
         np.testing.assert_array_equal(x, y, err_msg=f.name)
+        if x.dtype.kind == "f":
+            np.testing.assert_array_equal(np.signbit(x) & ~np.isnan(x),
+                                          np.signbit(y) & ~np.isnan(y), err_msg=f"{f.name} sign")
 
 
 def traced_peak(fn, *args) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 from symkl import (
     CHECK_NAMES,
+    CheckResult,
     CountTable,
     DegenerateSampleError,
     ExperimentConfig,
@@ -26,6 +27,7 @@ from symkl import (
     sym_kl_divergence,
 )
 from symkl import model as symkl_model
+from symkl import montecarlo
 from symkl import streams
 from symkl.model import TableBlock, block_rows, sample_counts, table_blocks
 from symkl.montecarlo import (
@@ -299,6 +301,17 @@ def out_of_place_columns(n1, n0, truth, z, first_rep=0):
         ci_lower=column(lower), ci_upper=column(upper),
         covered=column((lower <= truth) & (truth <= upper), fill=False),
     )
+
+
+class TestColumnsEqual:
+    def test_tells_signed_zeros_apart(self):
+        # records.csv writes -0 and 0, which assert_array_equal takes as equal
+        plus = make_columns([make_record(100, 0, eta=0.0), make_record(100, 1, degenerate=True)])
+        minus = make_columns([make_record(100, 0, eta=-0.0), make_record(100, 1, degenerate=True)])
+        assert_columns_equal(plus, plus)
+        assert_columns_equal(minus, minus)
+        with pytest.raises(AssertionError, match="eta sign"):
+            assert_columns_equal(plus, minus)
 
 
 class TestReplicationColumns:
@@ -618,6 +631,38 @@ class TestOneStreamFamily:
         tags.clear()
         bound_table(test_model, [100, 1000], [0.1], replications=50, master_seed=3)
         assert tags and set(tags) == {streams.TAG_BLOCK}
+
+
+class TestOneReduction:
+    """evaluate reduces the records to one summary per n, and every check reads it."""
+
+    @pytest.mark.parametrize("check", ["clt", "coverage"])
+    def test_checks_without_records_fail_cleanly(self, test_model, check):
+        config = make_config(test_model, n_values=(100, 1000), checks=(check,))
+        result = run_experiment(config, records=False)
+        assert result.summary.per_n == ()
+        assert result.summary.checks == (
+            CheckResult(name=check, passed=False, detail="no usable replications at n=1000"),
+        )
+
+    def test_records_are_sliced_once(self, test_model, monkeypatch):
+        config = make_config(test_model, checks=("lln", "clt", "coverage"))
+        records = run_experiment(config).records
+        calls = []
+        n_slices = montecarlo._n_slices
+
+        def counting(n):
+            calls.append(len(n))
+            return n_slices(n)
+
+        monkeypatch.setattr(montecarlo, "_n_slices", counting)
+        summary = evaluate(config, records, ())
+        assert calls == [len(records)]
+        curve = {s.n: s.median_abs_eta for s in summary.per_n}
+        assert lln_curve(records) == curve
+        assert summary.checks[0].detail == "median |error| by n: " + ", ".join(
+            f"{n}: {v:.6g}" for n, v in curve.items()
+        )
 
 
 def count_law_checks(monkeypatch) -> list[str]:
