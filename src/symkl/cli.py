@@ -79,6 +79,8 @@ def _fmt(value: float) -> str:
 
 
 def cmd_estimate(args) -> int:
+    if not 0.0 < args.level < 1.0:  # a usage error, whatever the counts
+        raise ValueError(f"level must lie strictly in (0, 1), got {args.level!r}")
     try:
         counts = read_counts_csv(args.counts)
     except FileNotFoundError:

@@ -254,75 +254,70 @@ def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> R
     ``asymptotics._influence_table`` at the empirical measures) and
     :func:`~symkl.asymptotics.confidence_interval` with quantile ``z``,
     row by row, with pairwise instead of compensated sums, in place: five
-    block-sized arrays, each step in the order of its plain expression.  A
-    table is degenerate when it has an empty cell or, as in ``plugin_sigma2``,
-    its label-1 frequency rounds to 1: ``reason`` is ``REASON_EMPTY_LABEL``
-    when a label class is empty in double precision, else ``REASON_EMPTY_CELL``.
+    block-sized arrays, each step in the order of its plain expression, on
+    the whole block.  A table is degenerate when it has an empty cell or, as
+    in ``plugin_sigma2``, its label-1 frequency rounds to 1; its estimate,
+    variance and half-width are then masked to NaN.  ``reason`` is
+    ``REASON_EMPTY_LABEL`` when a label class is empty in double precision,
+    else ``REASON_EMPTY_CELL``.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     n0 = np.asarray(n0, dtype=np.int64)
     m1 = n1.sum(axis=1)
     m0 = n0.sum(axis=1)
-    sizes = m1 + m0
-    label1 = m1 / np.maximum(sizes, 1)  # no 0 / 0: a table of no draws has m1 == 0
-    empty_label = (m1 == 0) | (1.0 - label1 == 0.0)
-    degenerate = empty_label | np.any(n1 == 0, axis=1) | np.any(n0 == 0, axis=1)
-    reason = np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8)
-    reason[empty_label] = REASON_EMPTY_LABEL
-    ok = ~degenerate
-    n = sizes[ok]
-    p_hat = n1[ok] / m1[ok][:, None]
-    q_hat = n0[ok] / m0[ok][:, None]
-    log_ratio = np.log(p_hat)
-    x = np.log(q_hat)
-    log_ratio -= x
-    estimate = np.sum(np.multiply(np.subtract(p_hat, q_hat, out=x), log_ratio, out=x), axis=1)
+    n = m1 + m0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        label1 = m1 / n
+        empty_label = (m1 == 0) | (1.0 - label1 == 0.0)
+        degenerate = empty_label | np.any(n1 == 0, axis=1) | np.any(n0 == 0, axis=1)
+        reason = np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8)
+        reason[empty_label] = REASON_EMPTY_LABEL
+        p_hat = n1 / m1[:, None]
+        q_hat = n0 / m0[:, None]
+        log_ratio = np.log(p_hat)
+        x = np.log(q_hat)
+        log_ratio -= x
+        estimate = np.sum(np.multiply(np.subtract(p_hat, q_hat, out=x), log_ratio, out=x), axis=1)
 
-    # influence coefficients b, c and the 2r outcome values w1, w0, in x and y
-    y = np.divide(q_hat, p_hat)
-    b = np.subtract(np.add(1.0, log_ratio, out=x), y, out=x)
-    c = np.subtract(1.0, log_ratio, out=y)
-    c -= np.divide(p_hat, q_hat, out=log_ratio)
-    s_pb = np.sum(np.multiply(p_hat, b, out=log_ratio), axis=1)[:, None]
-    s_qc = np.sum(np.multiply(q_hat, c, out=log_ratio), axis=1)[:, None]
-    p = label1[ok][:, None]
-    q = 1.0 - p
-    w1 = np.divide(b, p, out=b)
-    w1 -= (2.0 - p) * s_pb
-    w1 -= p * s_qc
-    w0 = np.divide(c, q, out=c)
-    w0 -= q * s_pb
-    w0 -= (2.0 - q) * s_qc
-    t1 = np.multiply(np.multiply(p, p_hat, out=p_hat), w1, out=p_hat)
-    t0 = np.multiply(np.multiply(q, q_hat, out=q_hat), w0, out=q_hat)
-    mean = np.sum(t1, axis=1) + np.sum(t0, axis=1)
-    second = (np.sum(np.multiply(t1, w1, out=t1), axis=1)
-              + np.sum(np.multiply(t0, w0, out=t0), axis=1))
-    sigma2 = np.maximum(second - mean * mean, 0.0)
-
-    half = z * np.sqrt(sigma2 / n)
-    lower = estimate - half
-    upper = estimate + half
-    eta = estimate - truth
-
-    def column(values, fill=np.nan):
-        out = np.full(ok.shape, fill, dtype=values.dtype)
-        out[ok] = values
-        return out
-
-    return ReplicationColumns(
-        n=sizes,
-        rep_index=np.arange(first_rep, first_rep + ok.size, dtype=np.int64),
-        degenerate=degenerate,
-        reason=reason,
-        estimate=column(estimate),
-        eta=column(eta),
-        scaled_eta=column(np.sqrt(n) * eta),
-        sigma2_hat=column(sigma2),
-        ci_lower=column(lower),
-        ci_upper=column(upper),
-        covered=column((lower <= truth) & (truth <= upper), fill=False),
-    )
+        # influence coefficients b, c and the 2r outcome values w1, w0, in x and y
+        y = np.divide(q_hat, p_hat)
+        b = np.subtract(np.add(1.0, log_ratio, out=x), y, out=x)
+        c = np.subtract(1.0, log_ratio, out=y)
+        c -= np.divide(p_hat, q_hat, out=log_ratio)
+        s_pb = np.sum(np.multiply(p_hat, b, out=log_ratio), axis=1)[:, None]
+        s_qc = np.sum(np.multiply(q_hat, c, out=log_ratio), axis=1)[:, None]
+        p = label1[:, None]
+        q = 1.0 - p
+        w1 = np.divide(b, p, out=b)
+        w1 -= (2.0 - p) * s_pb
+        w1 -= p * s_qc
+        w0 = np.divide(c, q, out=c)
+        w0 -= q * s_pb
+        w0 -= (2.0 - q) * s_qc
+        t1 = np.multiply(np.multiply(p, p_hat, out=p_hat), w1, out=p_hat)
+        t0 = np.multiply(np.multiply(q, q_hat, out=q_hat), w0, out=q_hat)
+        mean = np.sum(t1, axis=1) + np.sum(t0, axis=1)
+        second = (np.sum(np.multiply(t1, w1, out=t1), axis=1)
+                  + np.sum(np.multiply(t0, w0, out=t0), axis=1))
+        sigma2 = np.maximum(second - mean * mean, 0.0)
+        half = z * np.sqrt(sigma2 / n)
+        estimate[degenerate] = sigma2[degenerate] = half[degenerate] = np.nan
+        lower = estimate - half
+        upper = estimate + half
+        eta = estimate - truth
+        return ReplicationColumns(
+            n=n,
+            rep_index=np.arange(first_rep, first_rep + n.size, dtype=np.int64),
+            degenerate=degenerate,
+            reason=reason,
+            estimate=estimate,
+            eta=eta,
+            scaled_eta=np.sqrt(n) * eta,
+            sigma2_hat=sigma2,
+            ci_lower=lower,
+            ci_upper=upper,
+            covered=(lower <= truth) & (truth <= upper),
+        )
 
 
 @functools.cache

@@ -40,10 +40,9 @@ def as_integral(value, name: str) -> int:
     """``value`` as an int: integral floats such as ``1e4`` pass, others raise ValueError."""
     if hasattr(value, "__index__"):  # int, bool and the numpy integer types
         return int(value)
-    number = float(value)
-    if not number.is_integer():
+    if isinstance(value, (str, bytes)) or not float(value).is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(number)
+    return int(float(value))
 
 
 def _philox(master_seed: int, tag: int, n_index: int, index: int) -> np.random.Generator:

@@ -392,6 +392,14 @@ class TestBoundTable:
             bound_table(test_model, [100], [0.1], replications=5.5)
         with pytest.raises(ValueError, match="master_seed must be an integer, got 1.5"):
             bound_table(test_model, [100], [0.1], replications=5, master_seed=1.5)
+        # numeric strings are not numbers, although float() reads them
+        for n_grid in (["100"], [b"100"]):
+            with pytest.raises(ValueError, match="n_grid must be an integer"):
+                bound_table(test_model, n_grid, [0.1])
+        with pytest.raises(ValueError, match="replications must be an integer, got '5'"):
+            bound_table(test_model, [100], [0.1], replications="5")
+        with pytest.raises(ValueError, match="master_seed must be an integer, got '1'"):
+            bound_table(test_model, [100], [0.1], replications=5, master_seed="1")
         assert bound_table(test_model, [1e2], [0.1]) == bound_table(test_model, [100], [0.1])
         assert bound_table(test_model, [100], [0.1], replications=5, master_seed=2**64 - 1)
 

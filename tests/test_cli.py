@@ -119,9 +119,11 @@ class TestEstimate:
         assert message in err
 
     def test_bad_level_exit_1(self, tmp_path, capsys):
-        code, _, err = run(capsys, "estimate", counts_file(tmp_path), "--level", "1.5")
-        assert code == 1
-        assert "level" in err
+        # a usage error whether or not the table has an estimate
+        for text in ("3,1\n1,3\n", "0,3\n1,3\n"):
+            code, out, err = run(capsys, "estimate", counts_file(tmp_path, text), "--level", "1.5")
+            assert (code, out) == (1, "")
+            assert "level must lie strictly in (0, 1)" in err
 
     def test_missing_argument_exit_1(self, capsys):
         code, _, err = run(capsys, "estimate")

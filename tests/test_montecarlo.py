@@ -108,7 +108,10 @@ class TestExperimentConfig:
         # a fractional part is an error, never truncated; integral floats pass
         for field, bad in (("n_values", (100.9, 1000.5)), ("n_values", (100, math.inf)),
                            ("replications", 10.7), ("master_seed", 3.9),
-                           ("master_seed", math.nan)):
+                           ("master_seed", math.nan),
+                           # numeric strings are not numbers, although float() reads them
+                           ("n_values", ("100", "1e3")), ("n_values", (100, b"1000")),
+                           ("replications", "10"), ("master_seed", "3")):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 make_config(test_model, **{field: bad})
         config = make_config(test_model, n_values=(1e2, 1e4), replications=1e1, master_seed=3.0)
@@ -383,28 +386,44 @@ class TestReplicationColumns:
         rng = np.random.default_rng(40 + r)
         model = PopulationModel(label_prob=0.3, cond_p=random_simplex(rng, r, min_entry=0.0),
                                 cond_q=random_simplex(rng, r, min_entry=0.0))
-        reasons = set()
+        blocks = []
         for n in (4 * r, 10**5 * r):
             _, n1, n0 = sample_counts(model, n, block_rows(r), rng)
             n1[0] = 0
             n0[1] = 0
+            blocks.append((n1, n0))
+        # blocks of degenerate rows only, computed and then masked: every row
+        # has an empty cell, or every row has an empty label class
+        _, n1, n0 = sample_counts(model, 10**5 * r, block_rows(r), rng)
+        n1[:, -1] = 0
+        blocks.append((n1, n0))
+        _, n1, n0 = sample_counts(model, 10**5 * r, block_rows(r), rng)
+        n1[::2] = 0
+        n0[1::2] = 0
+        blocks.append((n1, n0))
+        reasons = set()
+        for i, (n1, n0) in enumerate(blocks):
             got = replication_columns(n1, n0, 0.25, 1.96, 3)
             want = out_of_place_columns(n1, n0, 0.25, 1.96, 3)
             assert_columns_equal(got, want)
             for f in fields(ReplicationColumns):  # signed zeros too
                 assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
             reasons.update(got.reason.tolist())
+            assert i < 2 or got.degenerate.all()
         assert reasons == {REASON_NONE, REASON_EMPTY_LABEL, REASON_EMPTY_CELL}
 
     def test_kernel_peak_is_a_few_block_arrays(self):
-        # 65 tables at r = 1000 and a large n, none degenerate: a full block
+        # full blocks at a large n, one table made degenerate: 65 tables at
+        # r = 1000, and 32 768 at r = 2, where each row-length array is half a block
         rng = np.random.default_rng(65)
-        model = PopulationModel(label_prob=0.4, cond_p=random_simplex(rng, 1000, min_entry=0.0),
-                                cond_q=random_simplex(rng, 1000, min_entry=0.0))
-        _, n1, n0 = sample_counts(model, 10**9, block_rows(1000), rng)
-        assert n1.shape == (65, 1000)
-        peak = traced_peak(replication_columns, n1, n0, 0.1, 1.96)
-        assert peak <= 7 * n1.size * 8
+        for r, n, most in ((1000, 10**9, 7), (2, 2 * 10**6, 14)):
+            model = PopulationModel(label_prob=0.4, cond_p=random_simplex(rng, r, min_entry=0.0),
+                                    cond_q=random_simplex(rng, r, min_entry=0.0))
+            _, n1, n0 = sample_counts(model, n, block_rows(r), rng)
+            assert n1.shape == (block_rows(r), r)
+            n1[0, 0] = 0
+            peak = traced_peak(replication_columns, n1, n0, 0.1, 1.96)
+            assert peak <= most * n1.size * 8, (r, peak / (n1.size * 8))
 
     def test_summary_counts_each_reason(self, test_model):
         # every table holds n = 6 draws
