@@ -11,10 +11,11 @@ trivially true and flagged uninformative.
 :func:`~symkl.montecarlo.bound_table`, the one public way to the bounds,
 validates the (n, g) grid; with its default of 0 replications it returns
 the closed forms alone.  This module draws nothing: ``bound_table`` feeds
-the estimator's count tables, block by block, to :func:`_exceed_counts`,
-which counts in place, and the sums to :func:`bound_table_rows`.  Samples
-where a statistic is undefined (empty label class, empty cell inside a log)
-count as exceedances, which only pushes the empirical frequency up.
+the estimator's count tables, in row slices of each block, to
+:func:`_exceed_counts`, which counts in place, and the sums to
+:func:`bound_table_rows`.  Samples where a statistic is undefined (empty
+label class, empty cell inside a log) count as exceedances, which only
+pushes the empirical frequency up.
 """
 
 from __future__ import annotations
@@ -124,14 +125,15 @@ class BoundTableRow:
 
 
 def _exceed_counts(model: PopulationModel, n: int, g_values, k1, n1, n0) -> dict[str, np.ndarray]:
-    """Count the tables of one block whose deviation statistic exceeds each g.
+    """Count the tables whose deviation statistic exceeds each g.
 
-    ``k1, n1, n0`` are tables of size n as :func:`~symkl.model.sample_counts`
-    returns them.  Per bound name, the counts are int64 of shape
-    ``(len(g_values),)`` for the label frequency and ``(len(g_values), r)``,
-    one per cell, for the others; each ``(rows, r)`` statistic is computed in
-    place in one scratch array.  Undefined statistics (empty label class, empty
-    cell inside a log) are set infinite, so they exceed every g.
+    ``k1, n1, n0`` are tables of size n, a block or a row slice of one, as
+    :func:`~symkl.model.sample_counts` returns them.  Per bound name, the
+    counts are int64 of shape ``(len(g_values),)`` for the label frequency
+    and ``(len(g_values), r)``, one per cell, for the others; each
+    ``(rows, r)`` statistic is computed in place in one scratch array.
+    Undefined statistics (empty label class, empty cell inside a log) are
+    set infinite, so they exceed every g.
     """
     p = model.label_prob
     q = 1.0 - p

@@ -16,10 +16,11 @@ as degenerate and excluded from the statistics, never resampled.
 One pass, :func:`_table_pass`, draws each block of ``max(1, 2**16 // r)``
 tables once, from its own :func:`~symkl.streams.block_stream`, and
 :func:`_block_pass` feeds it to the vectorized kernel and the bound
-exceedance counts, in processes whose heap is pinned by :func:`_pin_heap`;
-:func:`bound_table` runs it without the kernel.  No other stream feeds a
-run.  The layout depends only on ``r`` and the replication count, so results
-are the same for any worker count.
+exceedance counts in row slices of about ``SLICE_CELLS`` cells, in
+processes whose heap is pinned by :func:`_pin_heap`; :func:`bound_table`
+runs it without the kernel.  No other stream feeds a run.  The layout
+depends only on ``r`` and the replication count, and the slices change no
+byte, so results are the same for any worker count.
 The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
 :func:`~symkl.asymptotics.plugin_sigma2` and
 :func:`~symkl.asymptotics.confidence_interval` are the kernel's test oracles.
@@ -59,6 +60,10 @@ from .streams import (
 )
 
 CHECK_NAMES = ("lln", "clt", "coverage", "bounds")
+
+# Cells of one kernel or bound-count call: a block is fed to them in row
+# slices of about this size, so their scratch is a quarter block.
+SLICE_CELLS = BLOCK_CELLS // 4
 
 # Fixed descriptive thresholds for the pass/fail checks.
 KS_THRESHOLD = 0.04
@@ -299,6 +304,8 @@ def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> R
         mean = np.sum(t1, axis=1) + np.sum(t0, axis=1)
         second = (np.sum(np.multiply(t1, w1, out=t1), axis=1)
                   + np.sum(np.multiply(t0, w0, out=t0), axis=1))
+        # the tail below is row-length: free the block-sized scratch first
+        del p_hat, q_hat, log_ratio, x, y, b, c, w1, w0, t1, t0, p, q, s_pb, s_qc
         sigma2 = np.maximum(second - mean * mean, 0.0)
         half = z * np.sqrt(sigma2 / n)
         estimate[degenerate] = sigma2[degenerate] = half[degenerate] = np.nan
@@ -335,14 +342,46 @@ def _pin_heap() -> None:
     mallopt(-3, 8 * 8 * BLOCK_CELLS)  # M_MMAP_THRESHOLD: 4 MiB
 
 
+def _row_slices(rows: int, r: int) -> list[slice]:
+    """``ceil(rows * r / SLICE_CELLS)`` near-equal slices of ``rows`` rows, at most one per row."""
+    count = min(rows, -(-rows * r // SLICE_CELLS))
+    edges = [i * rows // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _concatenate(parts) -> ReplicationColumns:
+    """The rows of ``parts``, in order, as one column set; a single part as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    return ReplicationColumns(*(
+        np.concatenate([getattr(c, f.name) for c in parts]) for f in fields(ReplicationColumns)
+    ))
+
+
 def _block_pass(task):
-    """Draw one task's block; return its kernel columns (None without ``z``) and counts."""
+    """Draw one task's block; return its kernel columns (None without ``z``) and counts.
+
+    The block is drawn whole, from its own stream, and then fed to
+    :func:`replication_columns` and :func:`~symkl.bounds._exceed_counts` in
+    the row slices of :func:`_row_slices`, so their scratch is a quarter
+    block next to the block's counts.  Every kernel step works row by row
+    and every count is an exact sum of 0/1 values, so the slices change no
+    byte: the slices' columns are concatenated and their counts summed.
+    """
     block, truth, z, g_values = task
     _pin_heap()
     k1, n1, n0 = block.draw()
-    columns = None if z is None else replication_columns(n1, n0, truth, z, block.start)
-    counts = _exceed_counts(block.model, block.n, g_values, k1, n1, n0) if g_values else {}
-    return columns, counts
+    parts = []
+    counts: dict[str, np.ndarray] = {}
+    for rows in _row_slices(*n1.shape):
+        if z is not None:
+            start = block.start + rows.start
+            parts.append(replication_columns(n1[rows], n0[rows], truth, z, start))
+        if g_values:
+            sliced = _exceed_counts(block.model, block.n, g_values, k1[rows], n1[rows], n0[rows])
+            for name, count in sliced.items():
+                counts[name] = counts.get(name, 0) + count
+    return (_concatenate(parts) if parts else None), counts
 
 
 def _table_pass(model: PopulationModel, n_values, replications: int, master_seed: int,
@@ -353,6 +392,8 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
     ``z`` (no rows without) and the bound rows at ``g_values``, whose
     exceedance counts are added as each block arrives.  ``workers`` (capped
     at the CPU count) changes no byte: every block has its own stream.
+    Each process holds one block of counts and the scratch of one row
+    slice of it (see :func:`_block_pass`), whatever the replication count.
     """
     workers = as_integral(workers, "workers")
     if workers < 1:
@@ -376,9 +417,7 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
                 columns.append(block_columns)
             for name, count in block_counts.items():
                 counts[name, block.n] = counts.get((name, block.n), 0) + count
-    return ReplicationColumns(*(
-        np.concatenate([getattr(c, f.name) for c in columns]) for f in fields(ReplicationColumns)
-    )), bound_table_rows(model, n_values, g_values, replications, counts)
+    return _concatenate(columns), bound_table_rows(model, n_values, g_values, replications, counts)
 
 
 def bound_table(
@@ -412,8 +451,9 @@ def bound_table(
     -----
     The count tables are those :func:`run_experiment` draws for the same
     sorted sample sizes, replications and seed.  One :func:`_table_pass`
-    in this process counts them block by block, so peak memory is one
-    block of tables and temporaries.
+    in this process counts them block by block, a quarter block at a time,
+    so peak memory is one block of tables and a quarter block of
+    temporaries.
     """
     n_values = sorted({as_integral(n, "n_grid") for n in n_grid})
     g_values = sorted({float(g) for g in g_grid})

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from symkl import (
 from symkl import model as symkl_model
 from symkl import montecarlo
 from symkl import streams
+from symkl.bounds import DEFAULT_G_GRID, _exceed_counts
 from symkl.model import TableBlock, block_rows, sample_counts, table_blocks
 from symkl.montecarlo import (
     REASON_EMPTY_CELL,
@@ -414,9 +416,10 @@ class TestReplicationColumns:
 
     def test_kernel_peak_is_a_few_block_arrays(self):
         # full blocks at a large n, one table made degenerate: 65 tables at
-        # r = 1000, and 32 768 at r = 2, where each row-length array is half a block
+        # r = 1000, and 32 768 at r = 2, where each row-length array is half a
+        # block; the block-sized scratch is freed before the row-length tail
         rng = np.random.default_rng(65)
-        for r, n, most in ((1000, 10**9, 7), (2, 2 * 10**6, 14)):
+        for r, n, most in ((1000, 10**9, 7), (2, 2 * 10**6, 11)):
             model = PopulationModel(label_prob=0.4, cond_p=random_simplex(rng, r, min_entry=0.0),
                                     cond_q=random_simplex(rng, r, min_entry=0.0))
             _, n1, n0 = sample_counts(model, n, block_rows(r), rng)
@@ -450,6 +453,61 @@ class TestReplicationColumns:
         assert block_rows(1000) == 65
         assert block_rows(1 << 16) == 1
         assert block_rows(1 << 20) == 1
+
+
+class TestBlockSlices:
+    """``_block_pass`` feeds the kernel and the bound counts row slices of its block."""
+
+    @pytest.mark.parametrize("r, rows",
+                             [(2, 20000), (3, 21845), (8, 5000), (50, 1310), (1000, 65)])
+    def test_slices_change_no_bit(self, r, rows):
+        slices = montecarlo._row_slices(rows, r)
+        assert len(slices) > 1 and rows % len(slices)  # slices of unequal length
+        rng = np.random.default_rng(r)
+        # every cell expects at least 60 draws, so the degenerate rows are the ones made below
+        model = PopulationModel(label_prob=0.3,
+                                cond_p=0.5 / r + 0.5 * random_simplex(rng, r, min_entry=0.0),
+                                cond_q=0.5 / r + 0.5 * random_simplex(rng, r, min_entry=0.0))
+        n = 400 * r
+        k1, n1, n0 = sample_counts(model, n, rows, rng)
+        # empty label classes and empty cells in the first, a middle and the last slice
+        for i in (0, slices[1].start + 1, rows - 1):
+            n0[i] += n1[i]
+            n1[i] = k1[i] = 0
+        for i in (1, slices[-1].start):
+            n1[i] += n0[i]
+            n0[i] = 0
+            k1[i] = n
+        for i in (2, slices[1].stop - 1, rows - 2):
+            n1[i, 1] += n1[i, 0]
+            n1[i, 0] = 0
+        block = SimpleNamespace(model=model, n=n, start=7, draw=lambda: (k1, n1, n0))
+        g_values = (1e-3, 0.01, 0.1)
+        columns, counts = montecarlo._block_pass((block, 0.25, 1.96, g_values))
+
+        want = replication_columns(n1, n0, 0.25, 1.96, 7)
+        assert set(want.reason.tolist()) == {REASON_NONE, REASON_EMPTY_LABEL, REASON_EMPTY_CELL}
+        for f in fields(ReplicationColumns):  # signed zeros too
+            got_column, want_column = getattr(columns, f.name), getattr(want, f.name)
+            assert got_column.dtype == want_column.dtype, f.name
+            assert got_column.tobytes() == want_column.tobytes(), f.name
+        want_counts = _exceed_counts(model, n, g_values, k1, n1, n0)
+        assert counts.keys() == want_counts.keys()
+        for name, count in want_counts.items():
+            assert counts[name].dtype == np.int64, name
+            assert np.array_equal(counts[name], count), name
+        assert any(np.any((c > 0) & (c < rows)) for c in counts.values())
+
+    def test_block_pass_peak_is_a_few_block_arrays(self):
+        # full blocks: 65 tables at r = 1000 through the kernel and 1310 at
+        # r = 50 through the bound counts; the drawn counts are 2 block arrays
+        rng = np.random.default_rng(16)
+        for r, n, z, g_values in ((1000, 2 * 10**5, 1.96, ()), (50, 10**4, None, DEFAULT_G_GRID)):
+            model = PopulationModel(label_prob=0.4, cond_p=random_simplex(rng, r, min_entry=0.0),
+                                    cond_q=random_simplex(rng, r, min_entry=0.0))
+            (block,) = table_blocks(model, [n], block_rows(r), master_seed=r)
+            peak = traced_peak(montecarlo._block_pass, (block, 0.1, z, g_values))
+            assert peak <= 4 * block.size * r * 8, (r, peak / (block.size * r * 8))
 
 
 class TestRunExperiment:
