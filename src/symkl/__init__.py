@@ -35,7 +35,6 @@ from .io import (
     load_config,
     parse_config_dict,
     read_counts_csv,
-    read_records_csv,
     write_bounds_csv,
     write_manifest,
     write_records_csv,
@@ -65,7 +64,6 @@ from .montecarlo import (
     check_bound_rows,
     coverage_rate,
     ks_statistic,
-    lln_curve,
     run_experiment,
 )
 from .streams import replication_stream
@@ -106,7 +104,6 @@ __all__ = [
     "exact_sigma2",
     "influence_value",
     "ks_statistic",
-    "lln_curve",
     "load_config",
     "normal_cdf",
     "normal_quantile",
@@ -114,7 +111,6 @@ __all__ = [
     "plug_in_estimate",
     "plugin_sigma2",
     "read_counts_csv",
-    "read_records_csv",
     "replication_stream",
     "run_experiment",
     "sample_batch",

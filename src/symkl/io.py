@@ -23,15 +23,12 @@ Records CSV
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict
 
 import numpy as np
 
-from .model import MAX_COUNT, CountTable, PopulationModel
-from .montecarlo import (
-    REASON_NONE, REASON_UNKNOWN, ExperimentConfig, ExperimentSummary, ReplicationColumns,
-)
+from .model import MAX_COUNT, CountTable, PopulationModel, as_real
+from .montecarlo import ExperimentConfig, ExperimentSummary, ReplicationColumns
 
 RECORDS_HEADER = (
     "rep_index,n,estimate,eta,scaled_eta,sigma2_hat,ci_lo,ci_hi,covered,degenerate"
@@ -152,10 +149,7 @@ def _require(data: dict, key: str, where: str):
 def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{where}: integer too large for a float") from None
+    return as_real(value, where)
 
 
 def _as_int(value, where: str) -> int:
@@ -261,39 +255,6 @@ def write_records_csv(records: ReplicationColumns, path) -> None:
             for i in np.flatnonzero(block.degenerate).tolist():
                 lines[i] = _DEGENERATE_LINE % (rep_index[i], n[i])
             fh.write("".join(lines))
-
-
-def read_records_csv(path) -> ReplicationColumns:
-    """Read back a records CSV written by write_records_csv.
-
-    Degenerate rows get NaN values and ``covered`` False, as from the
-    kernel, and ``reason`` ``REASON_UNKNOWN``: the file does not carry the
-    reason.  A malformed row raises ValueError naming its line.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != RECORDS_HEADER:
-        raise ValueError(f"{path}: not a records CSV (bad header)")
-    rows = []
-    for line_number, line in enumerate(lines[1:], start=2):
-        f = line.split(",")
-        degenerate = f[9:] == ["1"] and not any(f[2:9])
-        try:
-            if not degenerate and (f[9:] != ["0"] or f[8] not in ("0", "1")):
-                raise ValueError("expected 10 fields: no values and degenerate 1, or "
-                                 "six reals, covered 0/1 and degenerate 0")
-            rep_index, n = np.int64(f[0]), np.int64(f[1])
-            if rep_index < 0 or n < 0:
-                raise ValueError("rep_index and n must be >= 0")
-            reals = [math.nan] * 6 if degenerate else [float(v) for v in f[2:8]]
-            rows.append((rep_index, n, degenerate, *reals, f[8] == "1"))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: line {line_number}: {exc}") from None
-    if not rows:
-        return ReplicationColumns.empty()
-    rep_index, n, degenerate, *reals, covered = (np.array(column) for column in zip(*rows))
-    reason = np.where(degenerate, REASON_UNKNOWN, REASON_NONE).astype(np.int8)
-    return ReplicationColumns(n, rep_index, degenerate, reason, *reals, covered)
 
 
 def write_bounds_csv(rows, path) -> None:

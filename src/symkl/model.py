@@ -34,13 +34,24 @@ MAX_COUNT = (1 << 63) - 1
 BLOCK_CELLS = 1 << 16
 
 
+def as_real(value, name: str) -> float:
+    """``float(value)``; an integer too large for a float raises ValueError naming ``name``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: integer too large for a float") from None
+
+
 def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
     """Validate ``values`` as a probability vector.
 
     Returns a read-only float64 copy.  Requires a 1-d array of length >= 2
     with finite nonnegative entries summing to 1 within ``SIMPLEX_ATOL``.
     """
-    vec = np.asarray(values, dtype=np.float64)
+    try:
+        vec = np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name}: integer too large for a float") from None
     if vec.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {vec.shape}")
     if vec.size < 2:
@@ -49,7 +60,10 @@ def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
         raise ValueError(f"{name} contains non-finite entries")
     if np.any(vec < 0.0):
         raise ValueError(f"{name} contains negative entries")
-    total = math.fsum(vec.tolist())
+    try:
+        total = math.fsum(vec.tolist())
+    except OverflowError:  # finite entries whose sum is beyond the float range
+        total = math.inf
     if abs(total - 1.0) > SIMPLEX_ATOL:
         raise ValueError(
             f"{name} sums to {total!r}; expected 1 within {SIMPLEX_ATOL}"
@@ -115,7 +129,7 @@ class PopulationModel:
     cond_q: np.ndarray
 
     def __post_init__(self) -> None:
-        prob = float(self.label_prob)
+        prob = as_real(self.label_prob, "label_prob")
         if not math.isfinite(prob) or not 0.0 < prob < 1.0:
             raise ValueError(f"label_prob must lie strictly in (0, 1), got {prob!r}")
         p = as_positive_prob_vector(self.cond_p, name="cond_p")

@@ -49,6 +49,7 @@ from .model import (
     BLOCK_CELLS,
     MAX_COUNT,
     PopulationModel,
+    as_real,
     sample_batch,  # noqa: F401  (perfbench's tracer wraps it here)
     table_blocks,
 )
@@ -69,12 +70,10 @@ SLICE_CELLS = BLOCK_CELLS // 4
 KS_THRESHOLD = 0.04
 COVERAGE_TOLERANCE = 0.02
 
-# Degeneracy reason codes of the ``reason`` column.  Rows read back from
-# ``records.csv``, which does not carry the reason, hold REASON_UNKNOWN.
+# Degeneracy reason codes of the ``reason`` column.
 REASON_NONE = 0
 REASON_EMPTY_LABEL = 1  # a label class has no draws, or too few to register in double precision
 REASON_EMPTY_CELL = 2  # both classes have draws, but some cell is empty
-REASON_UNKNOWN = -1
 
 # Two conditional laws closer than this are treated as equal (the null);
 # the scaled error degenerates there and normality must not be checked.
@@ -132,7 +131,7 @@ class ExperimentConfig:
         _check_run_size(n_values, replications, master_seed, fewest=1)
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        level = float(self.ci_level)
+        level = as_real(self.ci_level, "ci_level")
         if not 0.0 < level < 1.0:
             raise ValueError(f"ci_level must lie strictly in (0, 1), got {level!r}")
         checks = tuple(self.checks)
@@ -469,8 +468,8 @@ def bound_table(
     return _table_pass(model, n_values, replications, master_seed, g_values=g_values)[1]
 
 
-def ks_statistic(values, cdf=normal_cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance against a continuous CDF.
+def ks_statistic(values) -> float:
+    """One-sample Kolmogorov-Smirnov distance against the standard normal CDF ``F``.
 
     ``max_i max(i/m - F(x_(i)), F(x_(i)) - (i-1)/m)`` over the sorted
     sample of size m.
@@ -482,7 +481,7 @@ def ks_statistic(values, cdf=normal_cdf) -> float:
     if not np.all(np.isfinite(arr)):
         raise ValueError("ks_statistic needs finite values")
     grid = np.arange(1, m + 1, dtype=np.float64)
-    cdf_vals = np.asarray(cdf(arr), dtype=np.float64)
+    cdf_vals = normal_cdf(arr)
     d_plus = np.max(grid / m - cdf_vals)
     d_minus = np.max(cdf_vals - (grid - 1.0) / m)
     return float(max(d_plus, d_minus))
@@ -567,20 +566,10 @@ def _lln_curve(per_n) -> dict[int, float]:
     if len(curve) < 2:
         empty = ", ".join(str(s.n) for s in per_n if s.median_abs_eta is None)
         raise ValueError(
-            "lln_curve needs non-degenerate records at >= 2 distinct sample sizes"
+            "lln needs non-degenerate records at >= 2 distinct sample sizes"
             + (f"; every replication was degenerate at n = {empty}" if empty else "")
         )
     return curve
-
-
-def lln_curve(records: ReplicationColumns) -> dict[int, float]:
-    """Median absolute error per sample size, keyed by n in ascending order.
-
-    The ``median_abs_eta`` of the per-n summaries that :func:`evaluate`
-    records, so the same curve the ``lln`` check reads.  Needs records
-    sorted by n, non-degenerate at two or more distinct sample sizes.
-    """
-    return _lln_curve(_per_n(records, 0.0))
 
 
 def _check_lln(per_n) -> CheckResult:

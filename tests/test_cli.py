@@ -371,6 +371,16 @@ class TestSimulate:
         assert code == 1
         assert err == f"error: {where}: integer too large for a float\n"
 
+    def test_law_summing_beyond_float_range_exit_1(self, tmp_path):
+        path = Path(config_file(tmp_path))
+        data = json.loads(path.read_text())
+        data["model"]["cond_p"] = [1e308, 1e308]
+        path.write_text(json.dumps(data))
+        child = run_python("-m", "symkl.cli", "simulate", "--config", str(path), "--dry-run")
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert child.stderr == "error: cond_p sums to inf; expected 1 within 1e-12\n"
+
     def test_seed_override_changes_records(self, tmp_path, capsys):
         config = config_file(tmp_path)
         dirs = [tmp_path / name for name in ("a", "b")]

@@ -52,6 +52,11 @@ class TestProbVectorValidation:
         with pytest.raises(ValueError, match="sums to"):
             as_prob_vector([0.5, 0.5 + 1e-9])
 
+    def test_sum_beyond_float_range_is_a_bad_sum(self):
+        # finite entries whose sum overflows: no OverflowError from the compensated sum
+        with pytest.raises(ValueError, match="cond_p sums to inf"):
+            as_prob_vector([1e308, 1e308], name="cond_p")
+
     def test_accepts_sum_within_tolerance(self):
         as_prob_vector([0.5, 0.5 + 1e-13])
 
@@ -117,6 +122,10 @@ class TestDivergences:
         with pytest.raises(ValueError, match="strictly positive"):
             sym_kl_divergence([0.0, 1.0], [0.5, 0.5])
 
+    def test_rejects_sum_beyond_float_range(self):
+        with pytest.raises(ValueError, match="p sums to inf"):
+            sym_kl_divergence([1e308, 1e308], [0.5, 0.5])
+
 
 class TestPopulationModel:
     def test_fields_validated_and_frozen(self, test_model):
@@ -131,6 +140,12 @@ class TestPopulationModel:
         for bad in (0.0, 1.0, -0.2, 1.5, float("nan")):
             with pytest.raises(ValueError, match="label_prob"):
                 PopulationModel(label_prob=bad, cond_p=(0.5, 0.5), cond_q=(0.5, 0.5))
+
+    def test_integers_beyond_float_range_name_their_field(self):
+        with pytest.raises(ValueError, match="label_prob: integer too large for a float"):
+            PopulationModel(label_prob=10**400, cond_p=(0.5, 0.5), cond_q=(0.5, 0.5))
+        with pytest.raises(ValueError, match="cond_p: integer too large for a float"):
+            PopulationModel(0.5, [10**400, 1], (0.5, 0.5))
 
     def test_conditionals_must_match(self):
         with pytest.raises(ValueError, match="one alphabet"):

@@ -19,7 +19,6 @@ from symkl import (
     exact_sigma2,
     influence_value,
     ks_statistic,
-    lln_curve,
     normal_cdf,
     normal_quantile,
     plug_in_estimate,
@@ -36,7 +35,9 @@ from symkl.montecarlo import (
     REASON_EMPTY_CELL,
     REASON_EMPTY_LABEL,
     REASON_NONE,
+    _lln_curve,
     _median,
+    _per_n,
     evaluate,
     replication_columns,
 )
@@ -123,6 +124,8 @@ class TestExperimentConfig:
     def test_level_domain(self, test_model):
         with pytest.raises(ValueError, match="ci_level"):
             make_config(test_model, ci_level=1.0)
+        with pytest.raises(ValueError, match="ci_level: integer too large for a float"):
+            make_config(test_model, ci_level=10**400)
 
     def test_unknown_check(self, test_model):
         with pytest.raises(ValueError, match="unknown checks"):
@@ -173,10 +176,6 @@ class TestKsStatistic:
         sample = np.random.default_rng(5).standard_normal(2000) + 1.0
         assert ks_statistic(sample) > 0.3
 
-    def test_custom_cdf(self):
-        uniform = (np.arange(1, 101) - 0.5) / 100
-        assert ks_statistic(uniform, cdf=lambda x: np.clip(x, 0, 1)) <= 0.005 + 1e-12
-
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError, match="nonempty"):
             ks_statistic([])
@@ -200,14 +199,14 @@ class TestCoverageAndCurve:
     def test_lln_curve_medians(self):
         records = [make_record(100, i, eta=e) for i, e in enumerate((0.1, -0.3, 0.2))]
         records += [make_record(1000, i, eta=e) for i, e in enumerate((0.05, -0.01, 0.02))]
-        curve = lln_curve(make_columns(records))
+        curve = _lln_curve(_per_n(make_columns(records), 0.0))
         assert list(curve) == [100, 1000]
         assert curve[100] == pytest.approx(0.2)
         assert curve[1000] == pytest.approx(0.02)
 
     def test_lln_curve_needs_two_sizes(self):
         with pytest.raises(ValueError, match="2 distinct"):
-            lln_curve(make_columns([make_record(100, i) for i in range(5)]))
+            _lln_curve(_per_n(make_columns([make_record(100, i) for i in range(5)]), 0.0))
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 999, 1000])
     def test_median_equals_numpy(self, size):
@@ -221,7 +220,7 @@ class TestCoverageAndCurve:
         records += [make_record(20000, i, eta=0.01) for i in range(3)]
         records.append(make_record(20000, 3, degenerate=True))
         with pytest.raises(ValueError) as info:
-            lln_curve(make_columns(records))
+            _lln_curve(_per_n(make_columns(records), 0.0))
         message = str(info.value)
         assert "2 distinct" in message
         assert "every replication was degenerate at n = 100, 2000" in message
@@ -664,13 +663,11 @@ class TestColumnarSummaries:
                    s.scaled_eta_variance, s.median_abs_eta, s.ks_normalized, s.coverage)
             assert got == want[s.n]
             assert s.degenerate_empty_label + s.degenerate_empty_cell == s.degenerate_count
-        curve = lln_curve(records)
+        curve = _lln_curve(per_n)
         assert curve == {n: row[9] for n, row in want.items() if row[9] is not None}
 
     def test_rows_must_be_sorted_by_n(self, test_model):
         records = make_columns([make_record(1000, 0), make_record(100, 0), make_record(1000, 1)])
-        with pytest.raises(ValueError, match="sorted by n"):
-            lln_curve(records)
         with pytest.raises(ValueError, match="sorted by n"):
             evaluate(make_config(test_model), records, ())
 
@@ -736,7 +733,7 @@ class TestOneReduction:
         summary = evaluate(config, records, ())
         assert calls == [len(records)]
         curve = {s.n: s.median_abs_eta for s in summary.per_n}
-        assert lln_curve(records) == curve
+        assert _lln_curve(summary.per_n) == curve
         assert summary.checks[0].detail == "median |error| by n: " + ", ".join(
             f"{n}: {v:.6g}" for n, v in curve.items()
         )

@@ -118,7 +118,12 @@ def maybe(plausible):
     )
 
 
-LAWS = st.sampled_from([[0.5, 0.5], [0.25, 0.75], [0.2, 0.3, 0.5], [0.4, 0.4]])
+# plausible laws, or finite entries up to the float range, whose sum may overflow;
+# nonnegative, since a negative entry is rejected before the sum
+LAWS = st.one_of(
+    st.sampled_from([[0.5, 0.5], [0.25, 0.75], [0.2, 0.3, 0.5], [0.4, 0.4]]),
+    st.lists(st.floats(min_value=0.0, max_value=1.7e308), min_size=2, max_size=4),
+)
 MODELS = st.fixed_dictionaries({
     "label_prob": maybe(st.floats(min_value=0.05, max_value=0.95)),
     "cond_p": maybe(LAWS),
