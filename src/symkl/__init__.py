@@ -24,9 +24,7 @@ from .bounds import (
 )
 from .estimator import (
     DegenerateSampleError,
-    EmpiricalMeasures,
     EstimateResult,
-    empirical_measures,
     plug_in_estimate,
 )
 from .io import (
@@ -84,7 +82,6 @@ __all__ = [
     "CountTable",
     "CountsFormatError",
     "DegenerateSampleError",
-    "EmpiricalMeasures",
     "EstimateResult",
     "ExperimentConfig",
     "ExperimentResult",
@@ -100,7 +97,6 @@ __all__ = [
     "confidence_interval",
     "config_to_dict",
     "coverage_rate",
-    "empirical_measures",
     "exact_sigma2",
     "influence_value",
     "ks_statistic",

@@ -18,8 +18,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .estimator import DegenerateSampleError, EstimateResult, empirical_measures
-from .model import CountTable, PopulationModel
+from .estimator import DegenerateSampleError, EstimateResult, _empirical
+from .model import CountTable, PopulationModel, as_real
 
 _SQRT_HALF = 0.7071067811865476  # 1/sqrt(2) rounded to double
 _SQRT_HALF_LO = -4.833646656726457e-17  # 1/sqrt(2) - _SQRT_HALF
@@ -42,7 +42,7 @@ def normal_cdf(x):
     through ``erfc'(t) = -2 exp(-t**2) / sqrt(pi)``.
     """
     # the CDF is 0 or 1 beyond +-40; clipping keeps the split below finite
-    x = np.clip(np.asarray(x, dtype=np.float64), -40.0, 40.0)
+    x = np.clip(as_real(x, "x", array=True), -40.0, 40.0)
     t = x * _SQRT_HALF
     x_hi, x_lo = _split(x)
     h_hi, h_lo = _split(_SQRT_HALF)
@@ -54,7 +54,7 @@ def normal_cdf(x):
 
 def normal_quantile(prob: float) -> float:
     """Standard normal quantile; ``prob`` must lie strictly in (0, 1)."""
-    prob = float(prob)
+    prob = as_real(prob, "prob")
     if not 0.0 < prob < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {prob!r}")
     return NormalDist().inv_cdf(prob)
@@ -146,16 +146,14 @@ def plugin_sigma2(counts: CountTable) -> VarianceResult:
     Raises
     ------
     DegenerateSampleError
-        If a cell is empty or the label-1 frequency rounds to 1.
+        If :func:`~symkl.estimator.plug_in_estimate` flags the table: an empty
+        label class (no draws, or a label-1 frequency that rounds to 1), else
+        an empty cell; the message is the estimate's reason.
     """
-    emp = empirical_measures(counts)
-    if emp.p_hat is None or emp.q_hat is None:
-        raise DegenerateSampleError("empty label class; plug-in variance undefined")
-    if np.any(emp.p_hat == 0.0) or np.any(emp.q_hat == 0.0):
-        raise DegenerateSampleError("zero empirical cell; plug-in variance undefined")
-    if emp.q_n_hat == 0.0:
-        raise DegenerateSampleError("label-1 frequency rounds to 1; plug-in variance undefined")
-    return _influence_table(emp.p_n_hat, emp.p_hat, emp.q_hat)
+    p_hat, q_hat, p_n_hat, _, reason = _empirical(counts)
+    if reason is not None:
+        raise DegenerateSampleError(reason)
+    return _influence_table(p_n_hat, p_hat, q_hat)
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ def confidence_interval(
         raise DegenerateSampleError(
             f"no interval for a degenerate estimate ({estimate.reason})"
         )
-    level = float(level)
+    level = as_real(level, "level")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly in (0, 1), got {level!r}")
     value = estimate.value

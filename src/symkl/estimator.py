@@ -3,7 +3,8 @@
 The estimator replaces the conditional laws by their empirical versions
 and evaluates the symmetric divergence.  Empty label classes and empty
 cells make the plug-in value undefined; such samples are flagged
-degenerate and carry no value (never an infinity, never smoothed).
+degenerate by the one rule of :func:`_empirical` and carry no value
+(never an infinity, never smoothed).
 """
 
 from __future__ import annotations
@@ -19,39 +20,37 @@ class DegenerateSampleError(ValueError):
     """A computation that needs a non-degenerate sample received one without."""
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalMeasures:
-    """Empirical conditional laws and label frequencies from a count table.
+# Degeneracy reason codes, as the kernel's ``reason`` column stores them.
+REASON_NONE = 0
+REASON_EMPTY_LABEL = 1  # a label class has no draws, or too few to register in double precision
+REASON_EMPTY_CELL = 2  # both classes have draws, but some cell is empty
 
-    Attributes
-    ----------
-    p_hat, q_hat : numpy.ndarray or None
-        Per-symbol frequencies within each label class; ``None`` when that
-        class has no samples.
-    p_n_hat, q_n_hat : float
-        Empirical label frequencies; they sum to 1 exactly.
-    n : int
-        Total sample size.
+
+def _empirical(counts: CountTable):
+    """``p_hat, q_hat, p_n_hat, n, reason`` of a count table: the one degeneracy rule.
+
+    In the kernel's order: an empty label class (no draws, or a label-1
+    frequency ``p_n_hat`` that rounds to 1), else an empty cell.  ``reason``
+    starts "empty label class" or "zero cell", and is None, with ``p_hat``
+    and ``q_hat`` set, exactly when the plug-in value is defined.  Above
+    2**53 draws the kernel's frequency may differ from ``p_n_hat`` in the last bit.
     """
-
-    p_hat: np.ndarray | None
-    q_hat: np.ndarray | None
-    p_n_hat: float
-    q_n_hat: float
-    n: int
-
-
-def empirical_measures(counts: CountTable) -> EmpiricalMeasures:
-    """Compute empirical measures; never raises on degenerate tables."""
     m1 = int(counts.n1.sum())
-    m0 = int(counts.n0.sum())
-    n = m1 + m0
-    p_hat = counts.n1 / m1 if m1 > 0 else None
-    q_hat = counts.n0 / m0 if m0 > 0 else None
+    n = m1 + int(counts.n0.sum())
     p_n_hat = m1 / n
-    # Complement rather than m0/n so the two frequencies sum to 1 exactly.
-    q_n_hat = 1.0 - p_n_hat
-    return EmpiricalMeasures(p_hat=p_hat, q_hat=q_hat, p_n_hat=p_n_hat, q_n_hat=q_n_hat, n=n)
+    if m1 == 0:
+        reason = "empty label class: no samples with label 1"
+    elif m1 == n:
+        reason = "empty label class: no samples with label 0"
+    elif 1.0 - p_n_hat == 0.0:
+        reason = "empty label class: label-1 frequency rounds to 1"
+    else:
+        for side, cells in (("p_hat", counts.n1), ("q_hat", counts.n0)):
+            zero = np.flatnonzero(cells == 0)
+            if zero.size:
+                return None, None, p_n_hat, n, f"zero cell in {side} at symbol index {zero[0]}"
+        return counts.n1 / m1, counts.n0 / (n - m1), p_n_hat, n, None
+    return None, None, p_n_hat, n, reason
 
 
 @dataclass(frozen=True)
@@ -74,31 +73,16 @@ class EstimateResult:
             raise ValueError("degenerate results need a reason")
 
 
-def _degeneracy_reason(emp: EmpiricalMeasures) -> str | None:
-    if emp.p_hat is None:
-        return "empty label class: no samples with label 1"
-    if emp.q_hat is None:
-        return "empty label class: no samples with label 0"
-    zero_p = np.flatnonzero(emp.p_hat == 0.0)
-    if zero_p.size:
-        return f"zero cell in p_hat at symbol index {int(zero_p[0])}"
-    zero_q = np.flatnonzero(emp.q_hat == 0.0)
-    if zero_q.size:
-        return f"zero cell in q_hat at symbol index {int(zero_q[0])}"
-    return None
-
-
 def plug_in_estimate(counts: CountTable) -> EstimateResult:
     """Symmetric divergence of the empirical conditional laws.
 
     Equals ``sym_kl_divergence(p_hat, q_hat)`` whenever both label classes
-    are populated and every cell count is positive, however small a
-    frequency; otherwise a degenerate flagged result with no value.
+    are populated, the label-1 frequency is below 1 in double precision and
+    every cell count is positive, however small a frequency; otherwise a
+    degenerate flagged result with no value and the reason of :func:`_empirical`.
     """
-    emp = empirical_measures(counts)
-    reason = _degeneracy_reason(emp)
+    p_hat, q_hat, _, n, reason = _empirical(counts)
     if reason is not None:
-        return EstimateResult(value=None, degenerate=True, reason=reason, n=emp.n)
-    value = _jeffreys(emp.p_hat, emp.q_hat)
-    return EstimateResult(value=value, degenerate=False, reason=None, n=emp.n)
+        return EstimateResult(value=None, degenerate=True, reason=reason, n=n)
+    return EstimateResult(value=_jeffreys(p_hat, q_hat), degenerate=False, reason=None, n=n)
 

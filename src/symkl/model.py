@@ -34,10 +34,11 @@ MAX_COUNT = (1 << 63) - 1
 BLOCK_CELLS = 1 << 16
 
 
-def as_real(value, name: str) -> float:
-    """``float(value)``; an integer too large for a float raises ValueError naming ``name``."""
+def as_real(value, name: str, array: bool = False):
+    """``float(value)``, or with ``array`` ``value`` as a float64 array; an
+    integer too large for a float raises ValueError naming ``name``."""
     try:
-        return float(value)
+        return np.asarray(value, dtype=np.float64) if array else float(value)
     except OverflowError:
         raise ValueError(f"{name}: integer too large for a float") from None
 
@@ -48,10 +49,7 @@ def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
     Returns a read-only float64 copy.  Requires a 1-d array of length >= 2
     with finite nonnegative entries summing to 1 within ``SIMPLEX_ATOL``.
     """
-    try:
-        vec = np.asarray(values, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(f"{name}: integer too large for a float") from None
+    vec = as_real(values, name, array=True)
     if vec.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {vec.shape}")
     if vec.size < 2:
@@ -218,7 +216,10 @@ def _as_count_row(values, *, name: str) -> np.ndarray:
     if arr.size < 2:
         raise ValueError(f"{name} needs at least 2 entries, got {arr.size}")
     if not np.issubdtype(arr.dtype, np.integer):
-        as_int = np.asarray(arr, dtype=np.int64)
+        try:
+            as_int = np.asarray(arr, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{name}: integer beyond 2**63 - 1") from None
         if not np.array_equal(as_int, arr):
             raise ValueError(f"{name} must hold integers")
         arr = as_int

@@ -44,6 +44,7 @@ from .asymptotics import (
     plugin_sigma2,  # noqa: F401  (perfbench's tracer wraps it here)
 )
 from .bounds import DEFAULT_G_GRID, BoundTableRow, _exceed_counts, bound_table_rows
+from .estimator import REASON_EMPTY_CELL, REASON_EMPTY_LABEL, REASON_NONE
 from .estimator import plug_in_estimate  # noqa: F401  (perfbench's tracer wraps it here)
 from .model import (
     BLOCK_CELLS,
@@ -69,11 +70,6 @@ SLICE_CELLS = BLOCK_CELLS // 4
 # Fixed descriptive thresholds for the pass/fail checks.
 KS_THRESHOLD = 0.04
 COVERAGE_TOLERANCE = 0.02
-
-# Degeneracy reason codes of the ``reason`` column.
-REASON_NONE = 0
-REASON_EMPTY_LABEL = 1  # a label class has no draws, or too few to register in double precision
-REASON_EMPTY_CELL = 2  # both classes have draws, but some cell is empty
 
 # Two conditional laws closer than this are treated as equal (the null);
 # the scaled error degenerates there and normality must not be checked.
@@ -215,17 +211,17 @@ class ReplicationColumns:
     """Outcomes of replications, one numpy column per field.
 
     Row ``i`` holds the outcome for the ``i``-th count table: its sample
-    size ``n`` and ``rep_index`` (int64), the ``degenerate`` flag and its
-    ``reason`` code (int8, one of the ``REASON_*`` constants), and the
-    outcome columns.  On degenerate rows the float columns hold NaN and
-    ``covered`` holds False.  The records of a run are sorted by
+    size ``n`` and ``rep_index`` (int64), its degeneracy ``reason`` code
+    (int8, one of the ``REASON_*`` constants of :mod:`symkl.estimator`),
+    and the outcome columns.  A row is :attr:`degenerate` when its reason
+    is not ``REASON_NONE``; then the float columns hold NaN and ``covered``
+    holds False.  The records of a run are sorted by
     ``(n, rep_index)``.  Indexing with a slice, mask or index array
     selects rows.
     """
 
     n: np.ndarray
     rep_index: np.ndarray
-    degenerate: np.ndarray
     reason: np.ndarray
     estimate: np.ndarray
     eta: np.ndarray
@@ -238,13 +234,18 @@ class ReplicationColumns:
     def __len__(self) -> int:
         return len(self.n)
 
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Rows without a plug-in value: ``reason != REASON_NONE``."""
+        return self.reason != REASON_NONE
+
     def __getitem__(self, rows) -> ReplicationColumns:
         return ReplicationColumns(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @classmethod
     def empty(cls) -> ReplicationColumns:
         """No rows, with the kernel's column types."""
-        types = dict(n=np.int64, rep_index=np.int64, degenerate=bool, reason=np.int8, covered=bool)
+        types = dict(n=np.int64, rep_index=np.int64, reason=np.int8, covered=bool)
         return cls(*(np.empty(0, dtype=types.get(f.name, np.float64)) for f in fields(cls)))
 
 
@@ -259,11 +260,11 @@ def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> R
     :func:`~symkl.asymptotics.confidence_interval` with quantile ``z``,
     row by row, with pairwise instead of compensated sums, in place: five
     block-sized arrays, each step in the order of its plain expression, on
-    the whole block.  A table is degenerate when it has an empty cell or, as
-    in ``plugin_sigma2``, its label-1 frequency rounds to 1; its estimate,
-    variance and half-width are then masked to NaN.  ``reason`` is
-    ``REASON_EMPTY_LABEL`` when a label class is empty in double precision,
-    else ``REASON_EMPTY_CELL``.
+    the whole block.  Degeneracy follows the scalar functions' one rule
+    (``estimator._empirical``): ``reason`` is ``REASON_EMPTY_LABEL`` when a
+    label class has no draws or the label-1 frequency rounds to 1, else
+    ``REASON_EMPTY_CELL`` when a cell is empty; a degenerate row's estimate,
+    variance and half-width are masked to NaN.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     n0 = np.asarray(n0, dtype=np.int64)
@@ -314,7 +315,6 @@ def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> R
         return ReplicationColumns(
             n=n,
             rep_index=np.arange(first_rep, first_rep + n.size, dtype=np.int64),
-            degenerate=degenerate,
             reason=reason,
             estimate=estimate,
             eta=eta,
@@ -455,7 +455,7 @@ def bound_table(
     temporaries.
     """
     n_values = sorted({as_integral(n, "n_grid") for n in n_grid})
-    g_values = sorted({float(g) for g in g_grid})
+    g_values = sorted({as_real(g, "g_grid") for g in g_grid})
     if not n_values:
         raise ValueError("n_grid is empty")
     if not g_values:
@@ -474,7 +474,7 @@ def ks_statistic(values) -> float:
     ``max_i max(i/m - F(x_(i)), F(x_(i)) - (i-1)/m)`` over the sorted
     sample of size m.
     """
-    arr = np.sort(np.asarray(values, dtype=np.float64))
+    arr = np.sort(as_real(values, "values", array=True))
     m = arr.size
     if m == 0:
         raise ValueError("ks_statistic needs a nonempty sample")

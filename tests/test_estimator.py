@@ -7,7 +7,6 @@ from symkl import (
     CountTable,
     EstimateResult,
     PopulationModel,
-    empirical_measures,
     plug_in_estimate,
     sample_batch,
     sym_kl_divergence,
@@ -17,31 +16,6 @@ from symkl.streams import replication_stream
 
 def table(n1, n0) -> CountTable:
     return CountTable(n1=np.array(n1), n0=np.array(n0))
-
-
-class TestEmpiricalMeasures:
-    def test_frequencies(self):
-        emp = empirical_measures(table([3, 1], [1, 3]))
-        np.testing.assert_allclose(emp.p_hat, [0.75, 0.25])
-        np.testing.assert_allclose(emp.q_hat, [0.25, 0.75])
-        assert emp.p_n_hat == 0.5
-        assert emp.n == 8
-
-    def test_label_frequencies_sum_to_one_exactly(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n1 = rng.integers(0, 30, size=3)
-            n0 = rng.integers(0, 30, size=3)
-            if n1.sum() + n0.sum() == 0:
-                continue
-            emp = empirical_measures(table(n1, n0))
-            assert emp.p_n_hat + emp.q_n_hat == 1.0
-
-    def test_empty_class_yields_none(self):
-        emp = empirical_measures(table([0, 0], [2, 3]))
-        assert emp.p_hat is None
-        np.testing.assert_allclose(emp.q_hat, [0.4, 0.6])
-        assert emp.p_n_hat == 0.0
 
 
 class TestPlugInEstimate:

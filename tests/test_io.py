@@ -214,9 +214,10 @@ def assert_lines_give_back(path, written):
     for f, reason in zip(fields, written.reason.tolist()):
         assert len(f) == 10
         degenerate = f[9] == "1"
+        assert degenerate == (reason != REASON_NONE)
         assert not any(f[2:9]) if degenerate else f[9] == "0"
         reals = [math.nan] * 6 if degenerate else [float(v) for v in f[2:8]]
-        rows.append((int(f[1]), int(f[0]), degenerate, reason, *reals, f[8] == "1"))
+        rows.append((int(f[1]), int(f[0]), reason, *reals, f[8] == "1"))
     read = make_columns(rows)
     assert_columns_equal(read, written)
     return read
@@ -225,8 +226,8 @@ def assert_lines_give_back(path, written):
 class TestRecordsCsv:
     def records(self):
         return make_columns([
-            (100, 0, False, REASON_NONE, math.pi / 11, -0.013, -0.13, 4.41, 0.2, 0.35, True),
-            (100, 1, True, REASON_EMPTY_CELL, *[math.nan] * 6, False),
+            (100, 0, REASON_NONE, math.pi / 11, -0.013, -0.13, 4.41, 0.2, 0.35, True),
+            (100, 1, REASON_EMPTY_CELL, *[math.nan] * 6, False),
         ])
 
     def test_round_trip_exact(self, tmp_path):
@@ -306,13 +307,12 @@ def edge_records():
     big, tiny = 1.2345678901234567e300, 9.876543210987654e-301
     return make_columns([
         # equal empirical laws: zero variance, a point interval
-        (6, 0, False, REASON_NONE, 0.0, -0.25, -0.6123724356957945, 0.0, 0.0, 0.0, False),
-        (6, 1, False, REASON_NONE, -0.0, -0.0, -0.0, 0.0, -0.0, 0.0, True),
-        (6, 2, False, REASON_NONE, tiny, -tiny, 5e-324, tiny, -big, big, True),
-        (6, 3, False, REASON_NONE, big, big, 1.7976931348623157e308, big, 1e-300, 1e300, False),
-        (6, 4, True, REASON_EMPTY_CELL, *[math.nan] * 6, False),
-        ((1 << 63) - 1, (1 << 32) - 1, False, REASON_NONE, 1 / 3, 2 / 3, 0.1, 0.2, 0.3, 1e-5,
-         True),
+        (6, 0, REASON_NONE, 0.0, -0.25, -0.6123724356957945, 0.0, 0.0, 0.0, False),
+        (6, 1, REASON_NONE, -0.0, -0.0, -0.0, 0.0, -0.0, 0.0, True),
+        (6, 2, REASON_NONE, tiny, -tiny, 5e-324, tiny, -big, big, True),
+        (6, 3, REASON_NONE, big, big, 1.7976931348623157e308, big, 1e-300, 1e300, False),
+        (6, 4, REASON_EMPTY_CELL, *[math.nan] * 6, False),
+        ((1 << 63) - 1, (1 << 32) - 1, REASON_NONE, 1 / 3, 2 / 3, 0.1, 0.2, 0.3, 1e-5, True),
     ])
 
 
@@ -348,7 +348,7 @@ class TestRecordsCsvMemory:
         reals = rng.standard_normal((6, rows))
         reals[:, degenerate] = math.nan
         records = ReplicationColumns(
-            np.full(rows, 10**6, dtype=np.int64), np.arange(rows, dtype=np.int64), degenerate,
+            np.full(rows, 10**6, dtype=np.int64), np.arange(rows, dtype=np.int64),
             np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8), *reals,
             (rng.random(rows) < 0.95) & ~degenerate,
         )

@@ -6,9 +6,16 @@ import pytest
 
 from symkl import (
     CountTable,
+    EstimateResult,
     PopulationModel,
+    VarianceResult,
     as_positive_prob_vector,
     as_prob_vector,
+    bound_table,
+    confidence_interval,
+    ks_statistic,
+    normal_cdf,
+    normal_quantile,
     sample_batch,
     sym_kl_divergence,
 )
@@ -168,6 +175,24 @@ class TestPopulationModel:
         assert test_model == clone
         assert test_model != other
         assert hash(test_model) == hash(clone)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: CountTable([10**400, 1], [1, 1]), r"n1: integer beyond 2\*\*63 - 1",
+                 id="CountTable"),
+    pytest.param(lambda: bound_table(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), [10],
+                                     [10**400]), "g_grid: integer too large", id="bound_table"),
+    pytest.param(lambda: confidence_interval(EstimateResult(1.0, False, None, 8),
+                                             VarianceResult(1.0, 0.0), 10**400),
+                 "level: integer too large", id="confidence_interval"),
+    pytest.param(lambda: normal_quantile(10**400), "prob: integer too large", id="normal_quantile"),
+    pytest.param(lambda: normal_cdf(10**400), "x: integer too large", id="normal_cdf"),
+    pytest.param(lambda: ks_statistic([10**400]), "values: integer too large", id="ks_statistic"),
+])
+def test_integer_beyond_float_range_is_a_value_error(call, message):
+    # a ValueError naming the argument, not numpy's or float()'s OverflowError
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
 
 
 class TestCountTable:

@@ -61,8 +61,8 @@ def make_config(test_model, **overrides):
 def make_record(n, rep, eta=0.1, covered=True, degenerate=False):
     """One row for :func:`make_columns`."""
     if degenerate:
-        return (n, rep, True, REASON_EMPTY_CELL, *[math.nan] * 6, False)
-    return (n, rep, False, REASON_NONE, 0.27 + eta, eta, math.sqrt(n) * eta, 4.4, 0.0, 1.0,
+        return (n, rep, REASON_EMPTY_CELL, *[math.nan] * 6, False)
+    return (n, rep, REASON_NONE, 0.27 + eta, eta, math.sqrt(n) * eta, 4.4, 0.0, 1.0,
             covered)
 
 
@@ -227,24 +227,30 @@ class TestCoverageAndCurve:
         assert "20000" not in message
 
 
+# The reason code of each kind of ``plug_in_estimate`` reason.
+REASON_KINDS = {"empty label class": REASON_EMPTY_LABEL, "zero cell": REASON_EMPTY_CELL}
+
+
 def assert_columns_match_oracle(n1, n0, truth, level=0.95):
     """Every row of the kernel against the scalar functions on its table.
 
-    A row is degenerate when ``plug_in_estimate`` is or ``plugin_sigma2``
-    raises ``DegenerateSampleError``.
+    A row's reason code is the kind of ``plug_in_estimate``'s reason, and
+    ``plugin_sigma2`` raises that reason on exactly the degenerate rows.
     """
     cols = replication_columns(n1, n0, truth, normal_quantile((1.0 + level) / 2.0))
     for i in range(len(n1)):
         counts = CountTable(n1=n1[i], n0=n0[i])
         est = plug_in_estimate(counts)
-        try:
-            variance = None if est.degenerate else plugin_sigma2(counts)
-        except DegenerateSampleError:
-            variance = None
-        assert cols.degenerate[i] == (variance is None)
-        if variance is None:
+        if est.degenerate:
+            kinds = [code for kind, code in REASON_KINDS.items() if est.reason.startswith(kind)]
+            assert kinds == [cols.reason[i]], (i, est.reason)
+            with pytest.raises(DegenerateSampleError) as info:
+                plugin_sigma2(counts)
+            assert str(info.value) == est.reason
             assert np.isnan(cols.estimate[i]) and not cols.covered[i]
             continue
+        assert cols.reason[i] == REASON_NONE
+        variance = plugin_sigma2(counts)
         ci = confidence_interval(est, variance, level)
         assert cols.covered[i] == ci.contains(truth)
         for got, want in (
@@ -300,7 +306,7 @@ def out_of_place_columns(n1, n0, truth, z, first_rep=0):
 
     return ReplicationColumns(
         n=sizes, rep_index=np.arange(first_rep, first_rep + ok.size, dtype=np.int64),
-        degenerate=degenerate, reason=reason, estimate=column(estimate), eta=column(eta),
+        reason=reason, estimate=column(estimate), eta=column(eta),
         scaled_eta=column(np.sqrt(n) * eta), sigma2_hat=column(sigma2),
         ci_lower=column(lower), ci_upper=column(upper),
         covered=column((lower <= truth) & (truth <= upper), fill=False),
@@ -375,11 +381,12 @@ class TestReplicationColumns:
             tiny = assert_columns_match_oracle(np.array([[10**13, 1]]), np.array([[5, 5]]), truth)
             assert tiny.estimate.tolist() == [14.966803104458304]
             # the label-1 frequency rounds to 1: label 0 is empty in double precision
-            n1_huge, n0_huge = np.array([[4 * 10**18, 4 * 10**18]]), np.array([[1, 1]])
-            with pytest.raises(DegenerateSampleError, match="rounds to 1"):
-                plugin_sigma2(CountTable(n1=n1_huge[0], n0=n0_huge[0]))
-            huge = assert_columns_match_oracle(n1_huge, n0_huge, truth)
-            assert huge.reason.tolist() == [REASON_EMPTY_LABEL]
+            for count in (1 << 60, 4 * 10**18):
+                n1_huge, n0_huge = np.array([[count, count]]), np.array([[1, 1]])
+                est = plug_in_estimate(CountTable(n1=n1_huge[0], n0=n0_huge[0]))
+                assert est.reason == "empty label class: label-1 frequency rounds to 1"
+                huge = assert_columns_match_oracle(n1_huge, n0_huge, truth)
+                assert huge.reason.tolist() == [REASON_EMPTY_LABEL]
 
     @pytest.mark.parametrize("r", [2, 50, 1000])
     def test_in_place_kernel_keeps_every_bit(self, r):
