@@ -32,12 +32,11 @@ def _empirical(counts: CountTable):
     In the kernel's order: an empty label class (no draws, or a label-1
     frequency ``p_n_hat`` that rounds to 1), else an empty cell.  ``reason``
     starts "empty label class" or "zero cell", and is None, with ``p_hat``
-    and ``q_hat`` set, exactly when the plug-in value is defined.  Above
-    2**53 draws the kernel's frequency may differ from ``p_n_hat`` in the last bit.
+    and ``q_hat`` set, exactly when the plug-in value is defined.
     """
     m1 = int(counts.n1.sum())
     n = m1 + int(counts.n0.sum())
-    p_n_hat = m1 / n
+    p_n_hat = float(m1) / float(n)  # the kernel's rounding: both counts in float64 first
     if m1 == 0:
         reason = "empty label class: no samples with label 1"
     elif m1 == n:

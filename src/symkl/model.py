@@ -215,6 +215,12 @@ def _as_count_row(values, *, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if arr.size < 2:
         raise ValueError(f"{name} needs at least 2 entries, got {arr.size}")
+    # checked before the cast: to int64, inf, nan and large floats warn, and uint64 wraps
+    if arr.dtype.kind in "fu":
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must hold integers")
+        if np.any(np.abs(arr) >= 2**63):
+            raise ValueError(f"{name}: integer beyond 2**63 - 1")
     if not np.issubdtype(arr.dtype, np.integer):
         try:
             as_int = np.asarray(arr, dtype=np.int64)
@@ -222,12 +228,9 @@ def _as_count_row(values, *, name: str) -> np.ndarray:
             raise ValueError(f"{name}: integer beyond 2**63 - 1") from None
         if not np.array_equal(as_int, arr):
             raise ValueError(f"{name} must hold integers")
-        arr = as_int
-    else:
-        arr = arr.astype(np.int64)
-    if np.any(arr < 0):
+    out = arr.astype(np.int64)
+    if np.any(out < 0):
         raise ValueError(f"{name} contains negative counts")
-    out = arr.copy()
     out.flags.writeable = False
     return out
 

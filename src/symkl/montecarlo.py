@@ -14,13 +14,14 @@ variance.  Replications whose plug-in estimate is undefined are recorded
 as degenerate and excluded from the statistics, never resampled.
 
 One pass, :func:`_table_pass`, draws each block of ``max(1, 2**16 // r)``
-tables once, from its own :func:`~symkl.streams.block_stream`, and
+tables once, from its own :func:`~symkl.streams.block_stream`;
 :func:`_block_pass` feeds it to the vectorized kernel and the bound
 exceedance counts in row slices of about ``SLICE_CELLS`` cells, in
-processes whose heap is pinned by :func:`_pin_heap`; :func:`bound_table`
-runs it without the kernel.  No other stream feeds a run.  The layout
-depends only on ``r`` and the replication count, and the slices change no
-byte, so results are the same for any worker count.
+processes whose heap is pinned by :func:`_pin_heap`, and returns each
+slice's result.  :func:`_table_pass` alone joins the columns and adds the
+counts; :func:`bound_table` runs it without the kernel.  No other stream
+feeds a run.  The layout depends only on ``r`` and the replication count,
+and the slices change no byte, so results are the same for any worker count.
 The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
 :func:`~symkl.asymptotics.plugin_sigma2` and
 :func:`~symkl.asymptotics.confidence_interval` are the kernel's test oracles.
@@ -348,51 +349,41 @@ def _row_slices(rows: int, r: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _concatenate(parts) -> ReplicationColumns:
-    """The rows of ``parts``, in order, as one column set; a single part as it is."""
-    if len(parts) == 1:
-        return parts[0]
-    return ReplicationColumns(*(
-        np.concatenate([getattr(c, f.name) for c in parts]) for f in fields(ReplicationColumns)
-    ))
-
-
 def _block_pass(task):
-    """Draw one task's block; return its kernel columns (None without ``z``) and counts.
+    """Draw one task's block; return one ``(columns, counts)`` pair per row slice.
 
-    The block is drawn whole, from its own stream, and then fed to
-    :func:`replication_columns` and :func:`~symkl.bounds._exceed_counts` in
-    the row slices of :func:`_row_slices`, so their scratch is a quarter
-    block next to the block's counts.  Every kernel step works row by row
-    and every count is an exact sum of 0/1 values, so the slices change no
-    byte: the slices' columns are concatenated and their counts summed.
+    The block is drawn whole, from its own stream, and each row slice of
+    :func:`_row_slices` is fed to :func:`replication_columns` (columns None
+    without ``z``) and :func:`~symkl.bounds._exceed_counts` (counts None
+    without ``g_values``), so their scratch is a quarter block next to the
+    block's counts.  Every kernel step works row by row and every count is
+    an exact sum of 0/1 values, so the slices change no byte.
     """
     block, truth, z, g_values = task
     _pin_heap()
     k1, n1, n0 = block.draw()
     parts = []
-    counts: dict[str, np.ndarray] = {}
     for rows in _row_slices(*n1.shape):
+        columns = counts = None
         if z is not None:
-            start = block.start + rows.start
-            parts.append(replication_columns(n1[rows], n0[rows], truth, z, start))
+            columns = replication_columns(n1[rows], n0[rows], truth, z, block.start + rows.start)
         if g_values:
-            sliced = _exceed_counts(block.model, block.n, g_values, k1[rows], n1[rows], n0[rows])
-            for name, count in sliced.items():
-                counts[name] = counts.get(name, 0) + count
-    return (_concatenate(parts) if parts else None), counts
+            counts = _exceed_counts(block.model, block.n, g_values, k1[rows], n1[rows], n0[rows])
+        parts.append((columns, counts))
+    return parts
 
 
 def _table_pass(model: PopulationModel, n_values, replications: int, master_seed: int,
                 workers: int = 1, z: float | None = None, g_values=()):
     """Draw each block of :func:`~symkl.model.table_blocks` once and feed its consumers.
 
-    Returns the blocks' :func:`replication_columns` at interval quantile
-    ``z`` (no rows without) and the bound rows at ``g_values``, whose
-    exceedance counts are added as each block arrives.  ``workers`` (capped
-    at the CPU count) changes no byte: every block has its own stream.
-    Each process holds one block of counts and the scratch of one row
-    slice of it (see :func:`_block_pass`), whatever the replication count.
+    The one place that collects the slices of :func:`_block_pass`: returns
+    their :func:`replication_columns` at interval quantile ``z`` (no rows
+    without), joined once in layout order, and the bound rows at ``g_values``,
+    whose exceedance counts are added by ``(name, n)`` as each block arrives.
+    ``workers`` (capped at the CPU count) changes no byte: every block has
+    its own stream.  Each process holds one block of counts and the scratch
+    of one row slice of it, whatever the replication count.
     """
     workers = as_integral(workers, "workers")
     if workers < 1:
@@ -403,7 +394,7 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
     truth = model.sym_divergence()
     layout = table_blocks(model, n_values, replications, master_seed)
     tasks = [(block, truth, z, g_values) for block in layout]
-    columns = [ReplicationColumns.empty()]
+    parts = [ReplicationColumns.empty()]
     counts: dict[tuple[str, int], np.ndarray] = {}
     with contextlib.ExitStack() as stack:
         results = map(_block_pass, tasks)
@@ -411,12 +402,16 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
             from concurrent.futures import ProcessPoolExecutor  # kept off the start-up path
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_block_pass, tasks)
-        for block, (block_columns, block_counts) in zip(layout, results):
-            if block_columns is not None:
-                columns.append(block_columns)
-            for name, count in block_counts.items():
-                counts[name, block.n] = counts.get((name, block.n), 0) + count
-    return _concatenate(columns), bound_table_rows(model, n_values, g_values, replications, counts)
+        for block, slices in zip(layout, results):
+            for slice_columns, slice_counts in slices:
+                if slice_columns is not None:
+                    parts.append(slice_columns)
+                for name, count in (slice_counts or {}).items():
+                    counts[name, block.n] = counts.get((name, block.n), 0) + count
+    columns = ReplicationColumns(*(
+        np.concatenate([getattr(c, f.name) for c in parts]) for f in fields(ReplicationColumns)
+    ))
+    return columns, bound_table_rows(model, n_values, g_values, replications, counts)
 
 
 def bound_table(
@@ -560,23 +555,15 @@ def _per_n(records: ReplicationColumns, sigma_exact: float) -> list[SampleSizeSu
     return summaries
 
 
-def _lln_curve(per_n) -> dict[int, float]:
-    """``median_abs_eta`` by n, over the summaries that have one."""
+def _check_lln(per_n) -> CheckResult:
+    """``median_abs_eta`` strictly shrinks along the sample sizes that have one."""
     curve = {s.n: s.median_abs_eta for s in per_n if s.median_abs_eta is not None}
     if len(curve) < 2:
         empty = ", ".join(str(s.n) for s in per_n if s.median_abs_eta is None)
-        raise ValueError(
+        return CheckResult(name="lln", passed=False, detail=(
             "lln needs non-degenerate records at >= 2 distinct sample sizes"
             + (f"; every replication was degenerate at n = {empty}" if empty else "")
-        )
-    return curve
-
-
-def _check_lln(per_n) -> CheckResult:
-    try:
-        curve = _lln_curve(per_n)
-    except ValueError as exc:
-        return CheckResult(name="lln", passed=False, detail=str(exc))
+        ))
     medians = list(curve.values())
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     detail = "median |error| by n: " + ", ".join(

@@ -86,6 +86,13 @@ class TestEstimate:
         assert "degenerate sample" in err
         assert "zero cell" in err
 
+    def test_label_frequency_rounding_to_one_exit_2(self, tmp_path, capsys):
+        # 523 label-0 draws in 6.3e18: the label-1 frequency is 1.0 in float64
+        text = "3146744646535908222,3146744646535908223\n261,262\n"
+        code, out, err = run(capsys, "estimate", counts_file(tmp_path, text))
+        assert (code, out) == (2, "")
+        assert "empty label class: label-1 frequency rounds to 1" in err
+
     def test_identical_conditionals_warn_but_succeed(self, tmp_path, capsys):
         code, out, err = run(capsys, "estimate", counts_file(tmp_path, "2,2\n3,3\n"))
         assert code == 0

@@ -213,6 +213,21 @@ class TestCountTable:
         with pytest.raises(ValueError, match="negative"):
             CountTable(n1=np.array([-1, 2]), n0=np.array([1, 1]))
 
+    @pytest.mark.parametrize("row, message", [
+        ([2**63, 1], "n1: integer beyond 2**63 - 1"),
+        ([2**64, 1], "n1: integer beyond 2**63 - 1"),
+        ([1e300, 1], "n1: integer beyond 2**63 - 1"),
+        ([-1e300, 1], "n1: integer beyond 2**63 - 1"),
+        (np.array([2**63, 1], dtype=np.uint64), "n1: integer beyond 2**63 - 1"),
+        ([math.inf, 1], "n1 must hold integers"),
+        ([math.nan, 1], "n1 must hold integers"),
+    ], ids=["2**63", "2**64", "1e300", "-1e300", "uint64", "inf", "nan"])
+    def test_rejects_counts_beyond_int64_before_casting(self, row, message):
+        # the suite turns warnings into errors: a cast that warns fails here
+        with pytest.raises(ValueError) as info:
+            CountTable(n1=row, n0=[1, 1])
+        assert str(info.value) == message
+
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError, match="one alphabet"):
             CountTable(n1=np.array([1, 2]), n0=np.array([1, 1, 1]))
