@@ -35,8 +35,11 @@ BLOCK_CELLS = 1 << 16
 
 
 def as_real(value, name: str, array: bool = False):
-    """``float(value)``, or with ``array`` ``value`` as a float64 array; an
-    integer too large for a float raises ValueError naming ``name``."""
+    """``float(value)``, or with ``array`` ``value`` as a float64 array; a
+    complex value, even with a zero imaginary part, or an integer too large
+    for a float raises ValueError naming ``name``."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real, got {value!r}")
     try:
         return np.asarray(value, dtype=np.float64) if array else float(value)
     except OverflowError:
@@ -210,27 +213,17 @@ class CountTable:
 
 
 def _as_count_row(values, *, name: str) -> np.ndarray:
-    arr = np.asarray(values)
+    arr = np.asarray(values, dtype=object)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if arr.size < 2:
         raise ValueError(f"{name} needs at least 2 entries, got {arr.size}")
-    # checked before the cast: to int64, inf, nan and large floats warn, and uint64 wraps
-    if arr.dtype.kind in "fu":
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} must hold integers")
-        if np.any(np.abs(arr) >= 2**63):
-            raise ValueError(f"{name}: integer beyond 2**63 - 1")
-    if not np.issubdtype(arr.dtype, np.integer):
-        try:
-            as_int = np.asarray(arr, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(f"{name}: integer beyond 2**63 - 1") from None
-        if not np.array_equal(as_int, arr):
-            raise ValueError(f"{name} must hold integers")
-    out = arr.astype(np.int64)
-    if np.any(out < 0):
+    counts = [as_integral(value, name) for value in arr.tolist()]
+    if any(abs(count) > MAX_COUNT for count in counts):
+        raise ValueError(f"{name}: integer beyond 2**63 - 1")
+    if any(count < 0 for count in counts):
         raise ValueError(f"{name} contains negative counts")
+    out = np.array(counts, dtype=np.int64)
     out.flags.writeable = False
     return out
 

@@ -37,12 +37,17 @@ REP_INDEX_LIMIT = 1 << 32
 
 
 def as_integral(value, name: str) -> int:
-    """``value`` as an int: integral floats such as ``1e4`` pass, others raise ValueError."""
-    if hasattr(value, "__index__"):  # int, bool and the numpy integer types
-        return int(value)
-    if isinstance(value, (str, bytes)) or not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(float(value))
+    """``value`` as an int: an int, a bool, a numpy integer or an integral float
+    such as ``1e4``.  Anything else (a fractional part, inf, nan, a str, None,
+    a complex number, a list) raises ValueError naming ``name``."""
+    try:
+        if hasattr(value, "__index__"):  # int, bool and the numpy integer types
+            return value.__index__()
+        if not isinstance(value, (str, bytes)) and float(value).is_integer():
+            return int(float(value))
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _philox(master_seed: int, tag: int, n_index: int, index: int) -> np.random.Generator:

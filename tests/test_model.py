@@ -7,6 +7,7 @@ import pytest
 from symkl import (
     CountTable,
     EstimateResult,
+    ExperimentConfig,
     PopulationModel,
     VarianceResult,
     as_positive_prob_vector,
@@ -188,9 +189,32 @@ class TestPopulationModel:
     pytest.param(lambda: normal_quantile(10**400), "prob: integer too large", id="normal_quantile"),
     pytest.param(lambda: normal_cdf(10**400), "x: integer too large", id="normal_cdf"),
     pytest.param(lambda: ks_statistic([10**400]), "values: integer too large", id="ks_statistic"),
+    # complex input, even with a zero imaginary part, is not cast to its real part
+    pytest.param(lambda: PopulationModel(0.5 + 0j, (0.5, 0.5), (0.25, 0.75)),
+                 "label_prob must be real, got ", id="label_prob-complex"),
+    pytest.param(lambda: PopulationModel(0.5, np.array([0.5 + 0.1j, 0.5]), (0.25, 0.75)),
+                 "cond_p must be real, got ", id="cond_p-complex"),
+    pytest.param(lambda: sym_kl_divergence(np.array([0.5 + 0j, 0.5]), (0.25, 0.75)),
+                 "p must be real, got ", id="sym_kl_divergence-complex"),
+    pytest.param(lambda: ExperimentConfig(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)),
+                                          (10,), 2, 0, ci_level=0.95 + 0j),
+                 "ci_level must be real, got ", id="ExperimentConfig-complex"),
+    pytest.param(lambda: bound_table(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), [10],
+                                     [0.1 + 0j]), "g_grid must be real, got ",
+                 id="bound_table-complex"),
+    pytest.param(lambda: confidence_interval(EstimateResult(1.0, False, None, 8),
+                                             VarianceResult(1.0, 0.0), 0.95 + 0j),
+                 "level must be real, got ", id="confidence_interval-complex"),
+    pytest.param(lambda: normal_quantile(0.5 + 0j), "prob must be real, got ",
+                 id="normal_quantile-complex"),
+    pytest.param(lambda: normal_cdf(np.array([0.5 + 0j])), "x must be real, got ",
+                 id="normal_cdf-complex"),
+    pytest.param(lambda: ks_statistic(np.array([1 + 0j, 2])), "values must be real, got ",
+                 id="ks_statistic-complex"),
 ])
 def test_integer_beyond_float_range_is_a_value_error(call, message):
-    # a ValueError naming the argument, not numpy's or float()'s OverflowError
+    # a ValueError naming the argument, not numpy's or float()'s OverflowError,
+    # a ComplexWarning or a TypeError
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
 
@@ -206,7 +230,7 @@ class TestCountTable:
         assert table.n1.dtype == np.int64
 
     def test_rejects_fractional(self):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=r"^n1 must be an integer, got 1\.5$"):
             CountTable(n1=np.array([1.5, 2.0]), n0=np.array([1.0, 1.0]))
 
     def test_rejects_negative(self):
@@ -219,9 +243,16 @@ class TestCountTable:
         ([1e300, 1], "n1: integer beyond 2**63 - 1"),
         ([-1e300, 1], "n1: integer beyond 2**63 - 1"),
         (np.array([2**63, 1], dtype=np.uint64), "n1: integer beyond 2**63 - 1"),
-        ([math.inf, 1], "n1 must hold integers"),
-        ([math.nan, 1], "n1 must hold integers"),
-    ], ids=["2**63", "2**64", "1e300", "-1e300", "uint64", "inf", "nan"])
+        ([math.inf, 1], "n1 must be an integer, got inf"),
+        ([math.nan, 1], "n1 must be an integer, got nan"),
+        ([1 + 0j, 1], "n1 must be an integer, got (1+0j)"),
+        (np.array([1 + 0j, 1]), "n1 must be an integer, got (1+0j)"),
+        ([None, 1], "n1 must be an integer, got None"),
+        ([math.nan, 2**64], "n1 must be an integer, got nan"),
+        ([[1], [1, 2]], "n1 must be an integer, got [1]"),
+        ([np.array(1.5), 1], "n1 must be an integer, got array(1.5)"),
+    ], ids=["2**63", "2**64", "1e300", "-1e300", "uint64", "inf", "nan", "complex",
+            "complex-array", "None", "nan-2**64", "nested", "0d-array"])
     def test_rejects_counts_beyond_int64_before_casting(self, row, message):
         # the suite turns warnings into errors: a cast that warns fails here
         with pytest.raises(ValueError) as info:

@@ -114,7 +114,10 @@ class TestExperimentConfig:
                            ("master_seed", math.nan),
                            # numeric strings are not numbers, although float() reads them
                            ("n_values", ("100", "1e3")), ("n_values", (100, b"1000")),
-                           ("replications", "10"), ("master_seed", "3")):
+                           ("replications", "10"), ("master_seed", "3"),
+                           # not numbers at all: a TypeError inside becomes the ValueError
+                           ("master_seed", None), ("replications", 10 + 0j),
+                           ("n_values", ([100], 1000))):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 make_config(test_model, **{field: bad})
         config = make_config(test_model, n_values=(1e2, 1e4), replications=1e1, master_seed=3.0)
