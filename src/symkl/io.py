@@ -39,9 +39,9 @@ BOUNDS_HEADER = "name,n,g,bound,informative,empirical,stderr,valid"
 # One records.csv line per replication; a degenerate row has no values.
 _RECORD_LINE = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,0\n"
 _DEGENERATE_LINE = "%d,%d,,,,,,,,1\n"
-_REAL_COLUMNS = ("estimate", "eta", "scaled_eta", "sigma2_hat", "ci_lower", "ci_upper")
-# Rows formatted per write: under 1 MB of lines and floats, whatever the run size.
-_WRITE_ROWS = 1 << 10
+_COLUMNS = ("estimate", "eta", "scaled_eta", "sigma2_hat", "ci_lower", "ci_upper", "covered")
+# Rows formatted per write: under 200 kB of lines and floats, whatever the run size.
+_WRITE_ROWS = 1 << 8
 
 
 class CountsFormatError(ValueError):
@@ -249,9 +249,8 @@ def write_records_csv(records: ReplicationColumns, path) -> None:
         for start in range(0, len(records), _WRITE_ROWS):
             block = records[start:start + _WRITE_ROWS]
             rep_index, n = block.rep_index.tolist(), block.n.tolist()
-            reals = (getattr(block, name).tolist() for name in _REAL_COLUMNS)
-            lines = list(map(_RECORD_LINE.__mod__,
-                             zip(rep_index, n, *reals, block.covered.tolist())))
+            values = (getattr(block, name).tolist() for name in _COLUMNS)
+            lines = list(map(_RECORD_LINE.__mod__, zip(rep_index, n, *values)))
             for i in np.flatnonzero(block.degenerate).tolist():
                 lines[i] = _DEGENERATE_LINE % (rep_index[i], n[i])
             fh.write("".join(lines))

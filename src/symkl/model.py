@@ -34,16 +34,28 @@ MAX_COUNT = (1 << 63) - 1
 BLOCK_CELLS = 1 << 16
 
 
-def as_real(value, name: str, array: bool = False):
-    """``float(value)``, or with ``array`` ``value`` as a float64 array; a
-    complex value, even with a zero imaginary part, or an integer too large
-    for a float raises ValueError naming ``name``."""
-    if np.iscomplexobj(value):
+def _real(value, name: str) -> float:
+    """``float(value)`` of one real number: no string, bytes, None or complex."""
+    if value is None or np.asarray(value).dtype.kind not in "biufO":
         raise ValueError(f"{name} must be real, got {value!r}")
     try:
-        return np.asarray(value, dtype=np.float64) if array else float(value)
+        return float(value)
     except OverflowError:
         raise ValueError(f"{name}: integer too large for a float") from None
+
+
+def as_real(value, name: str, array: bool = False):
+    """``float(value)``, or with ``array`` ``value`` as a float64 array.  A
+    string, bytes, None or a complex value, even with a zero imaginary part,
+    or an integer too large for a float raises ValueError naming ``name``."""
+    if not array:
+        return _real(value, name)
+    arr = np.asarray(value)
+    if arr.dtype.kind == "O":  # Python integers beyond int64, or None or a string among numbers
+        return np.array([_real(v, name) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real, got {value!r}")
+    return arr.astype(np.float64, copy=False)
 
 
 def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:

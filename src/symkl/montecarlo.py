@@ -18,8 +18,9 @@ tables once, from its own :func:`~symkl.streams.block_stream`;
 :func:`_block_pass` feeds it to the vectorized kernel and the bound
 exceedance counts in row slices of about ``SLICE_CELLS`` cells, in
 processes whose heap is pinned by :func:`_pin_heap`, and returns each
-slice's result.  :func:`_table_pass` alone joins the columns and adds the
-counts; :func:`bound_table` runs it without the kernel.  No other stream
+slice's result.  :func:`_table_pass` alone copies the slices' columns
+into the run's records and adds the counts; :func:`bound_table` runs it
+without the kernel.  No other stream
 feeds a run.  The layout depends only on ``r`` and the replication count,
 and the slices change no byte, so results are the same for any worker count.
 The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
@@ -33,7 +34,7 @@ import contextlib
 import functools
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +68,11 @@ CHECK_NAMES = ("lln", "clt", "coverage", "bounds")
 # Cells of one kernel or bound-count call: a block is fed to them in row
 # slices of about this size, so their scratch is a quarter block.
 SLICE_CELLS = BLOCK_CELLS // 4
+
+# Sorted values per normal_cdf call in ks_statistic: its scratch, about 90
+# bytes a value with its object array of Python floats, stays under 2 MB
+# whatever the sample size.
+_KS_CHUNK = 1 << 14
 
 # Fixed descriptive thresholds for the pass/fail checks.
 KS_THRESHOLD = 0.04
@@ -214,9 +220,13 @@ class ReplicationColumns:
     Row ``i`` holds the outcome for the ``i``-th count table: its sample
     size ``n`` and ``rep_index`` (int64), its degeneracy ``reason`` code
     (int8, one of the ``REASON_*`` constants of :mod:`symkl.estimator`),
-    and the outcome columns.  A row is :attr:`degenerate` when its reason
-    is not ``REASON_NONE``; then the float columns hold NaN and ``covered``
-    holds False.  The records of a run are sorted by
+    its plug-in ``estimate`` and ``sigma2_hat`` (float64).  The run's
+    ``truth`` and interval quantile ``z`` are scalars.  ``eta``,
+    ``scaled_eta``, ``ci_lower``, ``ci_upper`` and ``covered`` are derived
+    from them on each access, by elementwise expressions, so a row's value
+    is the same whichever rows are selected.  A row is :attr:`degenerate`
+    when its reason is not ``REASON_NONE``; then the float columns hold NaN
+    and ``covered`` holds False.  The records of a run are sorted by
     ``(n, rep_index)``.  Indexing with a slice, mask or index array
     selects rows.
     """
@@ -225,12 +235,9 @@ class ReplicationColumns:
     rep_index: np.ndarray
     reason: np.ndarray
     estimate: np.ndarray
-    eta: np.ndarray
-    scaled_eta: np.ndarray
     sigma2_hat: np.ndarray
-    ci_lower: np.ndarray
-    ci_upper: np.ndarray
-    covered: np.ndarray
+    truth: float
+    z: float
 
     def __len__(self) -> int:
         return len(self.n)
@@ -240,32 +247,70 @@ class ReplicationColumns:
         """Rows without a plug-in value: ``reason != REASON_NONE``."""
         return self.reason != REASON_NONE
 
+    @property
+    def eta(self) -> np.ndarray:
+        """Estimation error ``estimate - truth``."""
+        return self.estimate - self.truth
+
+    @property
+    def scaled_eta(self) -> np.ndarray:
+        """Scaled error ``sqrt(n) * eta``."""
+        return np.sqrt(self.n) * self.eta
+
+    def _half(self) -> np.ndarray:
+        """Interval half-width ``z * sqrt(sigma2_hat / n)``."""
+        return self.z * np.sqrt(self.sigma2_hat / self.n)
+
+    @property
+    def ci_lower(self) -> np.ndarray:
+        """Interval lower end ``estimate - half``."""
+        return self.estimate - self._half()
+
+    @property
+    def ci_upper(self) -> np.ndarray:
+        """Interval upper end ``estimate + half``."""
+        return self.estimate + self._half()
+
+    @property
+    def covered(self) -> np.ndarray:
+        """Whether the interval holds ``truth``; False on degenerate rows."""
+        half = self._half()
+        return (self.estimate - half <= self.truth) & (self.truth <= self.estimate + half)
+
     def __getitem__(self, rows) -> ReplicationColumns:
-        return ReplicationColumns(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return ReplicationColumns(*(getattr(self, name)[rows] for name in _STORED),
+                                  self.truth, self.z)
 
     @classmethod
-    def empty(cls) -> ReplicationColumns:
-        """No rows, with the kernel's column types."""
-        types = dict(n=np.int64, rep_index=np.int64, reason=np.int8, covered=bool)
-        return cls(*(np.empty(0, dtype=types.get(f.name, np.float64)) for f in fields(cls)))
+    def empty(cls, rows: int = 0, truth: float = math.nan, z: float = math.nan
+              ) -> ReplicationColumns:
+        """``rows`` rows, with the kernel's column types, for the caller to fill."""
+        return cls(*(np.empty(rows, dtype) for dtype in _STORED.values()), truth, z)
+
+
+# The columns that ReplicationColumns stores, in field order, with the kernel's types.
+_STORED = dict(n=np.int64, rep_index=np.int64, reason=np.int8, estimate=np.float64,
+               sigma2_hat=np.float64)
 
 
 def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> ReplicationColumns:
-    """Estimate, error, plug-in variance and interval for each count table.
+    """Estimate and plug-in variance for each count table.
 
     Row ``i`` of the ``(rows, r)`` count arrays ``n1`` (label 1) and ``n0``
-    (label 0) is one table, with ``rep_index`` ``first_rep + i``.  The
-    arithmetic is that of :func:`~symkl.estimator.plug_in_estimate`,
+    (label 0) is one table, with ``rep_index`` ``first_rep + i``; the error
+    and the interval at quantile ``z`` around ``truth`` are derived by
+    :class:`ReplicationColumns`.  The arithmetic is that of
+    :func:`~symkl.estimator.plug_in_estimate`,
     :func:`~symkl.asymptotics.plugin_sigma2` (the closed form of
     ``asymptotics._influence_table`` at the empirical measures) and
-    :func:`~symkl.asymptotics.confidence_interval` with quantile ``z``,
+    :func:`~symkl.asymptotics.confidence_interval`,
     row by row, with pairwise instead of compensated sums, in place: five
     block-sized arrays, each step in the order of its plain expression, on
     the whole block.  Degeneracy follows the scalar functions' one rule
     (``estimator._empirical``): ``reason`` is ``REASON_EMPTY_LABEL`` when a
     label class has no draws or the label-1 frequency rounds to 1, else
-    ``REASON_EMPTY_CELL`` when a cell is empty; a degenerate row's estimate,
-    variance and half-width are masked to NaN.
+    ``REASON_EMPTY_CELL`` when a cell is empty; a degenerate row's estimate
+    and variance are masked to NaN.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     n0 = np.asarray(n0, dtype=np.int64)
@@ -308,22 +353,15 @@ def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> R
         # the tail below is row-length: free the block-sized scratch first
         del p_hat, q_hat, log_ratio, x, y, b, c, w1, w0, t1, t0, p, q, s_pb, s_qc
         sigma2 = np.maximum(second - mean * mean, 0.0)
-        half = z * np.sqrt(sigma2 / n)
-        estimate[degenerate] = sigma2[degenerate] = half[degenerate] = np.nan
-        lower = estimate - half
-        upper = estimate + half
-        eta = estimate - truth
+        estimate[degenerate] = sigma2[degenerate] = np.nan
         return ReplicationColumns(
             n=n,
             rep_index=np.arange(first_rep, first_rep + n.size, dtype=np.int64),
             reason=reason,
             estimate=estimate,
-            eta=eta,
-            scaled_eta=np.sqrt(n) * eta,
             sigma2_hat=sigma2,
-            ci_lower=lower,
-            ci_upper=upper,
-            covered=(lower <= truth) & (truth <= upper),
+            truth=truth,
+            z=z,
         )
 
 
@@ -379,11 +417,15 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
 
     The one place that collects the slices of :func:`_block_pass`: returns
     their :func:`replication_columns` at interval quantile ``z`` (no rows
-    without), joined once in layout order, and the bound rows at ``g_values``,
-    whose exceedance counts are added by ``(name, n)`` as each block arrives.
-    ``workers`` (capped at the CPU count) changes no byte: every block has
-    its own stream.  Each process holds one block of counts and the scratch
-    of one row slice of it, whatever the replication count.
+    without), each slice copied as it arrives into columns allocated once
+    in layout order, and the bound rows at ``g_values``, whose exceedance
+    counts are added by ``(name, n)`` as each block arrives.  ``workers``
+    (capped at the CPU count) changes no byte: every block has its own
+    stream.  Each process holds one block of counts and the scratch of one
+    row slice of it, whatever the replication count; this one also holds
+    the five stored columns, 33 bytes a row.
+
+    Raises ValueError when the columns of that many rows cannot be allocated.
     """
     workers = as_integral(workers, "workers")
     if workers < 1:
@@ -394,7 +436,13 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
     truth = model.sym_divergence()
     layout = table_blocks(model, n_values, replications, master_seed)
     tasks = [(block, truth, z, g_values) for block in layout]
-    parts = [ReplicationColumns.empty()]
+    rows = replications * len(n_values) if z is not None else 0
+    try:
+        columns = ReplicationColumns.empty(rows, truth, math.nan if z is None else z)
+    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
+        raise ValueError(f"cannot allocate {rows} records ({replications} replications "
+                         f"x {len(n_values)} sample sizes): {exc}") from None
+    filled = 0
     counts: dict[tuple[str, int], np.ndarray] = {}
     with contextlib.ExitStack() as stack:
         results = map(_block_pass, tasks)
@@ -405,12 +453,12 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
         for block, slices in zip(layout, results):
             for slice_columns, slice_counts in slices:
                 if slice_columns is not None:
-                    parts.append(slice_columns)
+                    stop = filled + len(slice_columns)
+                    for name in _STORED:
+                        getattr(columns, name)[filled:stop] = getattr(slice_columns, name)
+                    filled = stop
                 for name, count in (slice_counts or {}).items():
                     counts[name, block.n] = counts.get((name, block.n), 0) + count
-    columns = ReplicationColumns(*(
-        np.concatenate([getattr(c, f.name) for c in parts]) for f in fields(ReplicationColumns)
-    ))
     return columns, bound_table_rows(model, n_values, g_values, replications, counts)
 
 
@@ -467,7 +515,9 @@ def ks_statistic(values) -> float:
     """One-sample Kolmogorov-Smirnov distance against the standard normal CDF ``F``.
 
     ``max_i max(i/m - F(x_(i)), F(x_(i)) - (i-1)/m)`` over the sorted
-    sample of size m.
+    sample of size m, taken over chunks of ``_KS_CHUNK`` values, so that
+    ``F``'s scratch is that of one chunk; every term is elementwise and the
+    maximum is exact, so the chunks change no bit.
     """
     arr = np.sort(as_real(values, "values", array=True))
     m = arr.size
@@ -475,10 +525,12 @@ def ks_statistic(values) -> float:
         raise ValueError("ks_statistic needs a nonempty sample")
     if not np.all(np.isfinite(arr)):
         raise ValueError("ks_statistic needs finite values")
-    grid = np.arange(1, m + 1, dtype=np.float64)
-    cdf_vals = normal_cdf(arr)
-    d_plus = np.max(grid / m - cdf_vals)
-    d_minus = np.max(cdf_vals - (grid - 1.0) / m)
+    d_plus = d_minus = -math.inf
+    for start in range(0, m, _KS_CHUNK):
+        cdf_vals = normal_cdf(arr[start:start + _KS_CHUNK])
+        grid = np.arange(start + 1, start + 1 + cdf_vals.size, dtype=np.float64)
+        d_plus = max(d_plus, np.max(grid / m - cdf_vals))
+        d_minus = max(d_minus, np.max(cdf_vals - (grid - 1.0) / m))
     return float(max(d_plus, d_minus))
 
 
@@ -523,7 +575,9 @@ def _variance(arr: np.ndarray) -> float | None:
 
 def _per_n(records: ReplicationColumns, sigma_exact: float) -> list[SampleSizeSummary]:
     """One summary per sample size of the n-sorted ``records``, ascending in n;
-    the statistics cover the non-degenerate rows and are None without any."""
+    the statistics cover the non-degenerate rows and are None without any.
+    The derived columns are made for one n at a time, one at a time, so the
+    scratch is a few floats per row of one n."""
     summaries = []
     for n, rows in _n_slices(records.n):
         at_n = records[rows]
@@ -531,26 +585,31 @@ def _per_n(records: ReplicationColumns, sigma_exact: float) -> list[SampleSizeSu
         counts = dict(
             n=n,
             replications=len(at_n),
-            degenerate_count=int(np.count_nonzero(at_n.degenerate)),
+            degenerate_count=len(at_n) - int(np.count_nonzero(valid)),
             degenerate_empty_label=int(np.count_nonzero(at_n.reason == REASON_EMPTY_LABEL)),
             degenerate_empty_cell=int(np.count_nonzero(at_n.reason == REASON_EMPTY_CELL)),
         )
         if not valid.any():
             summaries.append(SampleSizeSummary(**counts))
             continue
+        coverage = coverage_rate(at_n)
         eta = at_n.eta[valid]
-        scaled = at_n.scaled_eta[valid]
-        summaries.append(SampleSizeSummary(
-            **counts,
+        eta_stats = dict(
             eta_mean=float(eta.mean()),
             eta_median=_median(eta),
             eta_variance=_variance(eta),
+            median_abs_eta=_median(np.abs(eta)),
+        )
+        del eta
+        scaled = at_n.scaled_eta[valid]
+        summaries.append(SampleSizeSummary(
+            **counts,
+            **eta_stats,
             scaled_eta_mean=float(scaled.mean()),
             scaled_eta_median=_median(scaled),
             scaled_eta_variance=_variance(scaled),
-            median_abs_eta=_median(np.abs(eta)),
             ks_normalized=ks_statistic(scaled / sigma_exact) if sigma_exact > 0.0 else None,
-            coverage=coverage_rate(at_n),
+            coverage=coverage,
         ))
     return summaries
 

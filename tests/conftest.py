@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 
 import symkl
 from symkl import PopulationModel, ReplicationColumns
+from symkl.montecarlo import _STORED as STORED
 
 SIMPLEX_ATTEMPTS = 10_000
 
@@ -60,28 +60,38 @@ def random_model(rng: np.random.Generator, r: int) -> PopulationModel:
             )
 
 
-def make_columns(rows) -> ReplicationColumns:
-    """Records from row tuples in ``ReplicationColumns`` field order, with
-    the kernel's column types."""
+# Every column of ReplicationColumns, stored and derived, in records.csv order.
+COLUMNS = ("n", "rep_index", "reason", "estimate", "eta", "scaled_eta", "sigma2_hat",
+           "ci_lower", "ci_upper", "covered")
+
+
+def make_columns(rows, truth: float = 0.0, z: float = 1.96) -> ReplicationColumns:
+    """Records from ``(n, rep_index, reason, estimate, sigma2_hat)`` row
+    tuples, with the kernel's column types."""
     empty = ReplicationColumns.empty()
-    columns = list(zip(*rows)) or [()] * len(fields(ReplicationColumns))
+    columns = list(zip(*rows)) or [()] * len(STORED)
     return ReplicationColumns(*(
-        np.array(values, dtype=getattr(empty, f.name).dtype)
-        for f, values in zip(fields(ReplicationColumns), columns)
-    ))
+        np.array(values, dtype=getattr(empty, name).dtype)
+        for name, values in zip(STORED, columns)
+    ), truth, z)
+
+
+def assert_column_equal(x: np.ndarray, y: np.ndarray, name: str) -> None:
+    """Same values and type; NaN equals NaN, but ``-0.0`` and ``0.0`` differ,
+    as ``records.csv`` writes them."""
+    assert x.dtype == y.dtype, name
+    assert x.shape == y.shape, name
+    np.testing.assert_array_equal(x, y, err_msg=name)
+    if x.dtype.kind == "f":
+        np.testing.assert_array_equal(np.signbit(x) & ~np.isnan(x),
+                                      np.signbit(y) & ~np.isnan(y), err_msg=f"{name} sign")
 
 
 def assert_columns_equal(a: ReplicationColumns, b: ReplicationColumns) -> None:
-    """Same rows and column types; NaN equals NaN, but ``-0.0`` and ``0.0``
-    differ, as ``records.csv`` writes them."""
-    for f in fields(ReplicationColumns):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        assert x.dtype == y.dtype, f.name
-        assert x.shape == y.shape, f.name
-        np.testing.assert_array_equal(x, y, err_msg=f.name)
-        if x.dtype.kind == "f":
-            np.testing.assert_array_equal(np.signbit(x) & ~np.isnan(x),
-                                          np.signbit(y) & ~np.isnan(y), err_msg=f"{f.name} sign")
+    """Same rows, stored and derived, with the same column types and scalars."""
+    for name in COLUMNS:
+        assert_column_equal(getattr(a, name), getattr(b, name), name)
+    np.testing.assert_array_equal([a.truth, a.z], [b.truth, b.z], err_msg="truth, z")
 
 
 def traced_peak(fn, *args) -> int:

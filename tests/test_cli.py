@@ -333,6 +333,17 @@ class TestSimulate:
         # one worker runs in-process, without a pool
         assert started == ([2] if cpus > 1 else [])
 
+    def test_unallocatable_records_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(cls, rows, truth, z):
+            raise MemoryError("Unable to allocate 7.0 PiB")
+
+        monkeypatch.setattr(montecarlo.ReplicationColumns, "empty", classmethod(fail))
+        code, _, err = run(capsys, "simulate", "--config", config_file(tmp_path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == ("error: cannot allocate 10 records (10 replications x 1 sample sizes): "
+                       "Unable to allocate 7.0 PiB\n")
+
     def test_dry_run_rejects_replications_beyond_stream_key(self, tmp_path, capsys):
         path = Path(config_file(tmp_path))
         data = json.loads(path.read_text())

@@ -23,7 +23,13 @@ from symkl import io as symkl_io
 from symkl.io import BOUNDS_HEADER, RECORDS_HEADER
 from symkl.montecarlo import REASON_EMPTY_CELL, REASON_NONE
 
-from conftest import assert_columns_equal, make_columns, traced_peak
+from conftest import (
+    COLUMNS,
+    assert_column_equal,
+    assert_columns_equal,
+    make_columns,
+    traced_peak,
+)
 
 
 def write(path, text):
@@ -203,9 +209,10 @@ class TestConfigJson:
 
 def assert_lines_give_back(path, written):
     """Parsed with ``int()`` and ``float()``, the lines of the records.csv at
-    ``path`` give back every bit of ``written``, signed zeros included;
-    degenerate rows leave their values empty.  Returns the parsed rows, with
-    the reasons of ``written``, which the file does not carry."""
+    ``path`` give back every bit of every column of ``written``, stored and
+    derived, signed zeros included; degenerate rows leave their values
+    empty.  Returns the records of the parsed stored columns, with the
+    reasons, truth and z of ``written``, which the file does not carry."""
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == RECORDS_HEADER
     fields = [line.split(",") for line in lines[1:]]
@@ -218,7 +225,10 @@ def assert_lines_give_back(path, written):
         assert not any(f[2:9]) if degenerate else f[9] == "0"
         reals = [math.nan] * 6 if degenerate else [float(v) for v in f[2:8]]
         rows.append((int(f[1]), int(f[0]), reason, *reals, f[8] == "1"))
-    read = make_columns(rows)
+    for name, values in zip(COLUMNS, list(zip(*rows)) or [()] * len(COLUMNS)):
+        column = getattr(written, name)
+        assert_column_equal(np.array(values, dtype=column.dtype), column, name)
+    read = make_columns([row[:4] + row[6:7] for row in rows], written.truth, written.z)
     assert_columns_equal(read, written)
     return read
 
@@ -226,9 +236,9 @@ def assert_lines_give_back(path, written):
 class TestRecordsCsv:
     def records(self):
         return make_columns([
-            (100, 0, REASON_NONE, math.pi / 11, -0.013, -0.13, 4.41, 0.2, 0.35, True),
-            (100, 1, REASON_EMPTY_CELL, *[math.nan] * 6, False),
-        ])
+            (100, 0, REASON_NONE, math.pi / 11, 4.41),
+            (100, 1, REASON_EMPTY_CELL, math.nan, math.nan),
+        ], truth=0.3)
 
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -276,11 +286,12 @@ def _fmt_flag(value):
 def reference_records_csv(records) -> bytes:
     """records.csv composed field by field, the way per-row records were written."""
     lines = [RECORDS_HEADER]
+    columns = {name: getattr(records, name) for name in COLUMNS}
     for i in range(len(records)):
         degenerate = bool(records.degenerate[i])
-        reals = [None if degenerate else getattr(records, name)[i].item() for name in
+        reals = [None if degenerate else columns[name][i].item() for name in
                  ("estimate", "eta", "scaled_eta", "sigma2_hat", "ci_lower", "ci_upper")]
-        covered = None if degenerate else bool(records.covered[i])
+        covered = None if degenerate else bool(columns["covered"][i])
         lines.append(",".join((
             str(int(records.rep_index[i])), str(int(records.n[i])), *map(_fmt_real, reals),
             _fmt_flag(covered), _fmt_flag(degenerate),
@@ -306,13 +317,16 @@ def r1000_records():
 def edge_records():
     big, tiny = 1.2345678901234567e300, 9.876543210987654e-301
     return make_columns([
-        # equal empirical laws: zero variance, a point interval
-        (6, 0, REASON_NONE, 0.0, -0.25, -0.6123724356957945, 0.0, 0.0, 0.0, False),
-        (6, 1, REASON_NONE, -0.0, -0.0, -0.0, 0.0, -0.0, 0.0, True),
-        (6, 2, REASON_NONE, tiny, -tiny, 5e-324, tiny, -big, big, True),
-        (6, 3, REASON_NONE, big, big, 1.7976931348623157e308, big, 1e-300, 1e300, False),
-        (6, 4, REASON_EMPTY_CELL, *[math.nan] * 6, False),
-        ((1 << 63) - 1, (1 << 32) - 1, REASON_NONE, 1 / 3, 2 / 3, 0.1, 0.2, 0.3, 1e-5, True),
+        # equal empirical laws: zero variance, a point interval; signed zeros
+        (6, 0, REASON_NONE, 0.0, 0.0),
+        (6, 1, REASON_NONE, -0.0, 0.0),
+        (6, 2, REASON_NONE, tiny, tiny),
+        # a subnormal estimate and a variance whose half-width underflows to 0
+        (6, 3, REASON_NONE, 5e-324, 5e-324),
+        (6, 4, REASON_NONE, big, 1.7976931348623157e308),
+        (6, 5, REASON_NONE, -big, 1e-300),
+        (6, 6, REASON_EMPTY_CELL, math.nan, math.nan),
+        ((1 << 63) - 1, (1 << 32) - 1, REASON_NONE, 1 / 3, 0.2),
     ])
 
 
@@ -345,13 +359,15 @@ class TestRecordsCsvMemory:
         rows = 48_000
         rng = np.random.default_rng(48)
         degenerate = np.arange(rows) % 7 == 3
-        reals = rng.standard_normal((6, rows))
-        reals[:, degenerate] = math.nan
+        estimate = rng.standard_normal(rows) * 1e-3
+        sigma2 = rng.exponential(size=rows)
+        estimate[degenerate] = sigma2[degenerate] = math.nan
         records = ReplicationColumns(
             np.full(rows, 10**6, dtype=np.int64), np.arange(rows, dtype=np.int64),
-            np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8), *reals,
-            (rng.random(rows) < 0.95) & ~degenerate,
+            np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8),
+            estimate, sigma2, truth=0.0, z=1.96,
         )
+        assert 0 < np.count_nonzero(records.covered) < np.count_nonzero(~degenerate)
         path = tmp_path / "records.csv"
         assert traced_peak(write_records_csv, records, path) < 1 << 20
         lines = path.read_text().splitlines()

@@ -211,6 +211,30 @@ class TestPopulationModel:
                  id="normal_cdf-complex"),
     pytest.param(lambda: ks_statistic(np.array([1 + 0j, 2])), "values must be real, got ",
                  id="ks_statistic-complex"),
+    # strings, bytes and None are not read as numbers, alone or among numbers
+    pytest.param(lambda: PopulationModel("0.5", (0.5, 0.5), (0.25, 0.75)),
+                 "label_prob must be real, got '0.5'$", id="label_prob-numeric-string"),
+    pytest.param(lambda: PopulationModel("abc", (0.5, 0.5), (0.25, 0.75)),
+                 "label_prob must be real, got 'abc'$", id="label_prob-string"),
+    pytest.param(lambda: PopulationModel(b"0.5", (0.5, 0.5), (0.25, 0.75)),
+                 "label_prob must be real, got b'0.5'$", id="label_prob-bytes"),
+    pytest.param(lambda: PopulationModel(None, (0.5, 0.5), (0.25, 0.75)),
+                 "label_prob must be real, got None$", id="label_prob-None"),
+    pytest.param(lambda: PopulationModel(0.5, ["0.5", "0.5"], (0.25, 0.75)),
+                 "cond_p must be real, got ", id="cond_p-strings"),
+    pytest.param(lambda: PopulationModel(0.5, [0.5, None], (0.25, 0.75)),
+                 "cond_p must be real, got None$", id="cond_p-None"),
+    pytest.param(lambda: normal_quantile("0.975"), "prob must be real, got '0.975'$",
+                 id="normal_quantile-string"),
+    pytest.param(lambda: bound_table(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), [10],
+                                     ["0.1"]), "g_grid must be real, got '0.1'$",
+                 id="bound_table-string"),
+    pytest.param(lambda: normal_cdf([None, 0.0]), "x must be real, got None$",
+                 id="normal_cdf-None"),
+    pytest.param(lambda: normal_cdf(np.array([b"0.5"])), "x must be real, got ",
+                 id="normal_cdf-bytes"),
+    pytest.param(lambda: ks_statistic(np.array(["1", "2"], dtype=object)),
+                 "values must be real, got '1'$", id="ks_statistic-object-strings"),
 ])
 def test_integer_beyond_float_range_is_a_value_error(call, message):
     # a ValueError naming the argument, not numpy's or float()'s OverflowError,

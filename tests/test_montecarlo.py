@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +41,14 @@ from symkl.montecarlo import (
     replication_columns,
 )
 
-from conftest import assert_columns_equal, make_columns, random_simplex, traced_peak
+from conftest import (
+    COLUMNS,
+    STORED,
+    assert_columns_equal,
+    make_columns,
+    random_simplex,
+    traced_peak,
+)
 
 
 def make_config(test_model, **overrides):
@@ -59,11 +65,13 @@ def make_config(test_model, **overrides):
 
 
 def make_record(n, rep, eta=0.1, covered=True, degenerate=False):
-    """One row for :func:`make_columns`."""
+    """One row for :func:`make_columns` at its default truth 0 and z 1.96: the
+    estimate is ``eta``, and a ``sigma2_hat`` of ``n`` (half-width 1.96) or 0
+    (half-width 0) makes the interval cover or miss a nonzero ``eta``."""
     if degenerate:
-        return (n, rep, REASON_EMPTY_CELL, *[math.nan] * 6, False)
-    return (n, rep, REASON_NONE, 0.27 + eta, eta, math.sqrt(n) * eta, 4.4, 0.0, 1.0,
-            covered)
+        return (n, rep, REASON_EMPTY_CELL, math.nan, math.nan)
+    assert abs(eta) < 1.96 and (covered or eta != 0.0)
+    return (n, rep, REASON_NONE, eta, float(n) if covered else 0.0)
 
 
 class TestExperimentConfig:
@@ -185,6 +193,19 @@ class TestKsStatistic:
         with pytest.raises(ValueError, match="finite"):
             ks_statistic([0.0, float("inf")])
 
+    @pytest.mark.parametrize("m", sorted({montecarlo._KS_CHUNK - 1, montecarlo._KS_CHUNK,
+                                          montecarlo._KS_CHUNK + 1, 65535, 65536, 65537}))
+    def test_chunks_change_no_bit(self, m):
+        # two decimals leave many ties; an all-zero sample has d_plus at its
+        # last value and d_minus at its first, in the last and the first chunk
+        rng = np.random.default_rng(m)
+        for sample in (np.round(rng.standard_normal(m), 2), np.zeros(m)):
+            arr = np.sort(sample)
+            grid = np.arange(1, m + 1, dtype=np.float64)
+            cdf_vals = normal_cdf(arr)
+            want = float(max(np.max(grid / m - cdf_vals), np.max(cdf_vals - (grid - 1.0) / m)))
+            assert ks_statistic(sample).hex() == want.hex()
+
 
 class TestCoverageAndCurve:
     def test_coverage_rate(self):
@@ -270,8 +291,9 @@ def assert_columns_match_oracle(n1, n0, truth, level=0.95):
 
 def out_of_place_columns(n1, n0, truth, z, first_rep=0):
     """The kernel as plain expressions, one new array per step: the reference
-    for the in-place kernel's bits.  It lacks the kernel's rounding test for
-    the label-1 frequency, which only sizes above 2**53 reach."""
+    for the in-place kernel's bits, with every column, stored and derived, by
+    name.  It lacks the kernel's rounding test for the label-1 frequency,
+    which only sizes above 2**53 reach."""
     m1 = n1.sum(axis=1)
     m0 = n0.sum(axis=1)
     sizes = m1 + m0
@@ -307,7 +329,7 @@ def out_of_place_columns(n1, n0, truth, z, first_rep=0):
         out[ok] = values
         return out
 
-    return ReplicationColumns(
+    return dict(
         n=sizes, rep_index=np.arange(first_rep, first_rep + ok.size, dtype=np.int64),
         reason=reason, estimate=column(estimate), eta=column(eta),
         scaled_eta=column(np.sqrt(n) * eta), sigma2_hat=column(sigma2),
@@ -323,7 +345,8 @@ class TestColumnsEqual:
         minus = make_columns([make_record(100, 0, eta=-0.0), make_record(100, 1, degenerate=True)])
         assert_columns_equal(plus, plus)
         assert_columns_equal(minus, minus)
-        with pytest.raises(AssertionError, match="eta sign"):
+        assert math.copysign(1.0, minus.eta[0]) == -1.0  # the derived eta keeps the sign
+        with pytest.raises(AssertionError, match="estimate sign"):
             assert_columns_equal(plus, minus)
 
 
@@ -426,9 +449,12 @@ class TestReplicationColumns:
         for i, (n1, n0) in enumerate(blocks):
             got = replication_columns(n1, n0, 0.25, 1.96, 3)
             want = out_of_place_columns(n1, n0, 0.25, 1.96, 3)
-            assert_columns_equal(got, want)
-            for f in fields(ReplicationColumns):  # signed zeros too
-                assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+            assert_columns_equal(got, ReplicationColumns(*(want[name] for name in STORED),
+                                                         truth=0.25, z=1.96))
+            for name in COLUMNS:  # signed zeros too, and the derived columns
+                column = getattr(got, name)
+                assert column.dtype == want[name].dtype, name
+                assert column.tobytes() == want[name].tobytes(), name
             reasons.update(got.reason.tolist())
             assert i < 2 or got.degenerate.all()
         assert reasons == {REASON_NONE, REASON_EMPTY_LABEL, REASON_EMPTY_CELL}
@@ -462,10 +488,10 @@ class TestReplicationColumns:
     def test_empty_has_the_kernel_column_types(self):
         one_table = replication_columns(np.array([[3, 1]]), np.array([[1, 3]]), 0.5, 1.96)
         empty = ReplicationColumns.empty()
-        for f in fields(ReplicationColumns):
-            column = getattr(empty, f.name)
-            assert column.dtype == getattr(one_table, f.name).dtype, f.name
-            assert column.shape == (0,), f.name
+        for name in COLUMNS:
+            column = getattr(empty, name)
+            assert column.dtype == getattr(one_table, name).dtype, name
+            assert column.shape == (0,), name
 
     def test_block_rows(self):
         assert block_rows(2) == 1 << 15
@@ -506,8 +532,8 @@ class TestBlockSlices:
         parts = montecarlo._block_pass((block, 0.25, 1.96, g_values))
         assert len(parts) == len(slices)
         columns = ReplicationColumns(*(
-            np.concatenate([getattr(c, f.name) for c, _ in parts]) for f in fields(ReplicationColumns)
-        ))
+            np.concatenate([getattr(c, name) for c, _ in parts]) for name in STORED
+        ), parts[0][0].truth, parts[0][0].z)
         counts = {}
         for _, sliced in parts:
             for name, count in sliced.items():
@@ -515,10 +541,10 @@ class TestBlockSlices:
 
         want = replication_columns(n1, n0, 0.25, 1.96, 7)
         assert set(want.reason.tolist()) == {REASON_NONE, REASON_EMPTY_LABEL, REASON_EMPTY_CELL}
-        for f in fields(ReplicationColumns):  # signed zeros too
-            got_column, want_column = getattr(columns, f.name), getattr(want, f.name)
-            assert got_column.dtype == want_column.dtype, f.name
-            assert got_column.tobytes() == want_column.tobytes(), f.name
+        for name in COLUMNS:  # signed zeros too
+            got_column, want_column = getattr(columns, name), getattr(want, name)
+            assert got_column.dtype == want_column.dtype, name
+            assert got_column.tobytes() == want_column.tobytes(), name
         want_counts = _exceed_counts(model, n, g_values, k1, n1, n0)
         assert counts.keys() == want_counts.keys()
         for name, count in want_counts.items():
@@ -529,17 +555,61 @@ class TestBlockSlices:
     def test_block_pass_peak_is_a_few_block_arrays(self):
         # full blocks: 65 tables at r = 1000 and 32 768 at r = 2 through the
         # kernel, 1310 at r = 50 through the bound counts; the drawn counts
-        # are 2 block arrays, and at r = 2 the kept slice columns (67 bytes a
-        # row) are 4.2 more
+        # are 2 block arrays, and at r = 2 the kept slice columns (33 bytes a
+        # row) are 2.1 more
         rng = np.random.default_rng(16)
         for r, n, z, g_values, most in ((1000, 2 * 10**5, 1.96, (), 4),
-                                        (2, 10**4, 1.96, (), 9),
+                                        (2, 10**4, 1.96, (), 8),
                                         (50, 10**4, None, DEFAULT_G_GRID, 4)):
             model = PopulationModel(label_prob=0.4, cond_p=random_simplex(rng, r, min_entry=0.0),
                                     cond_q=random_simplex(rng, r, min_entry=0.0))
             (block,) = table_blocks(model, [n], block_rows(r), master_seed=r)
             peak = traced_peak(montecarlo._block_pass, (block, 0.1, z, g_values))
             assert peak <= most * block.size * r * 8, (r, peak / (block.size * r * 8))
+
+
+class TestDerivedColumns:
+    DERIVED = ("eta", "scaled_eta", "ci_lower", "ci_upper", "covered")
+
+    def test_selected_rows_derive_the_same_values(self, test_model):
+        # n = 6 leaves many degenerate rows at r = 2
+        records = run_experiment(make_config(test_model, n_values=(6, 40), replications=300)).records
+        assert records.degenerate.any() and not records.degenerate.all()
+        rng = np.random.default_rng(21)
+        mask = rng.random(len(records)) < 0.5
+        for rows in (mask, ~records.degenerate, slice(7, 500, 3), rng.permutation(len(records))):
+            selected = records[rows]
+            assert (selected.truth, selected.z) == (records.truth, records.z)
+            for name in self.DERIVED:
+                got, want = getattr(selected, name), getattr(records, name)[rows]
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+
+
+class TestParentMemory:
+    def test_run_experiment_peak_per_row(self, test_model):
+        # README model, two sample sizes, clt and coverage: the parent holds the
+        # 5 stored columns (33 bytes a row) and the scratch of one n at a time
+        def peak(rows):
+            config = make_config(test_model, n_values=(100, 1000), replications=rows // 2,
+                                 checks=("clt", "coverage"))
+            return traced_peak(run_experiment, config)
+
+        small, large = 100_000, 400_000
+        slope = (peak(large) - peak(small)) / (large - small)
+        assert slope <= 64, slope
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 7.0 PiB"),
+                                       ValueError("array is too big")])
+    def test_unallocatable_records_are_a_value_error(self, test_model, monkeypatch, error):
+        def fail(cls, rows, truth, z):
+            raise error
+
+        monkeypatch.setattr(ReplicationColumns, "empty", classmethod(fail))
+        config = make_config(test_model, n_values=(100, 1000), replications=300)
+        with pytest.raises(ValueError, match=r"^cannot allocate 600 records \(300 replications "
+                                             r"x 2 sample sizes\): "):
+            run_experiment(config)
 
 
 class TestRunExperiment:
