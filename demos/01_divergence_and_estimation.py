@@ -42,11 +42,11 @@ def main() -> None:
     print(f"  label-0 counts per symbol: {counts.n0.tolist()}")
 
     estimate = plug_in_estimate(counts)
-    variance = plugin_sigma2(counts)
-    interval = confidence_interval(estimate, variance, level=0.95)
+    sigma2 = plugin_sigma2(counts)
+    interval = confidence_interval(estimate, sigma2, level=0.95)
     print(f"\nplug-in estimate:   {estimate.value:.6f}")
     print(f"estimation error:   {estimate.value - true_value:+.6f}")
-    print(f"plug-in variance:   {variance.sigma2:.6f}")
+    print(f"plug-in variance:   {sigma2:.6f}")
     print(f"95% interval:       [{interval.lower:.6f}, {interval.upper:.6f}]")
     print(f"covers true value:  {interval.contains(true_value)}")
 

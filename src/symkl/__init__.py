@@ -9,7 +9,6 @@ convergence, normality, coverage, and bound claims against simulated data.
 
 from .asymptotics import (
     ConfidenceInterval,
-    VarianceResult,
     confidence_interval,
     exact_sigma2,
     influence_value,
@@ -89,7 +88,6 @@ __all__ = [
     "PopulationModel",
     "ReplicationColumns",
     "SampleSizeSummary",
-    "VarianceResult",
     "as_positive_prob_vector",
     "as_prob_vector",
     "bound_table",

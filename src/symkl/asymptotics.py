@@ -99,20 +99,8 @@ def influence_value(model: PopulationModel, x: int, y: int) -> float:
     return math.fsum(terms.tolist())
 
 
-@dataclass(frozen=True)
-class VarianceResult:
-    """Limit variance together with the enumerated mean as a self-check.
-
-    ``sigma2 >= 0`` always; ``mean_check`` is the enumerated ``E W`` and
-    stays below 1e-12 in magnitude for any valid model.
-    """
-
-    sigma2: float
-    mean_check: float
-
-
-def _influence_table(label_prob: float, pv: np.ndarray, qv: np.ndarray) -> VarianceResult:
-    """``Var W`` over the table of the 2r draw outcomes of a positive law.
+def _influence_table(label_prob: float, pv: np.ndarray, qv: np.ndarray) -> float:
+    """``Var W >= 0`` over the table of the 2r draw outcomes of a positive law.
 
     The constant-in-j parts of the bracket collapse into two inner products,
     leaving a closed per-outcome form (label-1 outcomes first).
@@ -128,18 +116,15 @@ def _influence_table(label_prob: float, pv: np.ndarray, qv: np.ndarray) -> Varia
     values = np.concatenate([w1, w0])
     mean = math.fsum((probs * values).tolist())
     second = math.fsum((probs * values * values).tolist())
-    sigma2 = second - mean * mean
-    if sigma2 < 0.0:
-        sigma2 = 0.0
-    return VarianceResult(sigma2=sigma2, mean_check=mean)
+    return max(second - mean * mean, 0.0)
 
 
-def exact_sigma2(model: PopulationModel) -> VarianceResult:
+def exact_sigma2(model: PopulationModel) -> float:
     """Exact limit variance ``Var W`` by enumeration of all 2r outcomes."""
     return _influence_table(model.label_prob, model.cond_p, model.cond_q)
 
 
-def plugin_sigma2(counts: CountTable) -> VarianceResult:
+def plugin_sigma2(counts: CountTable) -> float:
     """Limit variance at the empirical measures of a table whose cells are
     all positive, however small a frequency; no model is built.
 
@@ -158,17 +143,13 @@ def plugin_sigma2(counts: CountTable) -> VarianceResult:
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """Two-sided asymptotic interval for the symmetric divergence.
-
-    ``degenerate_variance`` marks the collapsed (point) interval produced
-    when the plug-in variance is zero.
-    """
+    """Two-sided asymptotic interval for the symmetric divergence; a point
+    when the variance is zero."""
 
     lower: float
     upper: float
     level: float
     n: int
-    degenerate_variance: bool
 
     def __post_init__(self) -> None:
         if not self.lower <= self.upper:
@@ -182,13 +163,11 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-def confidence_interval(
-    estimate: EstimateResult, variance: VarianceResult, level: float
-) -> ConfidenceInterval:
+def confidence_interval(estimate: EstimateResult, sigma2: float,
+                        level: float) -> ConfidenceInterval:
     """Interval ``estimate +- z * sqrt(sigma2 / n)`` at the given level.
 
-    ``z`` is the standard normal quantile at ``(1 + level) / 2``.  A zero
-    variance yields the flagged point interval.
+    ``z`` is the standard normal quantile at ``(1 + level) / 2``.
 
     Raises
     ------
@@ -204,17 +183,7 @@ def confidence_interval(
     level = as_real(level, "level")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly in (0, 1), got {level!r}")
-    value = estimate.value
-    if variance.sigma2 == 0.0:
-        return ConfidenceInterval(
-            lower=value, upper=value, level=level, n=estimate.n, degenerate_variance=True
-        )
-    z = normal_quantile((1.0 + level) / 2.0)
-    half = z * math.sqrt(variance.sigma2 / estimate.n)
+    half = normal_quantile((1.0 + level) / 2.0) * math.sqrt(sigma2 / estimate.n)
     return ConfidenceInterval(
-        lower=value - half,
-        upper=value + half,
-        level=level,
-        n=estimate.n,
-        degenerate_variance=False,
+        lower=estimate.value - half, upper=estimate.value + half, level=level, n=estimate.n
     )

@@ -90,18 +90,15 @@ def cmd_estimate(args) -> int:
         print(f"error: {args.counts}: {exc}", file=sys.stderr)
         return 1
     est = plug_in_estimate(counts)
-    if est.degenerate:
-        print(f"degenerate sample: {est.reason}", file=sys.stderr)
-        return 2
-    variance = plugin_sigma2(counts)
-    ci = confidence_interval(est, variance, args.level)
+    sigma2 = plugin_sigma2(counts)  # a degenerate table raises the estimate's reason
+    ci = confidence_interval(est, sigma2, args.level)
     print(f"n: {est.n}")
     print(f"estimate: {_fmt(est.value)}")
-    print(f"sigma2_hat: {_fmt(variance.sigma2)}")
+    print(f"sigma2_hat: {_fmt(sigma2)}")
     print(f"ci_level: {_fmt(ci.level)}")
     print(f"ci_lo: {_fmt(ci.lower)}")
     print(f"ci_hi: {_fmt(ci.upper)}")
-    if ci.degenerate_variance:
+    if sigma2 == 0.0:
         print(
             "warning: plug-in variance is zero; interval collapsed to a point",
             file=sys.stderr,

@@ -54,22 +54,20 @@ def _empirical(counts: CountTable):
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Outcome of one plug-in estimation.
-
-    ``value`` is present exactly when ``degenerate`` is False; a degenerate
-    result carries a human-readable ``reason`` instead.
-    """
+    """Outcome of one plug-in estimation: a ``value``, or, for a degenerate
+    sample, a human-readable ``reason`` instead."""
 
     value: float | None
-    degenerate: bool
     reason: str | None
     n: int
 
     def __post_init__(self) -> None:
-        if self.degenerate != (self.value is None):
-            raise ValueError("value must be present exactly when not degenerate")
-        if self.degenerate and not self.reason:
-            raise ValueError("degenerate results need a reason")
+        if (self.value is None) == (not self.reason):
+            raise ValueError("a result holds a value or a reason, not both or neither")
+
+    @property
+    def degenerate(self) -> bool:
+        return self.value is None
 
 
 def plug_in_estimate(counts: CountTable) -> EstimateResult:
@@ -82,6 +80,6 @@ def plug_in_estimate(counts: CountTable) -> EstimateResult:
     """
     p_hat, q_hat, _, n, reason = _empirical(counts)
     if reason is not None:
-        return EstimateResult(value=None, degenerate=True, reason=reason, n=n)
-    return EstimateResult(value=_jeffreys(p_hat, q_hat), degenerate=False, reason=None, n=n)
+        return EstimateResult(value=None, reason=reason, n=n)
+    return EstimateResult(value=_jeffreys(p_hat, q_hat), reason=None, n=n)
 

@@ -56,9 +56,7 @@ class CountsFormatError(ValueError):
 
 def _parse_count(token: str, line_number: int) -> int:
     text = token.strip()
-    if not text:
-        raise CountsFormatError("empty field", line_number)
-    try:
+    try:  # "²" passes _is_int_token's isdigit() but not int()
         value = int(text)
     except ValueError:
         raise CountsFormatError(
@@ -209,7 +207,8 @@ def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # also an integer literal beyond int()'s digit limit
+        # also an integer literal beyond int()'s digit limit, or arrays nested too deep
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"config: invalid JSON ({exc})") from exc
     return parse_config_dict(data)
 
@@ -236,9 +235,7 @@ def _fmt_real(value: float | None) -> str:
     return f"{float(value):.17g}"
 
 
-def _fmt_flag(value: bool | None) -> str:
-    if value is None:
-        return ""
+def _fmt_flag(value: bool) -> str:
     return "1" if value else "0"
 
 

@@ -42,12 +42,15 @@ def _real(value, name: str) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name}: integer too large for a float") from None
+    except TypeError:  # an object that is no number, such as a dict or a set
+        raise ValueError(f"{name} must be real, got {value!r}") from None
 
 
 def as_real(value, name: str, array: bool = False):
     """``float(value)``, or with ``array`` ``value`` as a float64 array.  A
-    string, bytes, None or a complex value, even with a zero imaginary part,
-    or an integer too large for a float raises ValueError naming ``name``."""
+    string, bytes, None, any other object that is no number, a complex
+    value, even with a zero imaginary part, or an integer too large for a
+    float raises ValueError naming ``name``."""
     if not array:
         return _real(value, name)
     arr = np.asarray(value)

@@ -690,7 +690,7 @@ def evaluate(config: ExperimentConfig, records: ReplicationColumns,
     so they fail with "no usable replications".  ``bounds`` reads
     ``bound_rows``.
     """
-    sigma2 = exact_sigma2(config.model).sigma2
+    sigma2 = exact_sigma2(config.model)
     per_n = _per_n(records, math.sqrt(sigma2))
     largest_n = config.n_values[-1]
     largest = next(

@@ -136,7 +136,6 @@ def test_criterion_03_influence_mean_is_zero():
             )
         mean = math.fsum(terms)
         worst = max(worst, abs(mean))
-        assert abs(exact_sigma2(model).mean_check) <= 1e-12
     report(
         3,
         worst <= 1e-12,
@@ -150,7 +149,7 @@ def test_criterion_04_variance_two_route_agreement():
     details = []
     worst_rel = 0.0
     for model in VARIANCE_MODELS:
-        exact = exact_sigma2(model).sigma2
+        exact = exact_sigma2(model)
         config = ExperimentConfig(
             model=model,
             n_values=(100_000,),

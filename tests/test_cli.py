@@ -399,6 +399,38 @@ class TestSimulate:
         assert child.stdout == ""
         assert child.stderr == "error: cond_p sums to inf; expected 1 within 1e-12\n"
 
+    def test_deeply_nested_config_exit_1(self, tmp_path):
+        # json.load recurses once per nesting level
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        child = run_python("-W", "error", "-m", "symkl.cli", "simulate", "--config", str(path),
+                           "--dry-run")
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert child.stderr.startswith("error: config: invalid JSON (maximum recursion depth")
+        assert "Traceback" not in child.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "clt-check", "lln-check", "bounds-check"])
+    def test_level_override(self, tmp_path, capsys, command):
+        config = config_file(tmp_path, n_values=[100, 200], replications=20)
+        code, out, _ = run(capsys, command, "--config", config, "--dry-run", "--level", "0.8")
+        assert code == 0
+        assert "  ci_level: 0.8\n" in out
+        out_dir = tmp_path / "results"
+        run(capsys, command, "--config", config, "--out-dir", str(out_dir), "--level", "0.8")
+        assert json.loads((out_dir / "summary.json").read_text())["ci_level"] == 0.8
+
+    def test_one_non_degenerate_row_has_no_variance(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        code, _, _ = run(capsys, "simulate", "--config", config_file(tmp_path, replications=1),
+                         "--out-dir", str(out_dir))
+        assert code == 0
+        (stats,) = json.loads((out_dir / "summary.json").read_text())["per_n"]
+        assert (stats["replications"], stats["degenerate_count"]) == (1, 0)
+        assert stats["eta_variance"] is None
+        assert stats["scaled_eta_variance"] is None
+        assert stats["eta_mean"] is not None
+
     def test_seed_override_changes_records(self, tmp_path, capsys):
         config = config_file(tmp_path)
         dirs = [tmp_path / name for name in ("a", "b")]

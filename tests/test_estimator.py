@@ -53,10 +53,11 @@ class TestPlugInEstimate:
         assert "zero cell in q_hat" in est.reason
 
     def test_result_invariant_enforced(self):
-        with pytest.raises(ValueError, match="exactly when"):
-            EstimateResult(value=1.0, degenerate=True, reason="x", n=4)
-        with pytest.raises(ValueError, match="exactly when"):
-            EstimateResult(value=None, degenerate=False, reason=None, n=4)
+        for value, reason in ((1.0, "x"), (None, None), (None, "")):
+            with pytest.raises(ValueError, match="a value or a reason, not both or neither"):
+                EstimateResult(value=value, reason=reason, n=4)
+        assert EstimateResult(value=None, reason="x", n=4).degenerate
+        assert not EstimateResult(value=0.0, reason=None, n=4).degenerate
 
     def test_degeneracy_rare_at_moderate_n(self, test_model):
         degenerate = 0

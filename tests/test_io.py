@@ -88,6 +88,13 @@ class TestCountsCsv:
         with pytest.raises(CountsFormatError, match="line 1.*got 'x'"):
             read_counts_csv(path)
 
+    def test_digit_that_is_no_integer(self, tmp_path):
+        # "²" is a digit to str.isdigit() but not to int()
+        path = write(tmp_path / "c.csv", "3,1\n²,1\n")
+        with pytest.raises(CountsFormatError) as info:
+            read_counts_csv(path)
+        assert str(info.value) == "line 2: expected an integer count, got '²'"
+
     def test_negative_count(self, tmp_path):
         path = write(tmp_path / "c.csv", "3,-1\n1,3\n")
         with pytest.raises(CountsFormatError, match="negative"):
@@ -386,6 +393,17 @@ class TestBoundsCsvAndSummary:
         first = lines[1].split(",")
         assert first[0] == "conditional_cell_p"
         assert first[4] in ("0", "1")
+
+    def test_bounds_csv_without_replications(self, tmp_path, test_model):
+        # no empirical frequency: empty fields, and nothing contradicts the bound
+        rows = bound_table(test_model, [100], [0.1], replications=0)
+        path = tmp_path / "bounds.csv"
+        write_bounds_csv(rows, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + len(rows) == 7
+        for line in lines[1:]:
+            empirical, stderr, valid = line.split(",")[-3:]
+            assert (empirical, stderr, valid) == ("", "", "1")
 
     def test_summary_json_shape(self, tmp_path, test_model):
         config = ExperimentConfig(

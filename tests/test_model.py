@@ -9,7 +9,6 @@ from symkl import (
     EstimateResult,
     ExperimentConfig,
     PopulationModel,
-    VarianceResult,
     as_positive_prob_vector,
     as_prob_vector,
     bound_table,
@@ -183,8 +182,7 @@ class TestPopulationModel:
                  id="CountTable"),
     pytest.param(lambda: bound_table(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), [10],
                                      [10**400]), "g_grid: integer too large", id="bound_table"),
-    pytest.param(lambda: confidence_interval(EstimateResult(1.0, False, None, 8),
-                                             VarianceResult(1.0, 0.0), 10**400),
+    pytest.param(lambda: confidence_interval(EstimateResult(1.0, None, 8), 1.0, 10**400),
                  "level: integer too large", id="confidence_interval"),
     pytest.param(lambda: normal_quantile(10**400), "prob: integer too large", id="normal_quantile"),
     pytest.param(lambda: normal_cdf(10**400), "x: integer too large", id="normal_cdf"),
@@ -202,8 +200,7 @@ class TestPopulationModel:
     pytest.param(lambda: bound_table(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), [10],
                                      [0.1 + 0j]), "g_grid must be real, got ",
                  id="bound_table-complex"),
-    pytest.param(lambda: confidence_interval(EstimateResult(1.0, False, None, 8),
-                                             VarianceResult(1.0, 0.0), 0.95 + 0j),
+    pytest.param(lambda: confidence_interval(EstimateResult(1.0, None, 8), 1.0, 0.95 + 0j),
                  "level must be real, got ", id="confidence_interval-complex"),
     pytest.param(lambda: normal_quantile(0.5 + 0j), "prob must be real, got ",
                  id="normal_quantile-complex"),
@@ -235,6 +232,17 @@ class TestPopulationModel:
                  id="normal_cdf-bytes"),
     pytest.param(lambda: ks_statistic(np.array(["1", "2"], dtype=object)),
                  "values must be real, got '1'$", id="ks_statistic-object-strings"),
+    # objects that are no numbers at all, alone or among numbers
+    pytest.param(lambda: PopulationModel({}, (0.5, 0.5), (0.25, 0.75)),
+                 r"label_prob must be real, got \{\}$", id="label_prob-dict"),
+    pytest.param(lambda: PopulationModel(0.5, [{}, {}], (0.25, 0.75)),
+                 r"cond_p must be real, got \{\}$", id="cond_p-dicts"),
+    pytest.param(lambda: bound_table(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), [10],
+                                     [{}]), r"g_grid must be real, got \{\}$",
+                 id="bound_table-dict"),
+    pytest.param(lambda: ks_statistic([{}, 1.0]), r"values must be real, got \{\}$",
+                 id="ks_statistic-dict"),
+    pytest.param(lambda: normal_cdf({1.0}), r"x must be real, got \{1\.0\}$", id="normal_cdf-set"),
 ])
 def test_integer_beyond_float_range_is_a_value_error(call, message):
     # a ValueError naming the argument, not numpy's or float()'s OverflowError,
@@ -279,6 +287,17 @@ class TestCountTable:
             "complex-array", "None", "nan-2**64", "nested", "0d-array"])
     def test_rejects_counts_beyond_int64_before_casting(self, row, message):
         # the suite turns warnings into errors: a cast that warns fails here
+        with pytest.raises(ValueError) as info:
+            CountTable(n1=row, n0=[1, 1])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("row, message", [
+        ([[1, 2], [3, 4]], "n1 must be 1-dimensional, got shape (2, 2)"),
+        (5, "n1 must be 1-dimensional, got shape ()"),
+        ([5], "n1 needs at least 2 entries, got 1"),
+        ([], "n1 needs at least 2 entries, got 0"),
+    ], ids=["2d", "scalar", "one-entry", "empty"])
+    def test_rejects_rows_that_are_not_an_alphabet(self, row, message):
         with pytest.raises(ValueError) as info:
             CountTable(n1=row, n0=[1, 1])
         assert str(info.value) == message

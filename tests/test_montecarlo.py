@@ -274,12 +274,12 @@ def assert_columns_match_oracle(n1, n0, truth, level=0.95):
             assert np.isnan(cols.estimate[i]) and not cols.covered[i]
             continue
         assert cols.reason[i] == REASON_NONE
-        variance = plugin_sigma2(counts)
-        ci = confidence_interval(est, variance, level)
+        sigma2 = plugin_sigma2(counts)
+        ci = confidence_interval(est, sigma2, level)
         assert cols.covered[i] == ci.contains(truth)
         for got, want in (
             (cols.estimate[i], est.value),
-            (cols.sigma2_hat[i], variance.sigma2),
+            (cols.sigma2_hat[i], sigma2),
             (cols.ci_lower[i], ci.lower),
             (cols.ci_upper[i], ci.upper),
         ):
@@ -421,8 +421,8 @@ class TestReplicationColumns:
             n1_huge = np.array([[123456789012345678, 987654321098765432]])
             n0_huge = np.array([[1234567, 7654321]])
             huge = assert_columns_match_oracle(n1_huge, n0_huge, truth)
-            variance = plugin_sigma2(CountTable(n1=n1_huge[0], n0=n0_huge[0]))
-            assert huge.sigma2_hat.tolist() == [variance.sigma2]
+            sigma2 = plugin_sigma2(CountTable(n1=n1_huge[0], n0=n0_huge[0]))
+            assert huge.sigma2_hat.tolist() == [sigma2]
 
     @pytest.mark.parametrize("r", [2, 50, 1000])
     def test_in_place_kernel_keeps_every_bit(self, r):
@@ -625,7 +625,7 @@ class TestRunExperiment:
         config = make_config(test_model, checks=("lln", "clt", "coverage"))
         result = run_experiment(config)
         summary = result.summary
-        assert summary.sigma2_exact == exact_sigma2(test_model).sigma2
+        assert summary.sigma2_exact == exact_sigma2(test_model)
         assert summary.true_divergence == test_model.sym_divergence()
         assert [s.n for s in summary.per_n] == [300, 900]
         for s in summary.per_n:
@@ -756,7 +756,7 @@ class TestColumnarSummaries:
         config = make_config(test_model, n_values=(2, 6, 40, 300), replications=300)
         records = run_experiment(config).records
         assert records.degenerate.any() and not records.degenerate.all()
-        sigma = math.sqrt(exact_sigma2(test_model).sigma2)
+        sigma = math.sqrt(exact_sigma2(test_model))
         want = reference_summaries(records, sigma)
         per_n = evaluate(config, records, ()).per_n
         assert [s.n for s in per_n] == list(want)
