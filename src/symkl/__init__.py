@@ -42,7 +42,6 @@ from .model import (
     SIMPLEX_ATOL,
     CountTable,
     PopulationModel,
-    as_positive_prob_vector,
     as_prob_vector,
     sample_batch,
     sym_kl_divergence,
@@ -88,7 +87,6 @@ __all__ = [
     "PopulationModel",
     "ReplicationColumns",
     "SampleSizeSummary",
-    "as_positive_prob_vector",
     "as_prob_vector",
     "bound_table",
     "check_bound_rows",

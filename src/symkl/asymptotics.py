@@ -60,6 +60,17 @@ def normal_quantile(prob: float) -> float:
     return NormalDist().inv_cdf(prob)
 
 
+def interval_z(level, name: str) -> float:
+    """Quantile ``z`` at ``(1 + level) / 2`` of a two-sided interval; a ValueError
+    names ``name`` unless ``level`` is a real in (0, 1) and ``(1 + level) / 2 < 1``."""
+    level = as_real(level, name)
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"{name} must lie strictly in (0, 1), got {level!r}")
+    if (1.0 + level) / 2.0 == 1.0:
+        raise ValueError(f"{name} {level!r} is too close to 1: (1 + {name}) / 2 rounds to 1")
+    return normal_quantile((1.0 + level) / 2.0)
+
+
 def _coefficients(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sensitivities of the symmetric divergence to the label-1 and label-0
     cells of each symbol: ``b = 1 + ln(p / q) - q / p``, ``c = 1 + ln(q / p) - p / q``."""
@@ -167,23 +178,26 @@ def confidence_interval(estimate: EstimateResult, sigma2: float,
                         level: float) -> ConfidenceInterval:
     """Interval ``estimate +- z * sqrt(sigma2 / n)`` at the given level.
 
-    ``z`` is the standard normal quantile at ``(1 + level) / 2``.
+    ``z`` is :func:`interval_z` of ``level``.
 
     Raises
     ------
     DegenerateSampleError
         If the estimate itself is degenerate.
     ValueError
-        If ``level`` is outside (0, 1).
+        If :func:`interval_z` rejects ``level``, or ``sigma2`` is not a
+        finite real >= 0.
     """
     if estimate.degenerate:
         raise DegenerateSampleError(
             f"no interval for a degenerate estimate ({estimate.reason})"
         )
     level = as_real(level, "level")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie strictly in (0, 1), got {level!r}")
-    half = normal_quantile((1.0 + level) / 2.0) * math.sqrt(sigma2 / estimate.n)
+    z = interval_z(level, "level")
+    sigma2 = as_real(sigma2, "sigma2")
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be a finite real >= 0, got {sigma2!r}")
+    half = z * math.sqrt(sigma2 / estimate.n)
     return ConfidenceInterval(
         lower=estimate.value - half, upper=estimate.value + half, level=level, n=estimate.n
     )

@@ -113,21 +113,24 @@ class BoundTableRow:
         """A bound of 1 or more is trivially true."""
         return self.bound < 1.0
 
-    def empirically_valid(self) -> bool:
-        """True when the observed frequency does not contradict the bound.
-
-        The empirical frequency may exceed the bound by Monte Carlo noise
-        alone, so the check allows three binomial standard errors.
-        """
+    @property
+    def margin(self) -> float | None:
+        """``empirical - (bound + 3 stderr)``, None without an empirical frequency:
+        Monte Carlo noise alone may lift the frequency above the bound, so the
+        gate allows three binomial standard errors, and a positive margin misses."""
         if self.empirical is None:
-            return True
-        return self.empirical <= self.bound + 3.0 * self.stderr
+            return None
+        return self.empirical - (self.bound + 3.0 * self.stderr)
+
+    def empirically_valid(self) -> bool:
+        """No observed frequency, or one whose :attr:`margin` is at most 0."""
+        return self.empirical is None or self.margin <= 0.0
 
 
-def _exceed_counts(model: PopulationModel, n: int, g_values, k1, n1, n0) -> dict[str, np.ndarray]:
+def _exceed_counts(model: PopulationModel, n: int, g_values, n1, n0) -> dict[str, np.ndarray]:
     """Count the tables whose deviation statistic exceeds each g.
 
-    ``k1, n1, n0`` are tables of size n, a block or a row slice of one, as
+    ``n1, n0`` are tables of size n, a block or a row slice of one, as
     :func:`~symkl.model.sample_counts` returns them.  Per bound name, the
     counts are int64 of shape ``(len(g_values),)`` for the label frequency
     and ``(len(g_values), r)``, one per cell, for the others; each
@@ -139,6 +142,7 @@ def _exceed_counts(model: PopulationModel, n: int, g_values, k1, n1, n0) -> dict
     q = 1.0 - p
     pv = model.cond_p
     qv = model.cond_q
+    k1 = n1.sum(axis=1, dtype=np.int64)  # exact: a row holds its label-1 draws
     k0 = n - k1
     k1, p_hat, q_hat = (a.astype(np.float64) for a in (k1, n1, n0))
     dev = np.empty_like(p_hat)

@@ -31,7 +31,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .asymptotics import confidence_interval, plugin_sigma2
+from .asymptotics import confidence_interval, interval_z, plugin_sigma2
 from .estimator import DegenerateSampleError, plug_in_estimate
 from .io import (
     CountsFormatError,
@@ -79,8 +79,7 @@ def _fmt(value: float) -> str:
 
 
 def cmd_estimate(args) -> int:
-    if not 0.0 < args.level < 1.0:  # a usage error, whatever the counts
-        raise ValueError(f"level must lie strictly in (0, 1), got {args.level!r}")
+    interval_z(args.level, "level")  # a usage error, whatever the counts
     try:
         counts = read_counts_csv(args.counts)
     except FileNotFoundError:

@@ -65,7 +65,8 @@ def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
     """Validate ``values`` as a probability vector.
 
     Returns a read-only float64 copy.  Requires a 1-d array of length >= 2
-    with finite nonnegative entries summing to 1 within ``SIMPLEX_ATOL``.
+    with finite nonnegative entries summing to 1 within ``SIMPLEX_ATOL``,
+    each of them above ``EPS_POSITIVE``.
     """
     vec = as_real(values, name, array=True)
     if vec.ndim != 1:
@@ -84,19 +85,11 @@ def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
         raise ValueError(
             f"{name} sums to {total!r}; expected 1 within {SIMPLEX_ATOL}"
         )
+    if np.any(vec <= EPS_POSITIVE):
+        raise ValueError(f"{name} must be strictly positive; min entry {float(vec.min())!r}")
     out = vec.copy()
     out.flags.writeable = False
     return out
-
-
-def as_positive_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
-    """Like :func:`as_prob_vector` but every entry must exceed ``EPS_POSITIVE``."""
-    vec = as_prob_vector(values, name=name)
-    if np.any(vec <= EPS_POSITIVE):
-        raise ValueError(
-            f"{name} must be strictly positive; min entry {float(vec.min())!r}"
-        )
-    return vec
 
 
 def _check_same_length(p: np.ndarray, q: np.ndarray) -> None:
@@ -120,8 +113,8 @@ def sym_kl_divergence(p, q) -> float:
     nonnegative with no clamping, and swapping the arguments permutes
     nothing: the result is bitwise symmetric in ``p`` and ``q``.
     """
-    p = as_positive_prob_vector(p, name="p")
-    q = as_positive_prob_vector(q, name="q")
+    p = as_prob_vector(p, name="p")
+    q = as_prob_vector(q, name="q")
     _check_same_length(p, q)
     return _jeffreys(p, q)
 
@@ -148,8 +141,8 @@ class PopulationModel:
         prob = as_real(self.label_prob, "label_prob")
         if not math.isfinite(prob) or not 0.0 < prob < 1.0:
             raise ValueError(f"label_prob must lie strictly in (0, 1), got {prob!r}")
-        p = as_positive_prob_vector(self.cond_p, name="cond_p")
-        q = as_positive_prob_vector(self.cond_q, name="cond_q")
+        p = as_prob_vector(self.cond_p, name="cond_p")
+        q = as_prob_vector(self.cond_q, name="cond_q")
         _check_same_length(p, q)
         object.__setattr__(self, "label_prob", prob)
         object.__setattr__(self, "cond_p", p)
@@ -245,7 +238,7 @@ def _as_count_row(values, *, name: str) -> np.ndarray:
 
 def sample_counts(
     model: PopulationModel, n: int, rows: int, stream: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``rows`` independent count tables of ``n`` labeled samples each.
 
     Per row, the label-1 count is Binomial(n, label_prob) and the symbol
@@ -257,15 +250,12 @@ def sample_counts(
 
     Returns
     -------
-    k1 : numpy.ndarray
-        ``(rows,)`` int64 label-1 counts, the row sums of ``n1``.
     n1, n0 : numpy.ndarray
-        ``(rows, r)`` int64 symbol counts among label-1 and label-0 draws.
+        ``(rows, r)`` int64 symbol counts among label-1 and label-0 draws, as
+        :class:`CountTable` holds them; a row of ``n1`` sums to its label-1 count.
     """
     k1 = stream.binomial(n, model.label_prob, size=rows)
-    n1 = stream.multinomial(k1, model.cond_p)
-    n0 = stream.multinomial(n - k1, model.cond_q)
-    return k1, n1, n0
+    return stream.multinomial(k1, model.cond_p), stream.multinomial(n - k1, model.cond_q)
 
 
 def block_rows(r: int) -> int:
@@ -283,8 +273,8 @@ class TableBlock:
     size: int
     key: tuple[int, int, int]  # (master_seed, n_index, block_index)
 
-    def draw(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``k1, n1, n0`` of the block's tables, as :func:`sample_counts` returns them."""
+    def draw(self) -> tuple[np.ndarray, np.ndarray]:
+        """``n1, n0`` of the block's tables, as :func:`sample_counts` returns them."""
         return sample_counts(self.model, self.n, self.size, block_stream(*self.key))
 
 
@@ -324,5 +314,5 @@ def sample_batch(model: PopulationModel, n: int, stream: np.random.Generator) ->
     n = as_integral(n, "n")
     if not 1 <= n <= MAX_COUNT:
         raise ValueError("sample sizes must be >= 1 and at most 2**63 - 1")
-    _, n1, n0 = sample_counts(model, n, 1, stream)
+    n1, n0 = sample_counts(model, n, 1, stream)
     return CountTable(n1=n1[0], n0=n0[0])

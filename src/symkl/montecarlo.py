@@ -41,8 +41,8 @@ import numpy as np
 from .asymptotics import (
     confidence_interval,  # noqa: F401  (perfbench's tracer wraps it here)
     exact_sigma2,
+    interval_z,
     normal_cdf,
-    normal_quantile,
     plugin_sigma2,  # noqa: F401  (perfbench's tracer wraps it here)
 )
 from .bounds import DEFAULT_G_GRID, BoundTableRow, _exceed_counts, bound_table_rows
@@ -113,7 +113,7 @@ class ExperimentConfig:
     master_seed : int
         Seed for the replication streams, in ``[0, 2**64)``.
     ci_level : float
-        Confidence level in (0, 1).
+        Confidence level in (0, 1), as :func:`~symkl.asymptotics.interval_z` takes it.
     checks : tuple of str
         Subset of ``CHECK_NAMES`` to evaluate after the run.
     """
@@ -135,8 +135,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
         level = as_real(self.ci_level, "ci_level")
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"ci_level must lie strictly in (0, 1), got {level!r}")
+        interval_z(level, "ci_level")
         checks = tuple(self.checks)
         unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
@@ -399,14 +398,14 @@ def _block_pass(task):
     """
     block, truth, z, g_values = task
     _pin_heap()
-    k1, n1, n0 = block.draw()
+    n1, n0 = block.draw()
     parts = []
     for rows in _row_slices(*n1.shape):
         columns = counts = None
         if z is not None:
             columns = replication_columns(n1[rows], n0[rows], truth, z, block.start + rows.start)
         if g_values:
-            counts = _exceed_counts(block.model, block.n, g_values, k1[rows], n1[rows], n0[rows])
+            counts = _exceed_counts(block.model, block.n, g_values, n1[rows], n0[rows])
         parts.append((columns, counts))
     return parts
 
@@ -558,29 +557,25 @@ def _median(values) -> float:
     return float(part[k]) if odd else float((part[k - 1] + part[k]) / 2.0)
 
 
-def _n_slices(n: np.ndarray) -> list[tuple[int, slice]]:
-    """``(sample size, rows)`` for each run of equal ``n``, in row order."""
-    steps = np.diff(n)
-    if np.any(steps < 0):
-        raise ValueError("records must be sorted by n")
-    edges = [0, *(np.flatnonzero(steps) + 1).tolist(), len(n)]
-    return [(int(n[a]), slice(a, b)) for a, b in zip(edges, edges[1:]) if a < b]
-
-
 def _variance(arr: np.ndarray) -> float | None:
     if arr.size < 2:
         return None
     return float(np.var(arr, ddof=1))
 
 
-def _per_n(records: ReplicationColumns, sigma_exact: float) -> list[SampleSizeSummary]:
-    """One summary per sample size of the n-sorted ``records``, ascending in n;
-    the statistics cover the non-degenerate rows and are None without any.
-    The derived columns are made for one n at a time, one at a time, so the
-    scratch is a few floats per row of one n."""
+def _per_n(config: ExperimentConfig, records: ReplicationColumns,
+           sigma_exact: float) -> list[SampleSizeSummary]:
+    """One summary per sample size of ``config``, none without ``records``, whose
+    rows ``i R .. (i + 1) R`` hold the ``R`` replications at ``n_values[i]``, in
+    :func:`_table_pass` order.  The statistics cover the non-degenerate rows and
+    are None without any.  The derived columns are made for one n at a time, one
+    at a time, so the scratch is a few floats per row of one n."""
+    reps = config.replications
+    if len(records) not in (0, reps * len(config.n_values)):
+        raise ValueError(f"expected 0 or {reps * len(config.n_values)} records, got {len(records)}")
     summaries = []
-    for n, rows in _n_slices(records.n):
-        at_n = records[rows]
+    for i, n in enumerate(config.n_values if len(records) else ()):
+        at_n = records[i * reps:(i + 1) * reps]
         valid = ~at_n.degenerate
         counts = dict(
             n=n,
@@ -631,10 +626,11 @@ def _check_lln(per_n) -> CheckResult:
     return CheckResult(name="lln", passed=decreasing, detail=detail)
 
 
-def _check_largest(name: str, largest: SampleSizeSummary, level: float) -> CheckResult:
-    """The ``clt`` or ``coverage`` check on the summary at the largest n."""
-    n = largest.n
-    value = largest.ks_normalized if name == "clt" else largest.coverage
+def _check_largest(name: str, largest: SampleSizeSummary | None,
+                   config: ExperimentConfig) -> CheckResult:
+    """The ``clt`` or ``coverage`` check on the summary at the largest n, if any."""
+    n, level = config.n_values[-1], config.ci_level
+    value = largest and (largest.ks_normalized if name == "clt" else largest.coverage)
     if value is None:
         return CheckResult(name=name, passed=False, detail=f"no usable replications at n={n}")
     if name == "clt":
@@ -653,20 +649,18 @@ def _check_largest(name: str, largest: SampleSizeSummary, level: float) -> Check
 def check_bound_rows(rows) -> CheckResult:
     """Fold a bound table into one pass/fail result.
 
-    A failure names the grid point with the largest margin
-    ``empirical - (bound + 3 stderr)``, the amount by which it misses.
+    A failure names the grid point with the largest
+    :attr:`~symkl.bounds.BoundTableRow.margin`, the amount by which it misses.
     """
     bad = [r for r in rows if not r.empirically_valid()]
     if bad:
-        margins = [r.empirical - (r.bound + 3.0 * r.stderr) for r in bad]
-        margin = max(margins)
-        worst = bad[margins.index(margin)]
+        worst = max(bad, key=lambda r: r.margin)
         return CheckResult(
             name="bounds",
             passed=False,
             detail=(
                 f"{len(bad)} grid points exceed their bound; largest margin "
-                f"empirical - (bound + 3 stderr) = {margin:.6g} at "
+                f"empirical - (bound + 3 stderr) = {worst.margin:.6g} at "
                 f"{worst.name} n={worst.n} g={worst.g} "
                 f"(empirical={worst.empirical:.6g} bound={worst.bound:.6g} "
                 f"stderr={worst.stderr:.6g})"
@@ -683,21 +677,15 @@ def evaluate(config: ExperimentConfig, records: ReplicationColumns,
              bound_rows: tuple[BoundTableRow, ...]) -> ExperimentSummary:
     """Reduce ``records`` to one summary per sample size and evaluate the checks.
 
-    ``records`` are sorted by n; ``per_n`` covers the sample sizes that
-    have records, so it is empty when there are none.  ``lln`` reads
-    ``per_n``; ``clt`` and ``coverage`` read its entry at the largest
-    configured n, a summary of no replications when that n has no records,
-    so they fail with "no usable replications".  ``bounds`` reads
+    ``records`` are those of :func:`_table_pass`, or none; ``per_n`` has
+    one entry per configured n, or none without records.  ``lln`` reads
+    ``per_n``; ``clt`` and ``coverage`` read its last entry, so without
+    records they fail with "no usable replications".  ``bounds`` reads
     ``bound_rows``.
     """
     sigma2 = exact_sigma2(config.model)
-    per_n = _per_n(records, math.sqrt(sigma2))
-    largest_n = config.n_values[-1]
-    largest = next(
-        (s for s in per_n if s.n == largest_n),
-        SampleSizeSummary(largest_n, replications=0, degenerate_count=0,
-                          degenerate_empty_label=0, degenerate_empty_cell=0),
-    )
+    per_n = _per_n(config, records, math.sqrt(sigma2))
+    largest = per_n[-1] if per_n else None
     checks: list[CheckResult] = []
     for name in config.checks:
         if name == "lln":
@@ -705,7 +693,7 @@ def evaluate(config: ExperimentConfig, records: ReplicationColumns,
         elif name == "bounds":
             checks.append(check_bound_rows(bound_rows))
         else:
-            checks.append(_check_largest(name, largest, config.ci_level))
+            checks.append(_check_largest(name, largest, config))
 
     return ExperimentSummary(
         true_divergence=config.model.sym_divergence(),
@@ -726,7 +714,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     check has data, and ``lln``, ``clt`` and ``coverage`` fail.
     """
     g_values = DEFAULT_G_GRID if "bounds" in config.checks else ()
-    z = normal_quantile((1.0 + config.ci_level) / 2.0) if records else None
+    z = interval_z(config.ci_level, "ci_level") if records else None
     columns, bound_rows = _table_pass(config.model, config.n_values, config.replications,
                                       config.master_seed, workers, z, g_values)
     return ExperimentResult(records=columns, summary=evaluate(config, columns, tuple(bound_rows)))

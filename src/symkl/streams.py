@@ -56,8 +56,6 @@ def _philox(master_seed: int, tag: int, n_index: int, index: int) -> np.random.G
     index = as_integral(index, "rep_index or block_index")
     if not 0 <= master_seed < 1 << 64:
         raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-    if not 0 <= tag < 1 << 16:
-        raise ValueError(f"tag must be in [0, 2^16), got {tag}")
     if not 0 <= n_index < N_INDEX_LIMIT:
         raise ValueError(f"n_index must be in [0, 2^16), got {n_index}")
     if not 0 <= index < REP_INDEX_LIMIT:

@@ -7,6 +7,7 @@ from symkl import (
     CountTable,
     DegenerateSampleError,
     EstimateResult,
+    ExperimentConfig,
     PopulationModel,
     confidence_interval,
     exact_sigma2,
@@ -16,7 +17,7 @@ from symkl import (
     plug_in_estimate,
     plugin_sigma2,
 )
-from symkl.asymptotics import _coefficients
+from symkl.asymptotics import _coefficients, interval_z
 from symkl.streams import block_stream
 
 from conftest import random_model
@@ -300,6 +301,24 @@ class TestConfidenceInterval:
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError, match="level"):
                 confidence_interval(est, sigma2, bad)
+
+    def test_level_whose_quantile_argument_rounds_to_one(self, test_model):
+        # 1 + (1 - 2**-53) rounds to 2, so (1 + level) / 2 would be 1.0
+        level = 1.0 - 2.0**-53
+        assert level == 0.9999999999999999 and (1.0 + level) / 2.0 == 1.0
+        message = "level 0.9999999999999999 is too close to 1: (1 + level) / 2 rounds to 1"
+        for call in (lambda: interval_z(level, "level"),
+                     lambda: confidence_interval(self.estimate(), 1.0, level)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+        with pytest.raises(ValueError, match=r"^ci_level 0\.9999999999999999 is too close to 1"):
+            ExperimentConfig(test_model, (10,), 2, 0, ci_level=level)
+        # the next level down has its quantile argument below 1
+        below = 1.0 - 2.0**-52
+        assert interval_z(below, "level") == normal_quantile((1.0 + below) / 2.0) > 8.0
+        assert confidence_interval(self.estimate(), 1.0, below).level == below
+        assert ExperimentConfig(test_model, (10,), 2, 0, ci_level=below).ci_level == below
 
     def test_degenerate_estimate_rejected(self, test_model):
         degenerate = plug_in_estimate(

@@ -42,18 +42,25 @@ def swap_labels(model: PopulationModel) -> PopulationModel:
     )
 
 
+def label_counts(model, n, rows, stream):
+    """The label-1 counts of ``sample_counts`` on a fresh ``stream``: its first draw."""
+    return stream.binomial(n, model.label_prob, size=rows)
+
+
 def reference_tables(model, n, n_index, replications, master_seed):
     """The estimator's count tables at one sample size, as whole arrays.
 
     Block ``b`` holds ``block_rows(r)`` rows (the last one the remainder)
-    drawn by ``sample_counts`` from ``block_stream(master_seed, n_index, b)``.
+    drawn by ``sample_counts`` from ``block_stream(master_seed, n_index, b)``;
+    ``k1`` is drawn again from the same stream, not summed from ``n1``.
     """
     step = block_rows(model.r)
-    blocks = [
-        sample_counts(model, n, min(step, replications - start),
-                      block_stream(master_seed, n_index, start // step))
-        for start in range(0, replications, step)
-    ]
+    blocks = []
+    for start in range(0, replications, step):
+        rows = min(step, replications - start)
+        key = (master_seed, n_index, start // step)
+        blocks.append((label_counts(model, n, rows, block_stream(*key)),
+                       *sample_counts(model, n, rows, block_stream(*key))))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -421,11 +428,25 @@ class TestBoundTable:
             with pytest.raises(ValueError, match="master_seed must fit in an unsigned 64-bit"):
                 bound_table(test_model, [10], [0.1], replications=1, master_seed=master_seed)
 
+    def test_margin_at_the_gate(self):
+        # empirical exactly bound + 3 stderr is within the gate; the next double above is not
+        bound, stderr = 0.1, 0.01
+        edge = bound + 3.0 * stderr
+        for empirical, margin, valid in ((edge, 0.0, True),
+                                         (math.nextafter(edge, 1.0), math.ulp(edge), False)):
+            row = BoundTableRow(name="label_freq", n=10, g=0.5, bound=bound,
+                                empirical=empirical, stderr=stderr)
+            assert row.margin == margin
+            assert row.empirically_valid() is valid
+            assert check_bound_rows([row]).passed is valid
+        assert BoundTableRow("label_freq", 10, 0.5, 2.0, None, None).margin is None
+
     def test_invalid_row_detected(self, test_model):
         row = BoundTableRow(
             name="label_freq", n=10, g=0.5, bound=0.01, empirical=0.5, stderr=0.01,
         )
         assert not row.empirically_valid()
+        assert row.margin == 0.5 - (0.01 + 3.0 * 0.01)
         check = check_bound_rows([row])
         assert not check.passed
         assert check.detail == (
@@ -491,7 +512,8 @@ class TestBlockedCounting:
         empty_label = empty_cell = False
         tied = set()
         for n_index, n in enumerate([1, 6, 400]):
-            k1, n1, n0 = sample_counts(model, n, block_rows(r), block_stream(r, n_index, 0))
+            k1 = label_counts(model, n, block_rows(r), block_stream(r, n_index, 0))
+            n1, n0 = sample_counts(model, n, block_rows(r), block_stream(r, n_index, 0))
             empty_label |= bool(np.any(k1 == 0) and np.any(k1 == n))
             empty_cell |= bool(np.any((n1 == 0) & (k1 > 0)[:, None]))
             stats = reference_deviation_stats(model, n, k1, n1, n0)
@@ -503,7 +525,7 @@ class TestBlockedCounting:
                     ties[name] = float(realised[len(realised) // 2])
             tied |= ties.keys()
             g_values = sorted({*ties.values(), 0.05, 0.5})
-            counts = _exceed_counts(model, n, g_values, k1, n1, n0)
+            counts = _exceed_counts(model, n, g_values, n1, n0)
             assert counts.keys() == stats.keys()
             for name, stat in stats.items():
                 # joint cells are one-sided; the other statistics are absolute

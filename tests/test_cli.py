@@ -126,11 +126,17 @@ class TestEstimate:
         assert message in err
 
     def test_bad_level_exit_1(self, tmp_path, capsys):
-        # a usage error whether or not the table has an estimate
-        for text in ("3,1\n1,3\n", "0,3\n1,3\n"):
-            code, out, err = run(capsys, "estimate", counts_file(tmp_path, text), "--level", "1.5")
-            assert (code, out) == (1, "")
-            assert "level must lie strictly in (0, 1)" in err
+        # a usage error whether or not the table has an estimate; at the
+        # largest double below 1, (1 + level) / 2 rounds to 1
+        for level, message in (
+            ("1.5", "error: level must lie strictly in (0, 1), got 1.5\n"),
+            ("0.9999999999999999", "error: level 0.9999999999999999 is too close to 1: "
+                                   "(1 + level) / 2 rounds to 1\n"),
+        ):
+            for text in ("3,1\n1,3\n", "0,3\n1,3\n"):
+                code, out, err = run(capsys, "estimate", counts_file(tmp_path, text),
+                                     "--level", level)
+                assert (code, out, err) == (1, "", message)
 
     def test_missing_argument_exit_1(self, capsys):
         code, _, err = run(capsys, "estimate")
@@ -419,6 +425,17 @@ class TestSimulate:
         out_dir = tmp_path / "results"
         run(capsys, command, "--config", config, "--out-dir", str(out_dir), "--level", "0.8")
         assert json.loads((out_dir / "summary.json").read_text())["ci_level"] == 0.8
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_level_just_below_one_exit_1(self, tmp_path, capsys, dry_run):
+        # the check runs with the config's, before the output directory is made
+        out_dir = tmp_path / "results"
+        where = ["--dry-run"] if dry_run else ["--out-dir", str(out_dir)]
+        code, out, err = run(capsys, "clt-check", "--level", "0.9999999999999999", *where)
+        assert (code, out) == (1, "")
+        assert err == ("error: ci_level 0.9999999999999999 is too close to 1: "
+                       "(1 + ci_level) / 2 rounds to 1\n")
+        assert not out_dir.exists()
 
     def test_one_non_degenerate_row_has_no_variance(self, tmp_path, capsys):
         out_dir = tmp_path / "results"

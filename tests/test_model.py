@@ -9,7 +9,6 @@ from symkl import (
     EstimateResult,
     ExperimentConfig,
     PopulationModel,
-    as_positive_prob_vector,
     as_prob_vector,
     bound_table,
     confidence_interval,
@@ -19,7 +18,7 @@ from symkl import (
     sample_batch,
     sym_kl_divergence,
 )
-from symkl.model import sample_counts
+from symkl.model import TableBlock, sample_counts
 from symkl.streams import block_stream, replication_stream
 
 from conftest import random_simplex
@@ -73,14 +72,14 @@ class TestProbVectorValidation:
 
     def test_positive_rejects_zero_entry(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            as_positive_prob_vector([0.0, 1.0])
+            as_prob_vector([0.0, 1.0])
 
     def test_positive_rejects_entry_at_epsilon(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            as_positive_prob_vector([1e-13, 1.0 - 1e-13])
+            as_prob_vector([1e-13, 1.0 - 1e-13])
 
     def test_positive_accepts_small_entries(self):
-        as_positive_prob_vector([1e-3, 1.0 - 1e-3])
+        as_prob_vector([1e-3, 1.0 - 1e-3])
 
 
 class TestDivergences:
@@ -243,6 +242,18 @@ class TestPopulationModel:
     pytest.param(lambda: ks_statistic([{}, 1.0]), r"values must be real, got \{\}$",
                  id="ks_statistic-dict"),
     pytest.param(lambda: normal_cdf({1.0}), r"x must be real, got \{1\.0\}$", id="normal_cdf-set"),
+    # a variance that is no finite real >= 0, not a math domain error or a bad interval
+    *(pytest.param(lambda sigma2=sigma2: confidence_interval(EstimateResult(1.0, None, 8),
+                                                             sigma2, 0.95),
+                   message, id=f"confidence_interval-sigma2-{sigma2!r}")
+      for sigma2, message in (
+          (-1.0, r"sigma2 must be a finite real >= 0, got -1\.0$"),
+          (math.nan, "sigma2 must be a finite real >= 0, got nan$"),
+          (math.inf, "sigma2 must be a finite real >= 0, got inf$"),
+          ("1.0", "sigma2 must be real, got '1.0'$"),
+          (None, "sigma2 must be real, got None$"),
+          (1 + 0j, r"sigma2 must be real, got \(1\+0j\)$"),
+      )),
 ])
 def test_integer_beyond_float_range_is_a_value_error(call, message):
     # a ValueError naming the argument, not numpy's or float()'s OverflowError,
@@ -375,12 +386,26 @@ class TestSampleCounts:
         k1 = rng.binomial(700, test_model.label_prob, size=5)
         n1 = rng.multinomial(k1, test_model.cond_p)
         n0 = rng.multinomial(700 - k1, test_model.cond_q)
-        got_k1, got_n1, got_n0 = sample_counts(test_model, 700, 5, replication_stream(3, 1, 4))
+        got_n1, got_n0 = sample_counts(test_model, 700, 5, replication_stream(3, 1, 4))
         assert got_n1.shape == got_n0.shape == (5, 2)
-        assert np.array_equal(got_k1, k1)
         assert np.array_equal(got_n1, n1) and np.array_equal(got_n0, n0)
+        # the label-1 counts are the row sums of n1, exactly
+        assert got_n1.sum(axis=1).dtype == np.int64
         assert np.array_equal(got_n1.sum(axis=1), k1)
         assert np.all(got_n1.sum(axis=1) + got_n0.sum(axis=1) == 700)
+
+
+    def test_two_arrays_as_count_table_holds_them(self, test_model):
+        tables = sample_counts(test_model, 50, 3, replication_stream(1, 0, 0))
+        assert len(tables) == 2
+        block = TableBlock(test_model, 50, 0, 3, (1, 0, 0))
+        drawn = block.draw()
+        assert len(drawn) == 2
+        want = sample_counts(test_model, 50, 3, block_stream(1, 0, 0))
+        for got, expected in zip(drawn, want):
+            assert np.array_equal(got, expected)
+        for n1, n0 in zip(*drawn):
+            assert CountTable(n1=n1, n0=n0).n == 50
 
 
 class TestRandomSimplexHelper:

@@ -220,15 +220,18 @@ class TestCoverageAndCurve:
         with pytest.raises(ValueError, match="non-degenerate"):
             coverage_rate(make_columns([make_record(100, 0, degenerate=True)]))
 
-    def test_lln_curve_medians(self):
+    def test_lln_curve_medians(self, test_model):
         records = [make_record(100, i, eta=e) for i, e in enumerate((0.1, -0.3, 0.2))]
         records += [make_record(1000, i, eta=e) for i, e in enumerate((0.05, -0.01, 0.02))]
-        result = _check_lln(_per_n(make_columns(records), 0.0))
+        config = make_config(test_model, n_values=(100, 1000), replications=3)
+        result = _check_lln(_per_n(config, make_columns(records), 0.0))
         assert result == CheckResult(name="lln", passed=True,
                                      detail="median |error| by n: 100: 0.2, 1000: 0.02")
 
-    def test_lln_curve_needs_two_sizes(self):
-        result = _check_lln(_per_n(make_columns([make_record(100, i) for i in range(5)]), 0.0))
+    def test_lln_curve_needs_two_sizes(self, test_model):
+        config = make_config(test_model, n_values=(100,), replications=5)
+        result = _check_lln(_per_n(config, make_columns([make_record(100, i) for i in range(5)]),
+                                   0.0))
         assert not result.passed
         assert "2 distinct" in result.detail
 
@@ -239,11 +242,12 @@ class TestCoverageAndCurve:
             sample = rng.standard_normal(size) * 10.0 ** int(rng.integers(-6, 6))
             assert _median(sample) == float(np.median(sample))
 
-    def test_lln_curve_names_all_degenerate_sizes(self):
-        records = [make_record(n, i, degenerate=True) for n in (100, 2000) for i in range(3)]
+    def test_lln_curve_names_all_degenerate_sizes(self, test_model):
+        records = [make_record(n, i, degenerate=True) for n in (100, 2000) for i in range(4)]
         records += [make_record(20000, i, eta=0.01) for i in range(3)]
         records.append(make_record(20000, 3, degenerate=True))
-        result = _check_lln(_per_n(make_columns(records), 0.0))
+        config = make_config(test_model, n_values=(100, 2000, 20000), replications=4)
+        result = _check_lln(_per_n(config, make_columns(records), 0.0))
         assert not result.passed
         message = result.detail
         assert "2 distinct" in message
@@ -367,7 +371,7 @@ class TestReplicationColumns:
                     cond_q=random_simplex(rng, r, min_entry=1e-7),
                 )
                 for n in (4 * r, large_n):
-                    tables.append(sample_counts(model, n, 10, rng)[1:])
+                    tables.append(sample_counts(model, n, 10, rng))
             n1 = np.vstack([t[0] for t in tables])
             n0 = np.vstack([t[1] for t in tables])
             cols = assert_columns_match_oracle(n1, n0, truth=0.5)
@@ -432,16 +436,16 @@ class TestReplicationColumns:
                                 cond_q=random_simplex(rng, r, min_entry=0.0))
         blocks = []
         for n in (4 * r, 10**5 * r):
-            _, n1, n0 = sample_counts(model, n, block_rows(r), rng)
+            n1, n0 = sample_counts(model, n, block_rows(r), rng)
             n1[0] = 0
             n0[1] = 0
             blocks.append((n1, n0))
         # blocks of degenerate rows only, computed and then masked: every row
         # has an empty cell, or every row has an empty label class
-        _, n1, n0 = sample_counts(model, 10**5 * r, block_rows(r), rng)
+        n1, n0 = sample_counts(model, 10**5 * r, block_rows(r), rng)
         n1[:, -1] = 0
         blocks.append((n1, n0))
-        _, n1, n0 = sample_counts(model, 10**5 * r, block_rows(r), rng)
+        n1, n0 = sample_counts(model, 10**5 * r, block_rows(r), rng)
         n1[::2] = 0
         n0[1::2] = 0
         blocks.append((n1, n0))
@@ -467,7 +471,7 @@ class TestReplicationColumns:
         for r, n, most in ((1000, 10**9, 7), (2, 2 * 10**6, 11)):
             model = PopulationModel(label_prob=0.4, cond_p=random_simplex(rng, r, min_entry=0.0),
                                     cond_q=random_simplex(rng, r, min_entry=0.0))
-            _, n1, n0 = sample_counts(model, n, block_rows(r), rng)
+            n1, n0 = sample_counts(model, n, block_rows(r), rng)
             assert n1.shape == (block_rows(r), r)
             n1[0, 0] = 0
             peak = traced_peak(replication_columns, n1, n0, 0.1, 1.96)
@@ -515,19 +519,18 @@ class TestBlockSlices:
                                 cond_p=0.5 / r + 0.5 * random_simplex(rng, r, min_entry=0.0),
                                 cond_q=0.5 / r + 0.5 * random_simplex(rng, r, min_entry=0.0))
         n = 400 * r
-        k1, n1, n0 = sample_counts(model, n, rows, rng)
+        n1, n0 = sample_counts(model, n, rows, rng)
         # empty label classes and empty cells in the first, a middle and the last slice
         for i in (0, slices[1].start + 1, rows - 1):
             n0[i] += n1[i]
-            n1[i] = k1[i] = 0
+            n1[i] = 0
         for i in (1, slices[-1].start):
             n1[i] += n0[i]
             n0[i] = 0
-            k1[i] = n
         for i in (2, slices[1].stop - 1, rows - 2):
             n1[i, 1] += n1[i, 0]
             n1[i, 0] = 0
-        block = SimpleNamespace(model=model, n=n, start=7, draw=lambda: (k1, n1, n0))
+        block = SimpleNamespace(model=model, n=n, start=7, draw=lambda: (n1, n0))
         g_values = (1e-3, 0.01, 0.1)
         parts = montecarlo._block_pass((block, 0.25, 1.96, g_values))
         assert len(parts) == len(slices)
@@ -545,7 +548,7 @@ class TestBlockSlices:
             got_column, want_column = getattr(columns, name), getattr(want, name)
             assert got_column.dtype == want_column.dtype, name
             assert got_column.tobytes() == want_column.tobytes(), name
-        want_counts = _exceed_counts(model, n, g_values, k1, n1, n0)
+        want_counts = _exceed_counts(model, n, g_values, n1, n0)
         assert counts.keys() == want_counts.keys()
         for name, count in want_counts.items():
             assert counts[name].dtype == np.int64, name
@@ -771,10 +774,13 @@ class TestColumnarSummaries:
             f"{n}: {v:.6g}" for n, v in curve.items()
         )
 
-    def test_rows_must_be_sorted_by_n(self, test_model):
-        records = make_columns([make_record(1000, 0), make_record(100, 0), make_record(1000, 1)])
-        with pytest.raises(ValueError, match="sorted by n"):
-            evaluate(make_config(test_model), records, ())
+    def test_records_must_fill_the_layout(self, test_model):
+        # 2 sample sizes x 40 replications: 0 or 80 rows
+        config = make_config(test_model)
+        for rows in (3, 40, 81):
+            records = make_columns([make_record(300, i) for i in range(rows)])
+            with pytest.raises(ValueError, match=f"^expected 0 or 80 records, got {rows}$"):
+                evaluate(config, records, ())
 
     def test_empty_records_give_no_per_n(self, test_model):
         summary = evaluate(make_config(test_model), ReplicationColumns.empty(), ())
@@ -828,15 +834,16 @@ class TestOneReduction:
         config = make_config(test_model, checks=("lln", "clt", "coverage"))
         records = run_experiment(config).records
         calls = []
-        n_slices = montecarlo._n_slices
+        select = ReplicationColumns.__getitem__
 
-        def counting(n):
-            calls.append(len(n))
-            return n_slices(n)
+        def counting(self, rows):
+            calls.append(rows)
+            return select(self, rows)
 
-        monkeypatch.setattr(montecarlo, "_n_slices", counting)
+        monkeypatch.setattr(ReplicationColumns, "__getitem__", counting)
         summary = evaluate(config, records, ())
-        assert calls == [len(records)]
+        # one slice per sample size, in the layout's order
+        assert calls == [slice(0, 40), slice(40, 80)]
         curve = {s.n: s.median_abs_eta for s in summary.per_n}
         assert None not in curve.values()
         assert summary.checks[0].detail == "median |error| by n: " + ", ".join(
