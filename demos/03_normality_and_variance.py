@@ -40,7 +40,7 @@ def main() -> None:
     print(f"  ratio to closed form:        {ratio:.4f}")
 
     sigma = sigma2 ** 0.5
-    records = result.records
+    (records,) = result.records  # the one sample size
     standardized = records.scaled_eta[~records.degenerate] / sigma
     ks = ks_statistic(standardized)
     print(f"\nKS distance of standardized errors from the normal CDF: {ks:.4f}")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .estimator import DegenerateSampleError, EstimateResult, _empirical
 from .model import CountTable, PopulationModel, as_real
+from .streams import as_integral
 
 _SQRT_HALF = 0.7071067811865476  # 1/sqrt(2) rounded to double
 _SQRT_HALF_LO = -4.833646656726457e-17  # 1/sqrt(2) - _SQRT_HALF
@@ -85,8 +86,8 @@ def influence_value(model: PopulationModel, x: int, y: int) -> float:
     influence coefficients and accumulated with compensated summation.
     The outcome distribution of one draw gives ``E W = 0``.
     """
-    x = int(x)
-    y = int(y)
+    x = as_integral(x, "x")
+    y = as_integral(y, "y")
     if not 0 <= x < model.r:
         raise ValueError(f"symbol index must lie in [0, {model.r}), got {x}")
     if y not in (0, 1):

@@ -14,7 +14,8 @@ Config JSON
 
 Records CSV
     One row per replication with the columns
-    ``rep_index,n,estimate,eta,scaled_eta,sigma2_hat,ci_lo,ci_hi,covered,degenerate``.
+    ``rep_index,n,estimate,eta,scaled_eta,sigma2_hat,ci_lo,ci_hi,covered,degenerate``,
+    one sample size after another, each in ``rep_index`` order.
     Reals carry 17 significant digits (value-preserving for float64),
     booleans are 1/0, and a degenerate row leaves its seven value fields
     empty.  Writing is deterministic: same records, same bytes.
@@ -22,6 +23,7 @@ Records CSV
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict
 
@@ -239,18 +241,21 @@ def _fmt_flag(value: bool) -> str:
     return "1" if value else "0"
 
 
-def write_records_csv(records: ReplicationColumns, path) -> None:
-    """Write replication records deterministically (17 significant digits)."""
+def write_records_csv(records: tuple[ReplicationColumns, ...], path) -> None:
+    """Write the :class:`ReplicationColumns` of ``records``, one sample size
+    after another, deterministically (17 significant digits); row ``i`` of
+    each is ``rep_index`` ``i``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(RECORDS_HEADER + "\n")
-        for start in range(0, len(records), _WRITE_ROWS):
-            block = records[start:start + _WRITE_ROWS]
-            rep_index, n = block.rep_index.tolist(), block.n.tolist()
-            values = (getattr(block, name).tolist() for name in _COLUMNS)
-            lines = list(map(_RECORD_LINE.__mod__, zip(rep_index, n, *values)))
-            for i in np.flatnonzero(block.degenerate).tolist():
-                lines[i] = _DEGENERATE_LINE % (rep_index[i], n[i])
-            fh.write("".join(lines))
+        for at_n in records:
+            for start in range(0, len(at_n), _WRITE_ROWS):
+                block = at_n[start:start + _WRITE_ROWS]
+                values = (getattr(block, name).tolist() for name in _COLUMNS)
+                rows = zip(itertools.count(start), itertools.repeat(at_n.n), *values)
+                lines = list(map(_RECORD_LINE.__mod__, rows))
+                for i in np.flatnonzero(block.degenerate).tolist():
+                    lines[i] = _DEGENERATE_LINE % (start + i, at_n.n)
+                fh.write("".join(lines))
 
 
 def write_bounds_csv(rows, path) -> None:

@@ -136,6 +136,8 @@ class ExperimentConfig:
             raise ValueError("n_values must be strictly increasing")
         level = as_real(self.ci_level, "ci_level")
         interval_z(level, "ci_level")
+        if isinstance(self.checks, (str, bytes)):
+            raise ValueError(f"checks must be a sequence of check names, got {self.checks!r}")
         checks = tuple(self.checks)
         unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
@@ -206,32 +208,29 @@ class ExperimentSummary:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Records sorted by (n, rep_index) plus their summary."""
+    """One records object per sample size, in ``n_values`` order, plus their summary."""
 
-    records: ReplicationColumns
+    records: tuple[ReplicationColumns, ...]
     summary: ExperimentSummary
 
 
 @dataclass(frozen=True, eq=False)
 class ReplicationColumns:
-    """Outcomes of replications, one numpy column per field.
+    """Outcomes of the replications at one sample size ``n``, one numpy column per field.
 
-    Row ``i`` holds the outcome for the ``i``-th count table: its sample
-    size ``n`` and ``rep_index`` (int64), its degeneracy ``reason`` code
-    (int8, one of the ``REASON_*`` constants of :mod:`symkl.estimator`),
-    its plug-in ``estimate`` and ``sigma2_hat`` (float64).  The run's
-    ``truth`` and interval quantile ``z`` are scalars.  ``eta``,
-    ``scaled_eta``, ``ci_lower``, ``ci_upper`` and ``covered`` are derived
-    from them on each access, by elementwise expressions, so a row's value
-    is the same whichever rows are selected.  A row is :attr:`degenerate`
-    when its reason is not ``REASON_NONE``; then the float columns hold NaN
-    and ``covered`` holds False.  The records of a run are sorted by
-    ``(n, rep_index)``.  Indexing with a slice, mask or index array
-    selects rows.
+    Row ``i`` holds the outcome for the table of ``rep_index`` ``i``: its
+    degeneracy ``reason`` code (int8, one of the ``REASON_*`` constants of
+    :mod:`symkl.estimator`), its plug-in ``estimate`` and ``sigma2_hat``
+    (float64).  The sample size ``n``, the run's ``truth`` and interval
+    quantile ``z`` are scalars.  ``eta``, ``scaled_eta``, ``ci_lower``,
+    ``ci_upper`` and ``covered`` are derived from them on each access, by
+    elementwise expressions, so a row's value is the same whichever rows are
+    selected.  A row is :attr:`degenerate` when its reason is not
+    ``REASON_NONE``; then the float columns hold NaN and ``covered`` holds
+    False.  Indexing with a slice, mask or index array selects rows.
     """
 
-    n: np.ndarray
-    rep_index: np.ndarray
+    n: int
     reason: np.ndarray
     estimate: np.ndarray
     sigma2_hat: np.ndarray
@@ -239,7 +238,7 @@ class ReplicationColumns:
     z: float
 
     def __len__(self) -> int:
-        return len(self.n)
+        return len(self.reason)
 
     @property
     def degenerate(self) -> np.ndarray:
@@ -254,7 +253,7 @@ class ReplicationColumns:
     @property
     def scaled_eta(self) -> np.ndarray:
         """Scaled error ``sqrt(n) * eta``."""
-        return np.sqrt(self.n) * self.eta
+        return math.sqrt(self.n) * self.eta
 
     def _half(self) -> np.ndarray:
         """Interval half-width ``z * sqrt(sigma2_hat / n)``."""
@@ -277,32 +276,29 @@ class ReplicationColumns:
         return (self.estimate - half <= self.truth) & (self.truth <= self.estimate + half)
 
     def __getitem__(self, rows) -> ReplicationColumns:
-        return ReplicationColumns(*(getattr(self, name)[rows] for name in _STORED),
+        return ReplicationColumns(self.n, *(getattr(self, name)[rows] for name in _STORED),
                                   self.truth, self.z)
 
     @classmethod
-    def empty(cls, rows: int = 0, truth: float = math.nan, z: float = math.nan
+    def empty(cls, rows: int = 0, n: int = 1, truth: float = math.nan, z: float = math.nan
               ) -> ReplicationColumns:
-        """``rows`` rows, with the kernel's column types, for the caller to fill."""
-        return cls(*(np.empty(rows, dtype) for dtype in _STORED.values()), truth, z)
+        """``rows`` rows at ``n``, with the kernel's column types, for the caller to fill."""
+        return cls(n, *(np.empty(rows, dtype) for dtype in _STORED.values()), truth, z)
 
 
 # The columns that ReplicationColumns stores, in field order, with the kernel's types.
-_STORED = dict(n=np.int64, rep_index=np.int64, reason=np.int8, estimate=np.float64,
-               sigma2_hat=np.float64)
+_STORED = dict(reason=np.int8, estimate=np.float64, sigma2_hat=np.float64)
 
 
-def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> ReplicationColumns:
-    """Estimate and plug-in variance for each count table.
+def replication_columns(n1, n0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``reason``, ``estimate`` and ``sigma2_hat`` columns of the count tables.
 
     Row ``i`` of the ``(rows, r)`` count arrays ``n1`` (label 1) and ``n0``
-    (label 0) is one table, with ``rep_index`` ``first_rep + i``; the error
-    and the interval at quantile ``z`` around ``truth`` are derived by
-    :class:`ReplicationColumns`.  The arithmetic is that of
-    :func:`~symkl.estimator.plug_in_estimate`,
+    (label 0) is one table, of any size; :class:`ReplicationColumns` derives
+    the error and the interval from the columns of one size.  The arithmetic
+    is that of :func:`~symkl.estimator.plug_in_estimate` and
     :func:`~symkl.asymptotics.plugin_sigma2` (the closed form of
-    ``asymptotics._influence_table`` at the empirical measures) and
-    :func:`~symkl.asymptotics.confidence_interval`,
+    ``asymptotics._influence_table`` at the empirical measures),
     row by row, with pairwise instead of compensated sums, in place: five
     block-sized arrays, each step in the order of its plain expression, on
     the whole block.  Degeneracy follows the scalar functions' one rule
@@ -315,9 +311,8 @@ def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> R
     n0 = np.asarray(n0, dtype=np.int64)
     m1 = n1.sum(axis=1)
     m0 = n0.sum(axis=1)
-    n = m1 + m0
     with np.errstate(divide="ignore", invalid="ignore"):
-        label1 = m1 / n
+        label1 = m1 / (m1 + m0)
         empty_label = (m1 == 0) | (1.0 - label1 == 0.0)
         degenerate = empty_label | np.any(n1 == 0, axis=1) | np.any(n0 == 0, axis=1)
         reason = np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8)
@@ -353,15 +348,7 @@ def replication_columns(n1, n0, truth: float, z: float, first_rep: int = 0) -> R
         del p_hat, q_hat, log_ratio, x, y, b, c, w1, w0, t1, t0, p, q, s_pb, s_qc
         sigma2 = np.maximum(second - mean * mean, 0.0)
         estimate[degenerate] = sigma2[degenerate] = np.nan
-        return ReplicationColumns(
-            n=n,
-            rep_index=np.arange(first_rep, first_rep + n.size, dtype=np.int64),
-            reason=reason,
-            estimate=estimate,
-            sigma2_hat=sigma2,
-            truth=truth,
-            z=z,
-        )
+        return reason, estimate, sigma2
 
 
 @functools.cache
@@ -391,19 +378,19 @@ def _block_pass(task):
 
     The block is drawn whole, from its own stream, and each row slice of
     :func:`_row_slices` is fed to :func:`replication_columns` (columns None
-    without ``z``) and :func:`~symkl.bounds._exceed_counts` (counts None
+    without ``kernel``) and :func:`~symkl.bounds._exceed_counts` (counts None
     without ``g_values``), so their scratch is a quarter block next to the
     block's counts.  Every kernel step works row by row and every count is
     an exact sum of 0/1 values, so the slices change no byte.
     """
-    block, truth, z, g_values = task
+    block, kernel, g_values = task
     _pin_heap()
     n1, n0 = block.draw()
     parts = []
     for rows in _row_slices(*n1.shape):
         columns = counts = None
-        if z is not None:
-            columns = replication_columns(n1[rows], n0[rows], truth, z, block.start + rows.start)
+        if kernel:
+            columns = replication_columns(n1[rows], n0[rows])
         if g_values:
             counts = _exceed_counts(block.model, block.n, g_values, n1[rows], n0[rows])
         parts.append((columns, counts))
@@ -415,14 +402,14 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
     """Draw each block of :func:`~symkl.model.table_blocks` once and feed its consumers.
 
     The one place that collects the slices of :func:`_block_pass`: returns
-    their :func:`replication_columns` at interval quantile ``z`` (no rows
-    without), each slice copied as it arrives into columns allocated once
-    in layout order, and the bound rows at ``g_values``, whose exceedance
-    counts are added by ``(name, n)`` as each block arrives.  ``workers``
-    (capped at the CPU count) changes no byte: every block has its own
-    stream.  Each process holds one block of counts and the scratch of one
-    row slice of it, whatever the replication count; this one also holds
-    the five stored columns, 33 bytes a row.
+    one :class:`ReplicationColumns` per sample size at interval quantile
+    ``z`` (none without), allocated once, into which each slice's columns
+    are copied at its block's rows as it arrives, and the bound rows at
+    ``g_values``, whose exceedance counts are added by ``(name, n)`` as each
+    block arrives.  ``workers`` (capped at the CPU count) changes no byte:
+    every block has its own stream.  Each process holds one block of counts
+    and the scratch of one row slice of it, whatever the replication count;
+    this one also holds the three stored columns, 17 bytes a row.
 
     Raises ValueError when the columns of that many rows cannot be allocated.
     """
@@ -434,14 +421,13 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
 
     truth = model.sym_divergence()
     layout = table_blocks(model, n_values, replications, master_seed)
-    tasks = [(block, truth, z, g_values) for block in layout]
-    rows = replications * len(n_values) if z is not None else 0
+    tasks = [(block, z is not None, g_values) for block in layout]
     try:
-        columns = ReplicationColumns.empty(rows, truth, math.nan if z is None else z)
+        records = {n: ReplicationColumns.empty(replications, n, truth, z)
+                   for n in (n_values if z is not None else ())}
     except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
-        raise ValueError(f"cannot allocate {rows} records ({replications} replications "
-                         f"x {len(n_values)} sample sizes): {exc}") from None
-    filled = 0
+        raise ValueError(f"cannot allocate {replications * len(n_values)} records ({replications} "
+                         f"replications x {len(n_values)} sample sizes): {exc}") from None
     counts: dict[tuple[str, int], np.ndarray] = {}
     with contextlib.ExitStack() as stack:
         results = map(_block_pass, tasks)
@@ -450,15 +436,17 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_block_pass, tasks)
         for block, slices in zip(layout, results):
+            start = block.start
             for slice_columns, slice_counts in slices:
                 if slice_columns is not None:
-                    stop = filled + len(slice_columns)
-                    for name in _STORED:
-                        getattr(columns, name)[filled:stop] = getattr(slice_columns, name)
-                    filled = stop
+                    stop = start + len(slice_columns[0])
+                    for name, column in zip(_STORED, slice_columns):
+                        getattr(records[block.n], name)[start:stop] = column
+                    start = stop
                 for name, count in (slice_counts or {}).items():
                     counts[name, block.n] = counts.get((name, block.n), 0) + count
-    return columns, bound_table_rows(model, n_values, g_values, replications, counts)
+    return (tuple(records.values()),
+            bound_table_rows(model, n_values, g_values, replications, counts))
 
 
 def bound_table(
@@ -563,22 +551,17 @@ def _variance(arr: np.ndarray) -> float | None:
     return float(np.var(arr, ddof=1))
 
 
-def _per_n(config: ExperimentConfig, records: ReplicationColumns,
+def _per_n(records: tuple[ReplicationColumns, ...],
            sigma_exact: float) -> list[SampleSizeSummary]:
-    """One summary per sample size of ``config``, none without ``records``, whose
-    rows ``i R .. (i + 1) R`` hold the ``R`` replications at ``n_values[i]``, in
-    :func:`_table_pass` order.  The statistics cover the non-degenerate rows and
-    are None without any.  The derived columns are made for one n at a time, one
-    at a time, so the scratch is a few floats per row of one n."""
-    reps = config.replications
-    if len(records) not in (0, reps * len(config.n_values)):
-        raise ValueError(f"expected 0 or {reps * len(config.n_values)} records, got {len(records)}")
+    """One summary per :class:`ReplicationColumns` of ``records``, in their order.
+    The statistics cover the non-degenerate rows and are None without any.  The
+    derived columns are made for one n at a time, one at a time, so the scratch
+    is a few floats per row of one n."""
     summaries = []
-    for i, n in enumerate(config.n_values if len(records) else ()):
-        at_n = records[i * reps:(i + 1) * reps]
+    for at_n in records:
         valid = ~at_n.degenerate
         counts = dict(
-            n=n,
+            n=at_n.n,
             replications=len(at_n),
             degenerate_count=len(at_n) - int(np.count_nonzero(valid)),
             degenerate_empty_label=int(np.count_nonzero(at_n.reason == REASON_EMPTY_LABEL)),
@@ -673,7 +656,7 @@ def check_bound_rows(rows) -> CheckResult:
     )
 
 
-def evaluate(config: ExperimentConfig, records: ReplicationColumns,
+def evaluate(config: ExperimentConfig, records: tuple[ReplicationColumns, ...],
              bound_rows: tuple[BoundTableRow, ...]) -> ExperimentSummary:
     """Reduce ``records`` to one summary per sample size and evaluate the checks.
 
@@ -684,7 +667,7 @@ def evaluate(config: ExperimentConfig, records: ReplicationColumns,
     ``bound_rows``.
     """
     sigma2 = exact_sigma2(config.model)
-    per_n = _per_n(config, records, math.sqrt(sigma2))
+    per_n = _per_n(records, math.sqrt(sigma2))
     largest = per_n[-1] if per_n else None
     checks: list[CheckResult] = []
     for name in config.checks:

@@ -61,18 +61,16 @@ def random_model(rng: np.random.Generator, r: int) -> PopulationModel:
 
 
 # Every column of ReplicationColumns, stored and derived, in records.csv order.
-COLUMNS = ("n", "rep_index", "reason", "estimate", "eta", "scaled_eta", "sigma2_hat",
-           "ci_lower", "ci_upper", "covered")
+COLUMNS = ("reason", "estimate", "eta", "scaled_eta", "sigma2_hat", "ci_lower", "ci_upper",
+           "covered")
 
 
-def make_columns(rows, truth: float = 0.0, z: float = 1.96) -> ReplicationColumns:
-    """Records from ``(n, rep_index, reason, estimate, sigma2_hat)`` row
+def make_columns(n, rows, truth: float = 0.0, z: float = 1.96) -> ReplicationColumns:
+    """Records at sample size ``n`` from ``(reason, estimate, sigma2_hat)`` row
     tuples, with the kernel's column types."""
-    empty = ReplicationColumns.empty()
     columns = list(zip(*rows)) or [()] * len(STORED)
-    return ReplicationColumns(*(
-        np.array(values, dtype=getattr(empty, name).dtype)
-        for name, values in zip(STORED, columns)
+    return ReplicationColumns(n, *(
+        np.array(values, dtype=dtype) for dtype, values in zip(STORED.values(), columns)
     ), truth, z)
 
 
@@ -89,6 +87,7 @@ def assert_column_equal(x: np.ndarray, y: np.ndarray, name: str) -> None:
 
 def assert_columns_equal(a: ReplicationColumns, b: ReplicationColumns) -> None:
     """Same rows, stored and derived, with the same column types and scalars."""
+    assert a.n == b.n, (a.n, b.n)
     for name in COLUMNS:
         assert_column_equal(getattr(a, name), getattr(b, name), name)
     np.testing.assert_array_equal([a.truth, a.z], [b.truth, b.z], err_msg="truth, z")

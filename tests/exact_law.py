@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from symkl import normal_quantile
+from symkl import ReplicationColumns, normal_quantile
 from symkl.montecarlo import replication_columns
 
 SUPPORT_SDS = 12.0
@@ -40,7 +40,8 @@ def exact_law(model, n: int, level: float = 0.95) -> tuple[float, float]:
 
     The coverage is conditional on a non-degenerate table, as the harness
     reports it.  The tables of each label-1 count ``k1`` are one block
-    for :func:`~symkl.montecarlo.replication_columns`.
+    for :func:`~symkl.montecarlo.replication_columns`, whose columns are the
+    records at ``n``.
     """
     assert model.r == 2
     log_fact = _log_factorials(n)
@@ -56,7 +57,7 @@ def exact_law(model, n: int, level: float = 0.95) -> tuple[float, float]:
         weight = np.exp(log_k1 + np.add.outer(log_a, log_b)).ravel()
         n1 = np.stack((a, k1 - a), axis=1)
         n0 = np.stack((b, k0 - b), axis=1)
-        columns = replication_columns(n1, n0, truth, z)
+        columns = ReplicationColumns(n, *replication_columns(n1, n0), truth, z)
         mass += weight.sum()
         covered += weight[columns.covered].sum()
         degenerate += weight[columns.degenerate].sum()

@@ -168,6 +168,18 @@ class TestInfluenceValue:
         with pytest.raises(ValueError, match="label"):
             influence_value(test_model, 0, 2)
 
+    def test_indices_are_never_truncated(self, test_model):
+        # the one integer rule: integral values pass, anything else names its field
+        for bad in (1.5, "1", 0.9, None):
+            with pytest.raises(ValueError, match=r"^x must be an integer, got "):
+                influence_value(test_model, bad, 1)
+            with pytest.raises(ValueError, match=r"^y must be an integer, got "):
+                influence_value(test_model, 0, bad)
+        want = influence_value(test_model, 1, 1)
+        for one in (1.0, np.int64(1), True):
+            assert influence_value(test_model, one, 1) == want
+            assert influence_value(test_model, 1, one) == want
+
 
 class TestExactSigma2:
     def test_golden(self, test_model):

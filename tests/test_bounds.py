@@ -581,9 +581,10 @@ class TestOneTableSource:
         records = run_experiment(ExperimentConfig(
             model=model, n_values=n_values, replications=replications, master_seed=91
         )).records
-        for n_index, n in enumerate(n_values):
+        for n_index, (n, at_n) in enumerate(zip(n_values, records, strict=True)):
+            assert at_n.n == n
             k1, _, _ = reference_tables(model, n, n_index, replications, 91)
             assert empty["conditional_cell_p", n] == np.count_nonzero(k1 == 0) > 0
             assert empty["conditional_cell_q", n] == np.count_nonzero(k1 == n)
-            label_empty = np.count_nonzero(records.reason[records.n == n] == REASON_EMPTY_LABEL)
+            label_empty = np.count_nonzero(at_n.reason == REASON_EMPTY_LABEL)
             assert empty["conditional_cell_p", n] + empty["conditional_cell_q", n] == label_empty

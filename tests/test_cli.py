@@ -340,7 +340,7 @@ class TestSimulate:
         assert started == ([2] if cpus > 1 else [])
 
     def test_unallocatable_records_exit_1(self, tmp_path, capsys, monkeypatch):
-        def fail(cls, rows, truth, z):
+        def fail(cls, rows, n, truth, z):
             raise MemoryError("Unable to allocate 7.0 PiB")
 
         monkeypatch.setattr(montecarlo.ReplicationColumns, "empty", classmethod(fail))

@@ -216,36 +216,42 @@ class TestConfigJson:
 
 def assert_lines_give_back(path, written):
     """Parsed with ``int()`` and ``float()``, the lines of the records.csv at
-    ``path`` give back every bit of every column of ``written``, stored and
-    derived, signed zeros included; degenerate rows leave their values
-    empty.  Returns the records of the parsed stored columns, with the
-    reasons, truth and z of ``written``, which the file does not carry."""
+    ``path`` give back every bit of every column of each records object of
+    ``written``, stored and derived, signed zeros included, with its ``n``
+    and ``rep_index`` 0, 1, ...; degenerate rows leave their values empty.
+    Returns the records of the parsed stored columns, with the reasons,
+    truth and z of ``written``, which the file does not carry."""
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == RECORDS_HEADER
-    fields = [line.split(",") for line in lines[1:]]
-    assert len(fields) == len(written)
-    rows = []
-    for f, reason in zip(fields, written.reason.tolist()):
-        assert len(f) == 10
-        degenerate = f[9] == "1"
-        assert degenerate == (reason != REASON_NONE)
-        assert not any(f[2:9]) if degenerate else f[9] == "0"
-        reals = [math.nan] * 6 if degenerate else [float(v) for v in f[2:8]]
-        rows.append((int(f[1]), int(f[0]), reason, *reals, f[8] == "1"))
-    for name, values in zip(COLUMNS, list(zip(*rows)) or [()] * len(COLUMNS)):
-        column = getattr(written, name)
-        assert_column_equal(np.array(values, dtype=column.dtype), column, name)
-    read = make_columns([row[:4] + row[6:7] for row in rows], written.truth, written.z)
-    assert_columns_equal(read, written)
-    return read
+    fields = iter(line.split(",") for line in lines[1:])
+    assert len(lines) - 1 == sum(len(at_n) for at_n in written)
+    read = []
+    for at_n in written:
+        rows = []
+        for rep_index, reason in enumerate(at_n.reason.tolist()):
+            f = next(fields)
+            assert len(f) == 10
+            assert (int(f[0]), int(f[1])) == (rep_index, at_n.n)
+            degenerate = f[9] == "1"
+            assert degenerate == (reason != REASON_NONE)
+            assert not any(f[2:9]) if degenerate else f[9] == "0"
+            reals = [math.nan] * 6 if degenerate else [float(v) for v in f[2:8]]
+            rows.append((reason, *reals, f[8] == "1"))
+        for name, values in zip(COLUMNS, list(zip(*rows)) or [()] * len(COLUMNS)):
+            column = getattr(at_n, name)
+            assert_column_equal(np.array(values, dtype=column.dtype), column, name)
+        read.append(make_columns(at_n.n, [row[:2] + row[4:5] for row in rows],
+                                 at_n.truth, at_n.z))
+        assert_columns_equal(read[-1], at_n)
+    return tuple(read)
 
 
 class TestRecordsCsv:
     def records(self):
-        return make_columns([
-            (100, 0, REASON_NONE, math.pi / 11, 4.41),
-            (100, 1, REASON_EMPTY_CELL, math.nan, math.nan),
-        ], truth=0.3)
+        return (make_columns(100, [
+            (REASON_NONE, math.pi / 11, 4.41),
+            (REASON_EMPTY_CELL, math.nan, math.nan),
+        ], truth=0.3),)
 
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -262,9 +268,10 @@ class TestRecordsCsv:
 
     def test_empty_file_reads_as_no_rows(self, tmp_path):
         path = tmp_path / "records.csv"
-        write_records_csv(ReplicationColumns.empty(), path)
-        assert path.read_text() == RECORDS_HEADER + "\n"
-        assert_lines_give_back(path, ReplicationColumns.empty())
+        for records in ((), (ReplicationColumns.empty(),)):
+            write_records_csv(records, path)
+            assert path.read_text() == RECORDS_HEADER + "\n"
+            assert_lines_give_back(path, records)
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -293,16 +300,17 @@ def _fmt_flag(value):
 def reference_records_csv(records) -> bytes:
     """records.csv composed field by field, the way per-row records were written."""
     lines = [RECORDS_HEADER]
-    columns = {name: getattr(records, name) for name in COLUMNS}
-    for i in range(len(records)):
-        degenerate = bool(records.degenerate[i])
-        reals = [None if degenerate else columns[name][i].item() for name in
-                 ("estimate", "eta", "scaled_eta", "sigma2_hat", "ci_lower", "ci_upper")]
-        covered = None if degenerate else bool(columns["covered"][i])
-        lines.append(",".join((
-            str(int(records.rep_index[i])), str(int(records.n[i])), *map(_fmt_real, reals),
-            _fmt_flag(covered), _fmt_flag(degenerate),
-        )))
+    for at_n in records:
+        columns = {name: getattr(at_n, name) for name in COLUMNS}
+        for i in range(len(at_n)):
+            degenerate = bool(at_n.degenerate[i])
+            reals = [None if degenerate else columns[name][i].item() for name in
+                     ("estimate", "eta", "scaled_eta", "sigma2_hat", "ci_lower", "ci_upper")]
+            covered = None if degenerate else bool(columns["covered"][i])
+            lines.append(",".join((
+                str(i), str(at_n.n), *map(_fmt_real, reals),
+                _fmt_flag(covered), _fmt_flag(degenerate),
+            )))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -317,24 +325,23 @@ def r1000_records():
         model=model, n_values=(20000, 200000), replications=150, master_seed=2024
     )
     records = run_experiment(config).records
-    assert 0 < records.degenerate.sum() < 150
+    assert 0 < records[0].degenerate.sum() < 150
     return records
 
 
 def edge_records():
     big, tiny = 1.2345678901234567e300, 9.876543210987654e-301
-    return make_columns([
+    return (make_columns(6, [
         # equal empirical laws: zero variance, a point interval; signed zeros
-        (6, 0, REASON_NONE, 0.0, 0.0),
-        (6, 1, REASON_NONE, -0.0, 0.0),
-        (6, 2, REASON_NONE, tiny, tiny),
+        (REASON_NONE, 0.0, 0.0),
+        (REASON_NONE, -0.0, 0.0),
+        (REASON_NONE, tiny, tiny),
         # a subnormal estimate and a variance whose half-width underflows to 0
-        (6, 3, REASON_NONE, 5e-324, 5e-324),
-        (6, 4, REASON_NONE, big, 1.7976931348623157e308),
-        (6, 5, REASON_NONE, -big, 1e-300),
-        (6, 6, REASON_EMPTY_CELL, math.nan, math.nan),
-        ((1 << 63) - 1, (1 << 32) - 1, REASON_NONE, 1 / 3, 0.2),
-    ])
+        (REASON_NONE, 5e-324, 5e-324),
+        (REASON_NONE, big, 1.7976931348623157e308),
+        (REASON_NONE, -big, 1e-300),
+        (REASON_EMPTY_CELL, math.nan, math.nan),
+    ]), make_columns((1 << 63) - 1, [(REASON_NONE, 1 / 3, 0.2)]))
 
 
 class TestRecordsCsvEquivalence:
@@ -369,12 +376,11 @@ class TestRecordsCsvMemory:
         estimate = rng.standard_normal(rows) * 1e-3
         sigma2 = rng.exponential(size=rows)
         estimate[degenerate] = sigma2[degenerate] = math.nan
-        records = ReplicationColumns(
-            np.full(rows, 10**6, dtype=np.int64), np.arange(rows, dtype=np.int64),
-            np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8),
+        records = (ReplicationColumns(
+            10**6, np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8),
             estimate, sigma2, truth=0.0, z=1.96,
-        )
-        assert 0 < np.count_nonzero(records.covered) < np.count_nonzero(~degenerate)
+        ),)
+        assert 0 < np.count_nonzero(records[0].covered) < np.count_nonzero(~degenerate)
         path = tmp_path / "records.csv"
         assert traced_peak(write_records_csv, records, path) < 1 << 20
         lines = path.read_text().splitlines()
