@@ -157,11 +157,9 @@ def _report_checks(checks) -> None:
 def _dry_run_report(config: ExperimentConfig) -> int:
     print("config ok")
     print(f"  alphabet size: {config.model.r}")
-    print(f"  n_values: {list(config.n_values)}")
-    print(f"  replications: {config.replications}")
-    print(f"  master_seed: {config.master_seed}")
-    print(f"  ci_level: {config.ci_level}")
-    print(f"  checks: {list(config.checks)}")
+    for key, value in config_to_dict(config).items():
+        if key != "model":
+            print(f"  {key}: {value}")
     return 0
 
 

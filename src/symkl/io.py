@@ -7,10 +7,14 @@ Counts CSV
     errors carry the offending line number.
 
 Config JSON
-    One object with keys ``model`` (``label_prob``, ``cond_p``, ``cond_q``),
-    ``n_values``, ``replications``, ``master_seed``, and optional
-    ``ci_level`` (default 0.95) and ``checks`` (default empty).  Unknown
-    keys are rejected so typos cannot silently change an experiment.
+    One object whose keys are the fields of :class:`ExperimentConfig`,
+    with ``model`` an object of the fields of :class:`PopulationModel`.  A
+    field with a default is optional and keeps the dataclass's default.
+    ``_JSON_TYPES`` gives each field's JSON type: booleans are no numbers,
+    and integers must be JSON integers.  Unknown keys are rejected so typos
+    cannot silently change an experiment, and each error names its path,
+    such as ``config.checks[0]``.  :func:`config_to_dict` writes the same
+    shape back.
 
 Records CSV
     One row per replication with the columns
@@ -19,13 +23,18 @@ Records CSV
     Reals carry 17 significant digits (value-preserving for float64),
     booleans are 1/0, and a degenerate row leaves its seven value fields
     empty.  Writing is deterministic: same records, same bytes.
+
+Bounds CSV
+    One row per grid point with the columns
+    ``name,n,g,bound,informative,empirical,stderr,valid``, in the same
+    formats; without Monte Carlo ``empirical`` and ``stderr`` are empty.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
-from dataclasses import asdict
 
 import numpy as np
 
@@ -41,6 +50,8 @@ BOUNDS_HEADER = "name,n,g,bound,informative,empirical,stderr,valid"
 # One records.csv line per replication; a degenerate row has no values.
 _RECORD_LINE = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,0\n"
 _DEGENERATE_LINE = "%d,%d,,,,,,,,1\n"
+# One bounds.csv line per grid point; without Monte Carlo, empirical and stderr are empty.
+_BOUNDS_LINE = "%s,%d,%.17g,%.17g,%d,%s,%d\n"
 _COLUMNS = ("estimate", "eta", "scaled_eta", "sigma2_hat", "ci_lower", "ci_upper", "covered")
 # Rows formatted per write: under 200 kB of lines and floats, whatever the run size.
 _WRITE_ROWS = 1 << 8
@@ -136,72 +147,53 @@ def _is_int_token(token: str) -> bool:
     return text.isdigit()
 
 
-_TOP_KEYS = {"model", "n_values", "replications", "master_seed", "ci_level", "checks"}
-_MODEL_KEYS = {"label_prob", "cond_p", "cond_q"}
+# Each config field's JSON type: a dataclass, read as an object of its
+# fields, a scalar of _SCALARS, or [scalar] for a list of them.
+_JSON_TYPES = {
+    "model": PopulationModel,
+    "label_prob": "a number",
+    "cond_p": ["a number"],
+    "cond_q": ["a number"],
+    "n_values": ["an integer"],
+    "replications": "an integer",
+    "master_seed": "an integer",
+    "ci_level": "a number",
+    "checks": ["a string"],
+}
+# The Python types that hold each JSON scalar; a bool is neither a number nor an integer.
+_SCALARS = {"a number": (int, float), "an integer": int, "a string": str}
 
 
-def _require(data: dict, key: str, where: str):
-    if key not in data:
-        raise ValueError(f"{where}: missing required key {key!r}")
-    return data[key]
+def _from_json(kind, value, where: str):
+    """``value``, the JSON at path ``where``, read as ``kind`` of ``_JSON_TYPES``.
 
-
-def _as_real(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
-    return as_real(value, where)
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_real_list(value, where: str) -> list[float]:
-    if not isinstance(value, list):
-        raise ValueError(f"{where}: expected a list, got {value!r}")
-    return [_as_real(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    A dataclass reads an object whose keys are its fields: a field without
+    a default is a required key, and an absent key keeps the default.
+    """
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        return [_from_json(kind[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, str):
+        if isinstance(value, bool) or not isinstance(value, _SCALARS[kind]):
+            raise ValueError(f"{where}: expected {kind}, got {value!r}")
+        return as_real(value, where) if kind == "a number" else value
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected an object, got {type(value).__name__}")
+    fields = dataclasses.fields(kind)
+    unknown = sorted(set(value) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    for f in fields:
+        if f.name not in value and f.default is dataclasses.MISSING:
+            raise ValueError(f"{where}: missing required key {f.name!r}")
+    return kind(**{f.name: _from_json(_JSON_TYPES[f.name], value[f.name], f"{where}.{f.name}")
+                   for f in fields if f.name in value})
 
 
 def parse_config_dict(data) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a parsed JSON object."""
-    if not isinstance(data, dict):
-        raise ValueError(f"config: expected an object, got {type(data).__name__}")
-    unknown = sorted(set(data) - _TOP_KEYS)
-    if unknown:
-        raise ValueError(f"config: unknown keys {unknown}")
-    model_data = _require(data, "model", "config")
-    if not isinstance(model_data, dict):
-        raise ValueError("config.model: expected an object")
-    unknown = sorted(set(model_data) - _MODEL_KEYS)
-    if unknown:
-        raise ValueError(f"config.model: unknown keys {unknown}")
-    model = PopulationModel(
-        label_prob=_as_real(_require(model_data, "label_prob", "config.model"),
-                            "config.model.label_prob"),
-        cond_p=_as_real_list(_require(model_data, "cond_p", "config.model"),
-                             "config.model.cond_p"),
-        cond_q=_as_real_list(_require(model_data, "cond_q", "config.model"),
-                             "config.model.cond_q"),
-    )
-    n_values = _require(data, "n_values", "config")
-    if not isinstance(n_values, list):
-        raise ValueError("config.n_values: expected a list")
-    n_values = tuple(_as_int(v, f"config.n_values[{i}]") for i, v in enumerate(n_values))
-    checks = data.get("checks", [])
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise ValueError("config.checks: expected a list of strings")
-    return ExperimentConfig(
-        model=model,
-        n_values=n_values,
-        replications=_as_int(_require(data, "replications", "config"),
-                             "config.replications"),
-        master_seed=_as_int(_require(data, "master_seed", "config"),
-                            "config.master_seed"),
-        ci_level=_as_real(data.get("ci_level", 0.95), "config.ci_level"),
-        checks=tuple(checks),
-    )
+    return _from_json(ExperimentConfig, data, "config")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -215,30 +207,16 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_dict(data)
 
 
+def _json_items(items) -> dict:
+    """``asdict``'s ``dict_factory``: numpy arrays and tuples become JSON lists."""
+    return {key: value.tolist() if isinstance(value, np.ndarray)
+            else list(value) if isinstance(value, tuple) else value
+            for key, value in items}
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Serialize a config to the JSON object shape accepted by load_config."""
-    return {
-        "model": {
-            "label_prob": config.model.label_prob,
-            "cond_p": [float(v) for v in config.model.cond_p],
-            "cond_q": [float(v) for v in config.model.cond_q],
-        },
-        "n_values": [int(n) for n in config.n_values],
-        "replications": config.replications,
-        "master_seed": config.master_seed,
-        "ci_level": config.ci_level,
-        "checks": list(config.checks),
-    }
-
-
-def _fmt_real(value: float | None) -> str:
-    if value is None:
-        return ""
-    return f"{float(value):.17g}"
-
-
-def _fmt_flag(value: bool) -> str:
-    return "1" if value else "0"
+    return dataclasses.asdict(config, dict_factory=_json_items)
 
 
 def write_records_csv(records: tuple[ReplicationColumns, ...], path) -> None:
@@ -260,14 +238,12 @@ def write_records_csv(records: tuple[ReplicationColumns, ...], path) -> None:
 
 def write_bounds_csv(rows, path) -> None:
     """Write a bound table (one grid point per row), deterministically."""
-    lines = [BOUNDS_HEADER] + [
-        ",".join((row.name, str(row.n), _fmt_real(row.g), _fmt_real(row.bound),
-                  _fmt_flag(row.informative), _fmt_real(row.empirical), _fmt_real(row.stderr),
-                  _fmt_flag(row.empirically_valid())))
-        for row in rows
-    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(BOUNDS_HEADER + "\n")
+        fh.write("".join(_BOUNDS_LINE % (
+            row.name, row.n, row.g, row.bound, row.informative,
+            "," if row.empirical is None else "%.17g,%.17g" % (row.empirical, row.stderr),
+            row.empirically_valid()) for row in rows))
 
 
 def summary_to_dict(summary: ExperimentSummary) -> dict:
@@ -276,7 +252,7 @@ def summary_to_dict(summary: ExperimentSummary) -> dict:
     The bound table itself goes to ``bounds.csv``; here ``grid_points``
     counts its rows (0 when the bounds check did not run).
     """
-    data = asdict(summary)
+    data = dataclasses.asdict(summary)
     data["grid_points"] = len(data.pop("bound_rows"))
     data["all_checks_passed"] = summary.all_checks_passed
     return data

@@ -83,6 +83,14 @@ COVERAGE_TOLERANCE = 0.02
 NULL_ATOL = 1e-12
 
 
+def _as_tuple(values, name: str, items: str) -> tuple:
+    """``tuple(values)``; a str, bytes or non-iterable raises ValueError naming ``name``."""
+    if not isinstance(values, (str, bytes)):
+        with contextlib.suppress(TypeError):
+            return tuple(values)
+    raise ValueError(f"{name} must be a sequence of {items}, got {values!r}")
+
+
 def _check_run_size(n_values, replications: int, master_seed: int, fewest: int) -> None:
     """Reject sample sizes, replication counts and seeds beyond int64 or the stream key."""
     if len(n_values) > N_INDEX_LIMIT:
@@ -126,7 +134,10 @@ class ExperimentConfig:
     checks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        n_values = tuple(as_integral(n, "n_values") for n in self.n_values)
+        if not isinstance(self.model, PopulationModel):
+            raise ValueError(f"model must be a PopulationModel, got {self.model!r}")
+        n_values = tuple(as_integral(n, "n_values")
+                         for n in _as_tuple(self.n_values, "n_values", "integers"))
         if not n_values:
             raise ValueError("n_values is empty")
         replications = as_integral(self.replications, "replications")
@@ -136,9 +147,7 @@ class ExperimentConfig:
             raise ValueError("n_values must be strictly increasing")
         level = as_real(self.ci_level, "ci_level")
         interval_z(level, "ci_level")
-        if isinstance(self.checks, (str, bytes)):
-            raise ValueError(f"checks must be a sequence of check names, got {self.checks!r}")
-        checks = tuple(self.checks)
+        checks = _as_tuple(self.checks, "checks", "check names")
         unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
             raise ValueError(f"unknown checks {unknown}; valid names are {CHECK_NAMES}")
@@ -484,8 +493,8 @@ def bound_table(
     so peak memory is one block of tables and a quarter block of
     temporaries.
     """
-    n_values = sorted({as_integral(n, "n_grid") for n in n_grid})
-    g_values = sorted({as_real(g, "g_grid") for g in g_grid})
+    n_values = sorted({as_integral(n, "n_grid") for n in _as_tuple(n_grid, "n_grid", "integers")})
+    g_values = sorted({as_real(g, "g_grid") for g in _as_tuple(g_grid, "g_grid", "reals")})
     if not n_values:
         raise ValueError("n_grid is empty")
     if not g_values:
@@ -499,14 +508,17 @@ def bound_table(
 
 
 def ks_statistic(values) -> float:
-    """One-sample Kolmogorov-Smirnov distance against the standard normal CDF ``F``.
+    """Kolmogorov-Smirnov distance of a 1-d sample from the standard normal CDF ``F``.
 
     ``max_i max(i/m - F(x_(i)), F(x_(i)) - (i-1)/m)`` over the sorted
     sample of size m, taken over chunks of ``_KS_CHUNK`` values, so that
     ``F``'s scratch is that of one chunk; every term is elementwise and the
     maximum is exact, so the chunks change no bit.
     """
-    arr = np.sort(as_real(values, "values", array=True))
+    arr = as_real(values, "values", array=True)
+    if arr.ndim != 1:
+        raise ValueError(f"ks_statistic needs a 1-d sample, got shape {arr.shape}")
+    arr = np.sort(arr)
     m = arr.size
     if m == 0:
         raise ValueError("ks_statistic needs a nonempty sample")

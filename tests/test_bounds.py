@@ -407,7 +407,18 @@ class TestBoundTable:
             bound_table(test_model, [100], [0.1], replications="5")
         with pytest.raises(ValueError, match="master_seed must be an integer, got '1'"):
             bound_table(test_model, [100], [0.1], replications=5, master_seed="1")
+        # a grid is a sequence: a str or a scalar is no grid of one point
+        for n_grid, g_grid, message in (
+            (100, [0.1], "n_grid must be a sequence of integers, got 100$"),
+            ("100", [0.1], "n_grid must be a sequence of integers, got '100'$"),
+            ([100], 0.1, "g_grid must be a sequence of reals, got 0.1$"),
+            ([100], b"0.1", "g_grid must be a sequence of reals, got b'0.1'$"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                bound_table(test_model, n_grid, g_grid)
         assert bound_table(test_model, [1e2], [0.1]) == bound_table(test_model, [100], [0.1])
+        assert bound_table(test_model, (n for n in [100]), range(1, 2)) == bound_table(
+            test_model, [100], [1.0])
         assert bound_table(test_model, [100], [0.1], replications=5, master_seed=2**64 - 1)
 
     def test_stream_key_limits_checked_before_drawing(self, test_model, monkeypatch):

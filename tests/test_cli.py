@@ -476,10 +476,18 @@ class TestCheckPresets:
         assert "checks: ['lln']" in out
 
     def test_bounds_check_dry_run_default_config(self, capsys):
-        code, out, _ = run(capsys, "bounds-check", "--dry-run")
-        assert code == 0
-        assert "replications: 100000" in out
-        assert "checks: ['bounds']" in out
+        # the config's JSON form without its model, after the alphabet size
+        code, out, err = run(capsys, "bounds-check", "--dry-run")
+        assert (code, err) == (0, "")
+        assert out == (
+            "config ok\n"
+            "  alphabet size: 2\n"
+            "  n_values: [100, 1000, 10000]\n"
+            "  replications: 100000\n"
+            f"  master_seed: {cli.DEFAULT_MASTER_SEED}\n"
+            "  ci_level: 0.95\n"
+            "  checks: ['bounds']\n"
+        )
 
     def test_preset_forces_its_check(self, tmp_path, capsys):
         # a config asking for coverage still runs the clt check under clt-check

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -20,6 +21,7 @@ from symkl import (
     bound_table,
 )
 from symkl import io as symkl_io
+from symkl.bounds import BoundTableRow
 from symkl.io import BOUNDS_HEADER, RECORDS_HEADER
 from symkl.montecarlo import REASON_EMPTY_CELL, REASON_NONE
 
@@ -185,6 +187,43 @@ class TestConfigJson:
         data["model"]["cond_p"] = "half and half"
         with pytest.raises(ValueError, match="config.model.cond_p"):
             parse_config_dict(data)
+
+    def test_errors_name_their_path(self):
+        data = config_dict()
+        data["model"]["cond_q"] = [0.25, True]
+        for bad, message in (
+            (config_dict(n_values=5), "config.n_values: expected a list, got 5"),
+            (config_dict(n_values=[100, 2.5]), "config.n_values[1]: expected an integer, got 2.5"),
+            (config_dict(checks="lln"), "config.checks: expected a list, got 'lln'"),
+            (config_dict(checks=[1]), "config.checks[0]: expected a string, got 1"),
+            (config_dict(model=[1]), "config.model: expected an object, got list"),
+            (config_dict(ci_level=None), "config.ci_level: expected a number, got None"),
+            (data, "config.model.cond_q[1]: expected a number, got True"),
+        ):
+            with pytest.raises(ValueError) as info:
+                parse_config_dict(bad)
+            assert str(info.value) == message
+
+    def test_missing_keys_come_before_values(self):
+        data = config_dict(n_values="bad")
+        del data["master_seed"]
+        with pytest.raises(ValueError, match="^config: missing required key 'master_seed'$"):
+            parse_config_dict(data)
+
+    def test_json_types_are_the_dataclass_fields(self):
+        # a new config field needs its JSON type, and nothing else in io
+        fields = {f.name for cls in (ExperimentConfig, PopulationModel)
+                  for f in dataclasses.fields(cls)}
+        assert set(symkl_io._JSON_TYPES) == fields
+
+    def test_to_dict_inverts_parse(self):
+        data = config_dict(n_values=[1, 10, (1 << 63) - 1], master_seed=(1 << 64) - 1,
+                           ci_level=0.8, checks=["clt", "lln"])
+        data["model"]["label_prob"] = 0.3
+        assert config_to_dict(parse_config_dict(data)) == data
+        assert json.dumps(config_to_dict(parse_config_dict(data))) == json.dumps(data)
+        del data["ci_level"], data["checks"]
+        assert config_to_dict(parse_config_dict(data)) == dict(data, ci_level=0.95, checks=[])
 
     def test_semantic_validation_propagates(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -386,6 +425,43 @@ class TestRecordsCsvMemory:
         lines = path.read_text().splitlines()
         assert len(lines) == rows + 1
         assert lines[4] == "3,1000000,,,,,,,,1"
+
+
+def reference_bounds_csv(rows) -> bytes:
+    """bounds.csv composed field by field, the way it was written before its line template."""
+    lines = [BOUNDS_HEADER] + [
+        ",".join((row.name, str(row.n), _fmt_real(row.g), _fmt_real(row.bound),
+                  _fmt_flag(row.informative), _fmt_real(row.empirical),
+                  _fmt_real(row.stderr), _fmt_flag(row.empirically_valid())))
+        for row in rows
+    ]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestBoundsCsvEquivalence:
+    @pytest.mark.parametrize("replications", [0, 50])
+    def test_same_bytes_as_per_field_writer(self, tmp_path, test_model, replications):
+        rows = bound_table(test_model, [10, 100], [1e-300, 0.1, 1.0, 40.0],
+                           replications=replications, master_seed=5)
+        empirical = {row.empirical for row in rows}
+        # g = 1e-300 is exceeded by every table, g = 40 by none
+        assert empirical >= {0.0, 1.0} if replications else empirical == {None}
+        path = tmp_path / "bounds.csv"
+        write_bounds_csv(rows, path)
+        assert path.read_bytes() == reference_bounds_csv(rows)
+
+    def test_edge_rows(self, tmp_path):
+        rows = [
+            BoundTableRow("label_freq", 1, 1e-300, 0.0, None, None),
+            BoundTableRow("label_freq", 7, 1e-300, 0.0, 0.0, 0.0),
+            BoundTableRow("joint_cell", (1 << 63) - 1, 0.1, 1.0, 1.0, 0.0),
+            BoundTableRow("joint_cell", 2, 5e-324, 2.5e-5, 1 / 3, 0.125),
+        ]
+        path = tmp_path / "bounds.csv"
+        write_bounds_csv(rows, path)
+        assert path.read_bytes() == reference_bounds_csv(rows)
+        write_bounds_csv([], path)
+        assert path.read_bytes() == reference_bounds_csv([])
 
 
 class TestBoundsCsvAndSummary:

@@ -171,6 +171,22 @@ class TestExperimentConfig:
                 make_config(test_model, checks=bad)
         assert make_config(test_model, checks=["lln"]).checks == ("lln",)
 
+    def test_sequence_fields_reject_scalars(self, test_model):
+        # one rule for n_values and checks: a str, bytes or non-iterable names its field
+        for field, bad, items in (("n_values", 100, "integers"), ("n_values", "100", "integers"),
+                                  ("n_values", b"100", "integers"),
+                                  ("n_values", np.array(100), "integers"),
+                                  ("checks", None, "check names"), ("checks", 1, "check names")):
+            with pytest.raises(ValueError, match=f"^{field} must be a sequence of {items}, got "):
+                make_config(test_model, **{field: bad})
+        config = make_config(test_model, n_values=np.array([300, 900]), checks=iter(["lln"]))
+        assert (config.n_values, config.checks) == ((300, 900), ("lln",))
+
+    def test_model_must_be_a_population_model(self, test_model):
+        for bad in ("x", None, {"label_prob": 0.5}):
+            with pytest.raises(ValueError, match="^model must be a PopulationModel, got "):
+                make_config(test_model, model=bad)
+
     def test_check_names_constant(self):
         assert CHECK_NAMES == ("lln", "clt", "coverage", "bounds")
 
@@ -198,6 +214,15 @@ class TestKsStatistic:
     def test_detects_wrong_location(self):
         sample = np.random.default_rng(5).standard_normal(2000) + 1.0
         assert ks_statistic(sample) > 0.3
+
+    def test_rejects_a_sample_that_is_not_1d(self):
+        # a column vector is not read as its flat values, nor broadcast
+        for bad, shape in (([[0.1], [0.2], [0.3]], r"\(3, 1\)"), ([[0.0, 1.0], [2.0, 3.0]],
+                           r"\(2, 2\)"), (0.5, r"\(\)"), ([[]], r"\(1, 0\)")):
+            with pytest.raises(ValueError, match=f"^ks_statistic needs a 1-d sample, got shape "
+                                                 f"{shape}$"):
+                ks_statistic(bad)
+        assert ks_statistic(np.array([0.1, 0.2, 0.3])) == pytest.approx(0.5398, abs=1e-4)
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError, match="nonempty"):
