@@ -24,9 +24,17 @@ Exit codes
 
 from __future__ import annotations
 
+import os
+
+# symkl's parallelism is its process pool, and its one BLAS call (a small
+# float32 product in the bounds pass) is as fast on one thread; OpenBLAS's
+# thread pool would only spin a second CPU in every process and pool worker.
+# Set before numpy loads; a caller's OMP_NUM_THREADS or OPENBLAS_NUM_THREADS
+# (which OpenBLAS reads first) still wins.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import argparse
 import dataclasses
-import os
 import sys
 from datetime import datetime, timezone
 

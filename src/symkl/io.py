@@ -181,7 +181,7 @@ def _from_json(kind, value, where: str):
     if not isinstance(value, dict):
         raise ValueError(f"{where}: expected an object, got {type(value).__name__}")
     fields = dataclasses.fields(kind)
-    unknown = sorted(set(value) - {f.name for f in fields})
+    unknown = sorted(set(value) - {f.name for f in fields}, key=str)
     if unknown:
         raise ValueError(f"{where}: unknown keys {unknown}")
     for f in fields:

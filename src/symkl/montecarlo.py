@@ -91,6 +91,12 @@ def _as_tuple(values, name: str, items: str) -> tuple:
     raise ValueError(f"{name} must be a sequence of {items}, got {values!r}")
 
 
+def _check_type(value, cls: type, name: str) -> None:
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {value!r}")
+
+
 def _check_run_size(n_values, replications: int, master_seed: int, fewest: int) -> None:
     """Reject sample sizes, replication counts and seeds beyond int64 or the stream key."""
     if len(n_values) > N_INDEX_LIMIT:
@@ -134,8 +140,7 @@ class ExperimentConfig:
     checks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model, PopulationModel):
-            raise ValueError(f"model must be a PopulationModel, got {self.model!r}")
+        _check_type(self.model, PopulationModel, "model")
         n_values = tuple(as_integral(n, "n_values")
                          for n in _as_tuple(self.n_values, "n_values", "integers"))
         if not n_values:
@@ -493,6 +498,7 @@ def bound_table(
     so peak memory is one block of tables and a quarter block of
     temporaries.
     """
+    _check_type(model, PopulationModel, "model")
     n_values = sorted({as_integral(n, "n_grid") for n in _as_tuple(n_grid, "n_grid", "integers")})
     g_values = sorted({as_real(g, "g_grid") for g in _as_tuple(g_grid, "g_grid", "reals")})
     if not n_values:
@@ -708,6 +714,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     ``records=False`` skips the kernel: no records, so only the bounds
     check has data, and ``lln``, ``clt`` and ``coverage`` fail.
     """
+    _check_type(config, ExperimentConfig, "config")
     g_values = DEFAULT_G_GRID if "bounds" in config.checks else ()
     z = interval_z(config.ci_level, "ci_level") if records else None
     columns, bound_rows = _table_pass(config.model, config.n_values, config.replications,

@@ -14,19 +14,24 @@ from symkl.montecarlo import _STORED as STORED
 SIMPLEX_ATTEMPTS = 10_000
 
 
-def run_python(*args):
-    """Run ``python *args`` in a fresh interpreter that imports this symkl."""
+def run_python(*args, env=None):
+    """Run ``python *args`` in a fresh interpreter that imports this symkl.
+
+    ``env`` sets variables of the child's environment; a ``None`` value
+    removes one.
+    """
     src = str(Path(symkl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *args], env={k: v for k, v in env.items() if v is not None},
+        capture_output=True, text=True, timeout=120,
     )
 
 
-def run_child(code, *args):
+def run_child(code, *args, env=None):
     """Run ``python -c code`` in a fresh interpreter that imports this symkl."""
-    return run_python("-c", code, *args)
+    return run_python("-c", code, *args, env=env)
 
 
 def random_simplex(rng: np.random.Generator, r: int, min_entry: float = 1e-3) -> np.ndarray:

@@ -185,6 +185,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="sample sizes must be >= 1"):
             bound_table(test_model, [0], [0.1])
 
+    def test_model_must_be_a_population_model(self):
+        with pytest.raises(ValueError, match="^model must be a PopulationModel, got 'x'$"):
+            bound_table("x", [10], [0.1])
+
     def test_bound_value_nonnegative(self):
         # inf * 0 makes the conditional-cell bound NaN; it raises, never
         # reaches a row

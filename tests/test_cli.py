@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -582,7 +583,43 @@ class TestEntry:
         assert "no such file" in child.stderr
 
 
+# No thread count set by the caller: the CLI's default applies.
+NO_THREAD_COUNT = {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": None}
+
+
 class TestColdStart:
+    def test_import_symkl_loads_no_numpy(self):
+        child = run_child("import sys, symkl\nprint('numpy' in sys.modules)")
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_cli_starts_no_blas_thread(self):
+        child = run_child("import os, symkl.cli\nprint(len(os.listdir('/proc/self/task')))",
+                          env=NO_THREAD_COUNT)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "1"
+
+    @pytest.mark.parametrize("variable", sorted(NO_THREAD_COUNT))
+    def test_caller_thread_count_is_kept(self, variable):
+        child = run_child("import os, sys, symkl.cli\nprint(os.environ[sys.argv[1]])", variable,
+                          env={**NO_THREAD_COUNT, variable: "2"})
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "2"
+
+    def test_dry_run_loads_neither_random_nor_the_pool(self, tmp_path):
+        child = run_child(
+            "import sys\n"
+            "from symkl.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "heavy = ('numpy.random', 'concurrent.futures.process')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "sys.exit(code)",
+            "simulate", "--config", config_file(tmp_path), "--dry-run",
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "[]"
+
     def test_import_leaves_out_scipy_and_the_pool(self):
         child = run_child(
             "import sys, symkl.cli\n"

@@ -162,6 +162,11 @@ class TestConfigJson:
         with pytest.raises(ValueError, match="unknown keys.*'repetitions'"):
             parse_config_dict(config_dict(repetitions=5))
 
+    def test_unknown_keys_of_mixed_types(self):
+        # only a library caller can pass a non-string key; it is reported, not a TypeError
+        with pytest.raises(ValueError, match=r"^config: unknown keys \[1, 'a'\]$"):
+            parse_config_dict({1: 2, "a": 3})
+
     def test_unknown_model_key(self):
         data = config_dict()
         data["model"]["labels"] = 2

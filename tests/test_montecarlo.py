@@ -699,6 +699,10 @@ class TestRunExperiment:
         assert [(at_n.n, len(at_n)) for at_n in records] == [(300, 40), (900, 40)]
         assert run_experiment(config, records=False).records == ()
 
+    def test_config_must_be_an_experiment_config(self):
+        with pytest.raises(ValueError, match="^config must be an ExperimentConfig, got 'x'$"):
+            run_experiment("x")
+
     def test_summary_contents(self, test_model):
         config = make_config(test_model, checks=("lln", "clt", "coverage"))
         result = run_experiment(config)
