@@ -15,10 +15,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "asymptotics": ("ConfidenceInterval", "confidence_interval", "exact_sigma2",
-                    "influence_value", "normal_cdf", "normal_quantile", "plugin_sigma2"),
+    "asymptotics": ("confidence_interval", "exact_sigma2", "influence_value", "normal_cdf",
+                    "normal_quantile", "plugin_sigma2"),
     "bounds": ("BOUND_NAMES", "DEFAULT_G_GRID", "BoundTableRow"),
-    "estimator": ("DegenerateSampleError", "EstimateResult", "plug_in_estimate"),
+    "estimator": ("DegenerateSampleError", "plug_in_estimate"),
     "io": ("CountsFormatError", "config_to_dict", "load_config", "parse_config_dict",
            "read_counts_csv", "write_bounds_csv", "write_manifest", "write_records_csv",
            "write_summary_json"),

@@ -5,21 +5,24 @@ variance that has a closed form: each draw ``(x, y)`` contributes a linear
 influence value ``W(x, y)`` with mean zero, and the limit variance is
 ``Var W``.  This module computes the influence value, the exact limit
 variance by enumerating the ``2 r`` possible outcomes of one draw, its
-plug-in counterpart evaluated at the empirical measures, and the resulting
-asymptotic confidence interval.  It checks no law: a model was checked when
-it was built, and positive counts give positive empirical laws.
+plug-in counterpart evaluated at the empirical measures, and the ends
+``(lower, upper)`` of the resulting asymptotic confidence interval.  Each
+returns floats; a degenerate table raises
+:class:`~symkl.estimator.DegenerateSampleError`, as
+:func:`~symkl.estimator.plug_in_estimate` does.  It checks no law: a model
+was checked when it was built, and positive counts give positive empirical
+laws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .estimator import DegenerateSampleError, EstimateResult, _empirical
-from .model import CountTable, PopulationModel, as_real
+from .estimator import _empirical
+from .model import MAX_COUNT, CountTable, PopulationModel, as_real, check_type
 from .streams import as_integral
 
 _SQRT_HALF = 0.7071067811865476  # 1/sqrt(2) rounded to double
@@ -86,6 +89,7 @@ def influence_value(model: PopulationModel, x: int, y: int) -> float:
     influence coefficients and accumulated with compensated summation.
     The outcome distribution of one draw gives ``E W = 0``.
     """
+    check_type(model, PopulationModel, "model")
     x = as_integral(x, "x")
     y = as_integral(y, "y")
     if not 0 <= x < model.r:
@@ -133,6 +137,7 @@ def _influence_table(label_prob: float, pv: np.ndarray, qv: np.ndarray) -> float
 
 def exact_sigma2(model: PopulationModel) -> float:
     """Exact limit variance ``Var W`` by enumeration of all 2r outcomes."""
+    check_type(model, PopulationModel, "model")
     return _influence_table(model.label_prob, model.cond_p, model.cond_q)
 
 
@@ -143,62 +148,35 @@ def plugin_sigma2(counts: CountTable) -> float:
     Raises
     ------
     DegenerateSampleError
-        If :func:`~symkl.estimator.plug_in_estimate` flags the table: an empty
-        label class (no draws, or a label-1 frequency that rounds to 1), else
-        an empty cell; the message is the estimate's reason.
+        Where :func:`~symkl.estimator.plug_in_estimate` raises, with its
+        message: an empty label class (no draws, or a label-1 frequency
+        that rounds to 1), else an empty cell.
     """
-    p_hat, q_hat, p_n_hat, _, reason = _empirical(counts)
-    if reason is not None:
-        raise DegenerateSampleError(reason)
+    p_hat, q_hat, p_n_hat = _empirical(counts)
     return _influence_table(p_n_hat, p_hat, q_hat)
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    """Two-sided asymptotic interval for the symmetric divergence; a point
-    when the variance is zero."""
-
-    lower: float
-    upper: float
-    level: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not self.lower <= self.upper:
-            raise ValueError("interval bounds are out of order")
-
-    @property
-    def half_width(self) -> float:
-        return (self.upper - self.lower) / 2.0
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
-
-def confidence_interval(estimate: EstimateResult, sigma2: float,
-                        level: float) -> ConfidenceInterval:
-    """Interval ``estimate +- z * sqrt(sigma2 / n)`` at the given level.
-
-    ``z`` is :func:`interval_z` of ``level``.
+def confidence_interval(estimate: float, sigma2: float, n: int,
+                        level: float) -> tuple[float, float]:
+    """``(lower, upper)`` of the interval ``estimate +- z * sqrt(sigma2 / n)``,
+    a point when ``sigma2`` is zero; ``z`` is :func:`interval_z` of ``level``.
 
     Raises
     ------
-    DegenerateSampleError
-        If the estimate itself is degenerate.
     ValueError
-        If :func:`interval_z` rejects ``level``, or ``sigma2`` is not a
-        finite real >= 0.
+        If :func:`interval_z` rejects ``level``, ``estimate`` is not a
+        finite real, ``sigma2`` is not a finite real >= 0, or ``n`` is not
+        an integer in [1, 2**63 - 1].
     """
-    if estimate.degenerate:
-        raise DegenerateSampleError(
-            f"no interval for a degenerate estimate ({estimate.reason})"
-        )
-    level = as_real(level, "level")
     z = interval_z(level, "level")
+    estimate = as_real(estimate, "estimate")
+    if not math.isfinite(estimate):
+        raise ValueError(f"estimate must be a finite real, got {estimate!r}")
     sigma2 = as_real(sigma2, "sigma2")
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be a finite real >= 0, got {sigma2!r}")
-    half = z * math.sqrt(sigma2 / estimate.n)
-    return ConfidenceInterval(
-        lower=estimate.value - half, upper=estimate.value + half, level=level, n=estimate.n
-    )
+    n = as_integral(n, "n")
+    if not 1 <= n <= MAX_COUNT:
+        raise ValueError(f"n must lie in [1, 2**63 - 1], got {n}")
+    half = z * math.sqrt(sigma2 / n)
+    return estimate - half, estimate + half

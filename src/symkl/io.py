@@ -88,27 +88,31 @@ def read_counts_csv(path) -> CountTable:
     Raises
     ------
     CountsFormatError
-        On any structural problem, with the offending line number.
+        On any structural problem, with the offending line number, or
+        on bytes that are not UTF-8.
     """
     data_rows: list[tuple[int, list[str]]] = []
     header: tuple[int, list[str]] | None = None
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split(",")
-            numeric = [_is_int_token(t) for t in tokens]
-            if not all(numeric):
-                # a header is the first content row with no numeric fields
-                if header is None and not data_rows and not any(numeric):
-                    header = (line_number, tokens)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for line_number, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
                     continue
-                bad = tokens[numeric.index(False)]
-                raise CountsFormatError(
-                    f"expected an integer count, got {bad.strip()!r}", line_number
-                )
-            data_rows.append((line_number, tokens))
+                tokens = line.split(",")
+                numeric = [_is_int_token(t) for t in tokens]
+                if not all(numeric):
+                    # a header is the first content row with no numeric fields
+                    if header is None and not data_rows and not any(numeric):
+                        header = (line_number, tokens)
+                        continue
+                    bad = tokens[numeric.index(False)]
+                    raise CountsFormatError(
+                        f"expected an integer count, got {bad.strip()!r}", line_number
+                    )
+                data_rows.append((line_number, tokens))
+    except UnicodeDecodeError as exc:
+        raise CountsFormatError(f"not UTF-8 text ({exc.reason})") from None
 
     if len(data_rows) != 2:
         where = data_rows[2][0] if len(data_rows) > 2 else None

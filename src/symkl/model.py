@@ -61,6 +61,13 @@ def as_real(value, name: str, array: bool = False):
     return arr.astype(np.float64, copy=False)
 
 
+def check_type(value, cls: type, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {value!r}")
+
+
 def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
     """Validate ``values`` as a probability vector.
 
@@ -311,6 +318,8 @@ def sample_batch(model: PopulationModel, n: int, stream: np.random.Generator) ->
     stream : numpy.random.Generator
         Private random stream (see :mod:`symkl.streams`).
     """
+    check_type(model, PopulationModel, "model")
+    check_type(stream, np.random.Generator, "stream")
     n = as_integral(n, "n")
     if not 1 <= n <= MAX_COUNT:
         raise ValueError("sample sizes must be >= 1 and at most 2**63 - 1")

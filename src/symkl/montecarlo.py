@@ -53,6 +53,7 @@ from .model import (
     MAX_COUNT,
     PopulationModel,
     as_real,
+    check_type,
     sample_batch,  # noqa: F401  (perfbench's tracer wraps it here)
     table_blocks,
 )
@@ -89,12 +90,6 @@ def _as_tuple(values, name: str, items: str) -> tuple:
         with contextlib.suppress(TypeError):
             return tuple(values)
     raise ValueError(f"{name} must be a sequence of {items}, got {values!r}")
-
-
-def _check_type(value, cls: type, name: str) -> None:
-    if not isinstance(value, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise ValueError(f"{name} must be {article} {cls.__name__}, got {value!r}")
 
 
 def _check_run_size(n_values, replications: int, master_seed: int, fewest: int) -> None:
@@ -140,7 +135,7 @@ class ExperimentConfig:
     checks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_type(self.model, PopulationModel, "model")
+        check_type(self.model, PopulationModel, "model")
         n_values = tuple(as_integral(n, "n_values")
                          for n in _as_tuple(self.n_values, "n_values", "integers"))
         if not n_values:
@@ -498,7 +493,7 @@ def bound_table(
     so peak memory is one block of tables and a quarter block of
     temporaries.
     """
-    _check_type(model, PopulationModel, "model")
+    check_type(model, PopulationModel, "model")
     n_values = sorted({as_integral(n, "n_grid") for n in _as_tuple(n_grid, "n_grid", "integers")})
     g_values = sorted({as_real(g, "g_grid") for g in _as_tuple(g_grid, "g_grid", "reals")})
     if not n_values:
@@ -714,7 +709,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     ``records=False`` skips the kernel: no records, so only the bounds
     check has data, and ``lln``, ``clt`` and ``coverage`` fail.
     """
-    _check_type(config, ExperimentConfig, "config")
+    check_type(config, ExperimentConfig, "config")
     g_values = DEFAULT_G_GRID if "bounds" in config.checks else ()
     z = interval_z(config.ci_level, "ci_level") if records else None
     columns, bound_rows = _table_pass(config.model, config.n_values, config.replications,

@@ -93,9 +93,8 @@ def test_criterion_01_estimator_matches_empirical_divergence():
         n0 = rng.integers(1, 50, size=r)
         table = CountTable(n1=n1, n0=n0)
         est = plug_in_estimate(table)
-        assert not est.degenerate
         direct = sym_kl_divergence(n1 / n1.sum(), n0 / n0.sum())
-        worst = max(worst, abs(est.value - direct))
+        worst = max(worst, abs(est - direct))
     elapsed = time.perf_counter() - start
     report(
         1,
@@ -109,7 +108,7 @@ def test_criterion_02_golden_divergence_values():
     model_value = sym_kl_divergence((0.5, 0.5), (0.25, 0.75))
     model_err = abs(model_value - math.log(3.0) / 4.0)
     counts = CountTable(n1=(3, 1), n0=(1, 3))
-    counts_value = plug_in_estimate(counts).value
+    counts_value = plug_in_estimate(counts)
     counts_err = abs(counts_value - math.log(3.0))
     report(
         2,

@@ -6,7 +6,6 @@ import pytest
 from symkl import (
     CountTable,
     DegenerateSampleError,
-    EstimateResult,
     ExperimentConfig,
     PopulationModel,
     confidence_interval,
@@ -267,52 +266,47 @@ class TestPluginSigma2:
         counts = CountTable(n1=np.array([10**13, 1]), n0=np.array([5, 5]))
         est = plug_in_estimate(counts)
         sigma2 = plugin_sigma2(counts)
-        ci = confidence_interval(est, sigma2, 0.95)
-        assert est.value == 14.966803104458304
+        lower, upper = confidence_interval(est, sigma2, counts.n, 0.95)
+        assert est == 14.966803104458304
         assert sigma2 == 461186201737754.75
-        assert ci.lower < est.value < ci.upper
+        assert lower < est < upper
 
 
 class TestConfidenceInterval:
-    def estimate(self, value=0.2747, n=10_000):
-        return EstimateResult(value=value, reason=None, n=n)
+    ESTIMATE = 0.2747
+    N = 10_000
 
     def test_half_width_golden(self, test_model):
-        est = self.estimate()
         sigma2 = exact_sigma2(test_model)
-        ci = confidence_interval(est, sigma2, 0.95)
+        lower, upper = confidence_interval(self.ESTIMATE, sigma2, self.N, 0.95)
         expected_half = normal_quantile(0.975) * math.sqrt(sigma2 / 10_000)
-        assert ci.half_width == pytest.approx(expected_half, rel=1e-12)
+        assert (upper - lower) / 2.0 == pytest.approx(expected_half, rel=1e-12)
         assert expected_half == pytest.approx(0.0412059, abs=5e-7)
-        assert ci.lower == pytest.approx(est.value - expected_half, rel=1e-12)
-        assert ci.level == 0.95
-        assert ci.lower < ci.upper
+        assert lower == pytest.approx(self.ESTIMATE - expected_half, rel=1e-12)
+        assert lower < upper
 
     def test_higher_level_strictly_contains(self, test_model):
-        est = self.estimate()
         sigma2 = exact_sigma2(test_model)
-        narrow = confidence_interval(est, sigma2, 0.95)
-        wide = confidence_interval(est, sigma2, 0.99)
-        assert wide.lower < narrow.lower
-        assert wide.upper > narrow.upper
+        narrow = confidence_interval(self.ESTIMATE, sigma2, self.N, 0.95)
+        wide = confidence_interval(self.ESTIMATE, sigma2, self.N, 0.99)
+        assert wide[0] < narrow[0]
+        assert wide[1] > narrow[1]
 
     def test_zero_variance_point_interval(self):
         counts = CountTable(n1=np.array([2, 2]), n0=np.array([2, 2]))
         est = plug_in_estimate(counts)
         sigma2 = plugin_sigma2(counts)
-        ci = confidence_interval(est, sigma2, 0.95)
+        lower, upper = confidence_interval(est, sigma2, counts.n, 0.95)
         assert sigma2 == 0.0
-        assert ci.lower == ci.upper == est.value
+        assert lower == upper == est
         # value -+ 0.0 keeps the estimate's bits: a plug-in value is never -0.0
-        assert math.copysign(1.0, ci.lower) == math.copysign(1.0, ci.upper) == 1.0
-        assert ci.contains(est.value)
+        assert math.copysign(1.0, lower) == math.copysign(1.0, upper) == 1.0
 
     def test_level_domain(self, test_model):
-        est = self.estimate()
         sigma2 = exact_sigma2(test_model)
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError, match="level"):
-                confidence_interval(est, sigma2, bad)
+                confidence_interval(self.ESTIMATE, sigma2, self.N, bad)
 
     def test_level_whose_quantile_argument_rounds_to_one(self, test_model):
         # 1 + (1 - 2**-53) rounds to 2, so (1 + level) / 2 would be 1.0
@@ -320,7 +314,7 @@ class TestConfidenceInterval:
         assert level == 0.9999999999999999 and (1.0 + level) / 2.0 == 1.0
         message = "level 0.9999999999999999 is too close to 1: (1 + level) / 2 rounds to 1"
         for call in (lambda: interval_z(level, "level"),
-                     lambda: confidence_interval(self.estimate(), 1.0, level)):
+                     lambda: confidence_interval(self.ESTIMATE, 1.0, self.N, level)):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == message
@@ -328,20 +322,27 @@ class TestConfidenceInterval:
             ExperimentConfig(test_model, (10,), 2, 0, ci_level=level)
         # the next level down has its quantile argument below 1
         below = 1.0 - 2.0**-52
-        assert interval_z(below, "level") == normal_quantile((1.0 + below) / 2.0) > 8.0
-        assert confidence_interval(self.estimate(), 1.0, below).level == below
+        z = interval_z(below, "level")
+        assert z == normal_quantile((1.0 + below) / 2.0) > 8.0
+        half = z * math.sqrt(1.0 / self.N)
+        assert confidence_interval(self.ESTIMATE, 1.0, self.N, below) == (
+            self.ESTIMATE - half, self.ESTIMATE + half)
         assert ExperimentConfig(test_model, (10,), 2, 0, ci_level=below).ci_level == below
 
-    def test_degenerate_estimate_rejected(self, test_model):
-        degenerate = plug_in_estimate(
-            CountTable(n1=np.array([5, 0]), n0=np.array([2, 3]))
-        )
-        with pytest.raises(DegenerateSampleError):
-            confidence_interval(degenerate, exact_sigma2(test_model), 0.95)
+    @pytest.mark.parametrize("estimate, n, message", [
+        (math.nan, 8, "estimate must be a finite real, got nan"),
+        (math.inf, 8, "estimate must be a finite real, got inf"),
+        (-math.inf, 8, "estimate must be a finite real, got -inf"),
+        (None, 8, "estimate must be real, got None"),
+        (1.0, 0, "n must lie in [1, 2**63 - 1], got 0"),
+        (1.0, -3, "n must lie in [1, 2**63 - 1], got -3"),
+        (1.0, 2**63, "n must lie in [1, 2**63 - 1], got 9223372036854775808"),
+        (1.0, 1.5, "n must be an integer, got 1.5"),
+        (1.0, "8", "n must be an integer, got '8'"),
+    ], ids=["nan", "inf", "-inf", "None", "n-0", "n-negative", "n-2**63", "n-1.5",
+            "n-string"])
+    def test_rejects_estimate_and_n(self, estimate, n, message):
+        with pytest.raises(ValueError) as info:
+            confidence_interval(estimate, 1.0, n, 0.95)
+        assert str(info.value) == message
 
-    def test_contains(self):
-        est = self.estimate()
-        counts = CountTable(n1=np.array([3, 1]), n0=np.array([1, 3]))
-        ci = confidence_interval(est, plugin_sigma2(counts), 0.95)
-        assert ci.contains(est.value)
-        assert not ci.contains(ci.upper + 1.0)

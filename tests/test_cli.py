@@ -112,6 +112,13 @@ class TestEstimate:
         assert code == 1
         assert "line 1" in err
 
+    def test_non_utf8_counts_name_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xff3,1\n1,3\n")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "text, message",

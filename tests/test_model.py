@@ -6,15 +6,18 @@ import pytest
 
 from symkl import (
     CountTable,
-    EstimateResult,
     ExperimentConfig,
     PopulationModel,
     as_prob_vector,
     bound_table,
     confidence_interval,
+    exact_sigma2,
+    influence_value,
     ks_statistic,
     normal_cdf,
     normal_quantile,
+    plug_in_estimate,
+    plugin_sigma2,
     sample_batch,
     sym_kl_divergence,
 )
@@ -181,7 +184,7 @@ class TestPopulationModel:
                  id="CountTable"),
     pytest.param(lambda: bound_table(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), [10],
                                      [10**400]), "g_grid: integer too large", id="bound_table"),
-    pytest.param(lambda: confidence_interval(EstimateResult(1.0, None, 8), 1.0, 10**400),
+    pytest.param(lambda: confidence_interval(1.0, 1.0, 8, 10**400),
                  "level: integer too large", id="confidence_interval"),
     pytest.param(lambda: normal_quantile(10**400), "prob: integer too large", id="normal_quantile"),
     pytest.param(lambda: normal_cdf(10**400), "x: integer too large", id="normal_cdf"),
@@ -199,7 +202,7 @@ class TestPopulationModel:
     pytest.param(lambda: bound_table(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), [10],
                                      [0.1 + 0j]), "g_grid must be real, got ",
                  id="bound_table-complex"),
-    pytest.param(lambda: confidence_interval(EstimateResult(1.0, None, 8), 1.0, 0.95 + 0j),
+    pytest.param(lambda: confidence_interval(1.0, 1.0, 8, 0.95 + 0j),
                  "level must be real, got ", id="confidence_interval-complex"),
     pytest.param(lambda: normal_quantile(0.5 + 0j), "prob must be real, got ",
                  id="normal_quantile-complex"),
@@ -243,8 +246,7 @@ class TestPopulationModel:
                  id="ks_statistic-dict"),
     pytest.param(lambda: normal_cdf({1.0}), r"x must be real, got \{1\.0\}$", id="normal_cdf-set"),
     # a variance that is no finite real >= 0, not a math domain error or a bad interval
-    *(pytest.param(lambda sigma2=sigma2: confidence_interval(EstimateResult(1.0, None, 8),
-                                                             sigma2, 0.95),
+    *(pytest.param(lambda sigma2=sigma2: confidence_interval(1.0, sigma2, 8, 0.95),
                    message, id=f"confidence_interval-sigma2-{sigma2!r}")
       for sigma2, message in (
           (-1.0, r"sigma2 must be a finite real >= 0, got -1\.0$"),
@@ -259,6 +261,28 @@ def test_integer_beyond_float_range_is_a_value_error(call, message):
     # a ValueError naming the argument, not numpy's or float()'s OverflowError,
     # a ComplexWarning or a TypeError
     with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: exact_sigma2(None), "model must be a PopulationModel, got None",
+                 id="exact_sigma2"),
+    pytest.param(lambda: influence_value(None, 0, 0), "model must be a PopulationModel, got None",
+                 id="influence_value"),
+    pytest.param(lambda: plug_in_estimate("x"), "counts must be a CountTable, got 'x'",
+                 id="plug_in_estimate"),
+    pytest.param(lambda: plugin_sigma2([[1, 2], [3, 4]]),
+                 r"counts must be a CountTable, got \[\[1, 2\], \[3, 4\]\]", id="plugin_sigma2"),
+    pytest.param(lambda: sample_batch(None, 10, replication_stream(1, 0, 0)),
+                 "model must be a PopulationModel, got None", id="sample_batch-model"),
+    pytest.param(lambda: sample_batch(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), 10, 7),
+                 "stream must be a Generator, got 7", id="sample_batch-int-stream"),
+    pytest.param(lambda: sample_batch(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), 10, None),
+                 "stream must be a Generator, got None", id="sample_batch-None-stream"),
+])
+def test_wrong_argument_type_is_a_value_error(call, message):
+    # a ValueError naming the argument, not an AttributeError from inside
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 

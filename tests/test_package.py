@@ -11,10 +11,10 @@ from conftest import run_python
 
 PUBLIC = {
     "BOUND_NAMES", "CHECK_NAMES", "COVERAGE_TOLERANCE", "DEFAULT_G_GRID", "EPS_POSITIVE",
-    "KS_THRESHOLD", "SIMPLEX_ATOL", "BoundTableRow", "CheckResult", "ConfidenceInterval",
-    "CountTable", "CountsFormatError", "DegenerateSampleError", "EstimateResult",
-    "ExperimentConfig", "ExperimentResult", "ExperimentSummary", "PopulationModel",
-    "ReplicationColumns", "SampleSizeSummary", "as_prob_vector", "bound_table",
+    "KS_THRESHOLD", "SIMPLEX_ATOL", "BoundTableRow", "CheckResult", "CountTable",
+    "CountsFormatError", "DegenerateSampleError", "ExperimentConfig", "ExperimentResult",
+    "ExperimentSummary", "PopulationModel", "ReplicationColumns", "SampleSizeSummary",
+    "as_prob_vector", "bound_table",
     "check_bound_rows", "confidence_interval", "config_to_dict", "coverage_rate",
     "exact_sigma2", "influence_value", "ks_statistic", "load_config", "normal_cdf",
     "normal_quantile", "parse_config_dict", "plug_in_estimate", "plugin_sigma2",
@@ -25,7 +25,7 @@ PUBLIC = {
 
 
 def test_all_is_the_public_api():
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 42
     assert symkl.__all__ == sorted(PUBLIC)
 
 
