@@ -22,8 +22,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .estimator import _empirical
-from .model import MAX_COUNT, CountTable, PopulationModel, as_real, check_type
-from .streams import as_integral
+from .model import CountTable, PopulationModel, as_real, check_type
+from .streams import MAX_COUNT, as_integral
 
 _SQRT_HALF = 0.7071067811865476  # 1/sqrt(2) rounded to double
 _SQRT_HALF_LO = -4.833646656726457e-17  # 1/sqrt(2) - _SQRT_HALF
@@ -90,12 +90,8 @@ def influence_value(model: PopulationModel, x: int, y: int) -> float:
     The outcome distribution of one draw gives ``E W = 0``.
     """
     check_type(model, PopulationModel, "model")
-    x = as_integral(x, "x")
-    y = as_integral(y, "y")
-    if not 0 <= x < model.r:
-        raise ValueError(f"symbol index must lie in [0, {model.r}), got {x}")
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
+    x = as_integral(x, "x", 0, model.r - 1)
+    y = as_integral(y, "y", 0, 1)
     b, c = _coefficients(model.cond_p, model.cond_q)
     p = model.label_prob
     q = 1.0 - p
@@ -175,8 +171,5 @@ def confidence_interval(estimate: float, sigma2: float, n: int,
     sigma2 = as_real(sigma2, "sigma2")
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be a finite real >= 0, got {sigma2!r}")
-    n = as_integral(n, "n")
-    if not 1 <= n <= MAX_COUNT:
-        raise ValueError(f"n must lie in [1, 2**63 - 1], got {n}")
-    half = z * math.sqrt(sigma2 / n)
+    half = z * math.sqrt(sigma2 / as_integral(n, "n", 1, MAX_COUNT))
     return estimate - half, estimate + half

@@ -48,7 +48,7 @@ from .io import (
     write_json,  # noqa: F401  (perfbench's tracer wraps it here)
 )
 from .model import PopulationModel
-from .montecarlo import ExperimentConfig, run_experiment
+from .montecarlo import ExperimentConfig, pool_size, run_experiment
 from .montecarlo import bound_table  # noqa: F401  (perfbench's tracer wraps it here)
 
 # after the modules that load numpy: loaded first, these leave a higher peak RSS
@@ -143,7 +143,7 @@ def _utc_now() -> str:
 
 
 def _manifest(args, config: ExperimentConfig, checks, outputs, started_utc) -> dict:
-    """Provenance for one run: package version, inputs, check outcomes, outputs."""
+    """Provenance for one run: package version, inputs, pool size, check outcomes, outputs."""
     return dict(
         package_version=__version__,
         started_utc=started_utc,
@@ -174,9 +174,8 @@ def _dry_run_report(config: ExperimentConfig) -> int:
 
 def cmd_run(args) -> int:
     """``simulate`` and the check presets; ``bounds-check`` keeps no records."""
+    args.workers = pool_size(args.workers, "--workers")  # the pool size the manifest records
     config = _load_or_default_config(args)
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.dry_run:
         return _dry_run_report(config)
     if args.out_dir is None:

@@ -11,8 +11,9 @@ Config JSON
     with ``model`` an object of the fields of :class:`PopulationModel`.  A
     field with a default is optional and keeps the dataclass's default.
     ``_JSON_TYPES`` gives each field's JSON type: booleans are no numbers,
-    and integers must be JSON integers.  Unknown keys are rejected so typos
-    cannot silently change an experiment, and each error names its path,
+    and integers must be JSON integers.  Unknown keys, and a key given twice
+    in one object, are rejected so typos cannot silently change an
+    experiment, and each error names its path,
     such as ``config.checks[0]``.  :func:`config_to_dict` writes the same
     shape back.
 
@@ -38,8 +39,9 @@ import json
 
 import numpy as np
 
-from .model import MAX_COUNT, CountTable, PopulationModel, as_real
+from .model import CountTable, PopulationModel, as_real
 from .montecarlo import ExperimentConfig, ExperimentSummary, ReplicationColumns
+from .streams import MAX_COUNT, as_integral
 
 RECORDS_HEADER = (
     "rep_index,n,estimate,eta,scaled_eta,sigma2_hat,ci_lo,ci_hi,covered,degenerate"
@@ -75,11 +77,10 @@ def _parse_count(token: str, line_number: int) -> int:
         raise CountsFormatError(
             f"expected an integer count, got {text!r}", line_number
         ) from None
-    if value < 0:
-        raise CountsFormatError(f"negative count {value}", line_number)
-    if value > MAX_COUNT:
-        raise CountsFormatError(f"count {value} exceeds 2**63 - 1", line_number)
-    return value
+    try:
+        return as_integral(value, "count", 0, MAX_COUNT)
+    except ValueError as exc:
+        raise CountsFormatError(str(exc), line_number) from None
 
 
 def read_counts_csv(path) -> CountTable:
@@ -200,12 +201,23 @@ def parse_config_dict(data) -> ExperimentConfig:
     return _from_json(ExperimentConfig, data, "config")
 
 
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook``: a key given twice in one JSON object raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> ExperimentConfig:
     """Read and validate an experiment config JSON file."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            data = json.load(fh)
-        # also an integer literal beyond int()'s digit limit, or arrays nested too deep
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        # also a duplicate key, an integer literal beyond int()'s digit limit,
+        # or arrays nested too deep
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"config: invalid JSON ({exc})") from exc
     return parse_config_dict(data)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import as_integral, block_stream
+from .streams import MAX_COUNT, as_integral, block_stream
 
 # Entries at or below this are treated as numerically zero; strict
 # positivity means every entry exceeds it.
@@ -24,9 +24,6 @@ EPS_POSITIVE = 1e-12
 
 # |sum - 1| tolerance for a probability vector.
 SIMPLEX_ATOL = 1e-12
-
-# Largest count, and largest count table total, that int64 holds.
-MAX_COUNT = (1 << 63) - 1
 
 # Count cells (rows x r) per sampling block, for the Monte Carlo kernel and
 # the bound pass alike.  Part of the stream layout: changing it changes
@@ -233,12 +230,7 @@ def _as_count_row(values, *, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if arr.size < 2:
         raise ValueError(f"{name} needs at least 2 entries, got {arr.size}")
-    counts = [as_integral(value, name) for value in arr.tolist()]
-    if any(abs(count) > MAX_COUNT for count in counts):
-        raise ValueError(f"{name}: integer beyond 2**63 - 1")
-    if any(count < 0 for count in counts):
-        raise ValueError(f"{name} contains negative counts")
-    out = np.array(counts, dtype=np.int64)
+    out = np.array([as_integral(v, name, 0, MAX_COUNT) for v in arr.tolist()], dtype=np.int64)
     out.flags.writeable = False
     return out
 
@@ -320,8 +312,5 @@ def sample_batch(model: PopulationModel, n: int, stream: np.random.Generator) ->
     """
     check_type(model, PopulationModel, "model")
     check_type(stream, np.random.Generator, "stream")
-    n = as_integral(n, "n")
-    if not 1 <= n <= MAX_COUNT:
-        raise ValueError("sample sizes must be >= 1 and at most 2**63 - 1")
-    n1, n0 = sample_counts(model, n, 1, stream)
+    n1, n0 = sample_counts(model, as_integral(n, "n", 1, MAX_COUNT), 1, stream)
     return CountTable(n1=n1[0], n0=n0[0])

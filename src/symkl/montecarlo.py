@@ -50,7 +50,6 @@ from .estimator import REASON_EMPTY_CELL, REASON_EMPTY_LABEL, REASON_NONE
 from .estimator import plug_in_estimate  # noqa: F401  (perfbench's tracer wraps it here)
 from .model import (
     BLOCK_CELLS,
-    MAX_COUNT,
     PopulationModel,
     as_real,
     check_type,
@@ -58,8 +57,10 @@ from .model import (
     table_blocks,
 )
 from .streams import (
+    MAX_COUNT,
     N_INDEX_LIMIT,
     REP_INDEX_LIMIT,
+    SEED_LIMIT,
     as_integral,
     replication_stream,  # noqa: F401  (perfbench's tracer wraps it here)
 )
@@ -92,18 +93,19 @@ def _as_tuple(values, name: str, items: str) -> tuple:
     raise ValueError(f"{name} must be a sequence of {items}, got {values!r}")
 
 
-def _check_run_size(n_values, replications: int, master_seed: int, fewest: int) -> None:
-    """Reject sample sizes, replication counts and seeds beyond int64 or the stream key."""
-    if len(n_values) > N_INDEX_LIMIT:
+def _sample_sizes(values, name: str) -> tuple[int, ...]:
+    """``values`` as 1 to ``2**16`` (the stream key's n_index) sample sizes in [1, 2**63 - 1]."""
+    sizes = tuple(as_integral(n, name, 1, MAX_COUNT) for n in _as_tuple(values, name, "integers"))
+    if not sizes:
+        raise ValueError(f"{name} is empty")
+    if len(set(sizes)) > N_INDEX_LIMIT:
         raise ValueError(f"at most {N_INDEX_LIMIT} sample sizes fit the stream key")
-    if any(not 1 <= n <= MAX_COUNT for n in n_values):
-        raise ValueError("sample sizes must be >= 1 and at most 2**63 - 1")
-    if not fewest <= replications <= REP_INDEX_LIMIT:
-        raise ValueError(
-            f"replications must be in [{fewest}, {REP_INDEX_LIMIT}], got {replications}"
-        )
-    if not 0 <= master_seed < 1 << 64:
-        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+    return sizes
+
+
+def pool_size(workers, name: str = "workers") -> int:
+    """The pool size of a table pass: ``workers`` >= 1, capped at the CPU count."""
+    return min(as_integral(workers, name, 1), os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -136,13 +138,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_type(self.model, PopulationModel, "model")
-        n_values = tuple(as_integral(n, "n_values")
-                         for n in _as_tuple(self.n_values, "n_values", "integers"))
-        if not n_values:
-            raise ValueError("n_values is empty")
-        replications = as_integral(self.replications, "replications")
-        master_seed = as_integral(self.master_seed, "master_seed")
-        _check_run_size(n_values, replications, master_seed, fewest=1)
+        n_values = _sample_sizes(self.n_values, "n_values")
+        replications = as_integral(self.replications, "replications", 1, REP_INDEX_LIMIT)
+        master_seed = as_integral(self.master_seed, "master_seed", 0, SEED_LIMIT - 1)
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
         level = as_real(self.ci_level, "ci_level")
@@ -422,12 +420,7 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
 
     Raises ValueError when the columns of that many rows cannot be allocated.
     """
-    workers = as_integral(workers, "workers")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    # a fork pool starts all of its processes at once
-    workers = min(workers, os.cpu_count() or 1)
-
+    workers = pool_size(workers)  # a fork pool starts all of its processes at once
     truth = model.sym_divergence()
     layout = table_blocks(model, n_values, replications, master_seed)
     tasks = [(block, z is not None, g_values) for block in layout]
@@ -494,17 +487,14 @@ def bound_table(
     temporaries.
     """
     check_type(model, PopulationModel, "model")
-    n_values = sorted({as_integral(n, "n_grid") for n in _as_tuple(n_grid, "n_grid", "integers")})
+    n_values = sorted(set(_sample_sizes(n_grid, "n_grid")))
     g_values = sorted({as_real(g, "g_grid") for g in _as_tuple(g_grid, "g_grid", "reals")})
-    if not n_values:
-        raise ValueError("n_grid is empty")
     if not g_values:
         raise ValueError("g_grid is empty")
     if any(not math.isfinite(g) or g <= 0.0 for g in g_values):
         raise ValueError("thresholds must be positive reals")
-    replications = as_integral(replications, "replications")
-    master_seed = as_integral(master_seed, "master_seed")
-    _check_run_size(n_values, replications, master_seed, fewest=0)
+    replications = as_integral(replications, "replications", 0, REP_INDEX_LIMIT)
+    master_seed = as_integral(master_seed, "master_seed", 0, SEED_LIMIT - 1)
     return _table_pass(model, n_values, replications, master_seed, g_values=g_values)[1]
 
 

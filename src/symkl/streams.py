@@ -31,35 +31,50 @@ import numpy as np
 TAG_REPLICATION = 0
 TAG_BLOCK = 3
 
-# Exclusive upper ends of the n_index and rep_index (or block_index) key fields.
+# Integer limits: the largest count, count table total and sample size that
+# int64 holds, and the exclusive upper ends of the stream key's fields.
+MAX_COUNT = (1 << 63) - 1
+SEED_LIMIT = 1 << 64
 N_INDEX_LIMIT = 1 << 16
 REP_INDEX_LIMIT = 1 << 32
 
 
-def as_integral(value, name: str) -> int:
-    """``value`` as an int: an int, a bool, a numpy integer or an integral float
-    such as ``1e4``.  Anything else (a fractional part, inf, nan, a str, None,
-    a complex number, a list) raises ValueError naming ``name``."""
+def _limit_text(bound: int) -> str:
+    """``bound`` for a message: ``2**k`` and ``2**k - 1`` from ``k = 16`` on by their exponent."""
+    for power, suffix in ((bound, ""), (bound + 1, " - 1")):
+        if power >= 1 << 16 and power & (power - 1) == 0:
+            return f"2**{power.bit_length() - 1}{suffix}"
+    return str(bound)
+
+
+def as_integral(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in ``[lo, hi]`` (no upper end when ``hi`` is None):
+    an int, a bool, a numpy integer or an integral float such as ``1e4``.
+    Anything else (a fractional part, inf, nan, a str, None, a complex
+    number, a list) raises ValueError naming ``name``, and so does an integer
+    outside the range, as ``"{name} must lie in [lo, hi], got {value}"``."""
     try:
         if hasattr(value, "__index__"):  # int, bool and the numpy integer types
-            return value.__index__()
-        if not isinstance(value, (str, bytes)) and float(value).is_integer():
-            return int(float(value))
+            number = value.__index__()
+        elif isinstance(value, (str, bytes)) or not float(value).is_integer():
+            raise TypeError
+        else:
+            number = int(float(value))
     except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < lo or (hi is not None and number > hi):
+        high = "inf)" if hi is None else f"{_limit_text(hi)}]"
+        # a value too long for str() under the interpreter's digit limit is described
+        got = number if number.bit_length() <= 2000 else (
+            f"{'a negative' if number < 0 else 'an'} integer of {number.bit_length()} bits")
+        raise ValueError(f"{name} must lie in [{_limit_text(lo)}, {high}, got {got}")
+    return number
 
 
 def _philox(master_seed: int, tag: int, n_index: int, index: int) -> np.random.Generator:
-    master_seed = as_integral(master_seed, "master_seed")
-    n_index = as_integral(n_index, "n_index")
-    index = as_integral(index, "rep_index or block_index")
-    if not 0 <= master_seed < 1 << 64:
-        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-    if not 0 <= n_index < N_INDEX_LIMIT:
-        raise ValueError(f"n_index must be in [0, 2^16), got {n_index}")
-    if not 0 <= index < REP_INDEX_LIMIT:
-        raise ValueError(f"rep_index or block_index must be in [0, 2^32), got {index}")
+    master_seed = as_integral(master_seed, "master_seed", 0, SEED_LIMIT - 1)
+    n_index = as_integral(n_index, "n_index", 0, N_INDEX_LIMIT - 1)
+    index = as_integral(index, "rep_index or block_index", 0, REP_INDEX_LIMIT - 1)
     word = (tag << 48) | (n_index << 32) | index
     key = np.array([master_seed, word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

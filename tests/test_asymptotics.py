@@ -162,9 +162,9 @@ class TestInfluenceValue:
         assert abs(mean) <= 1e-12
 
     def test_domain_validation(self, test_model):
-        with pytest.raises(ValueError, match="symbol index"):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], got 2$"):
             influence_value(test_model, 2, 1)
-        with pytest.raises(ValueError, match="label"):
+        with pytest.raises(ValueError, match=r"^y must lie in \[0, 1\], got 2$"):
             influence_value(test_model, 0, 2)
 
     def test_indices_are_never_truncated(self, test_model):

@@ -123,7 +123,8 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "text, message",
         [
-            (f"3,{1 << 63}\n1,3\n", "line 1: count 9223372036854775808 exceeds 2**63 - 1"),
+            (f"3,{1 << 63}\n1,3\n",
+             "line 1: count must lie in [0, 2**63 - 1], got 9223372036854775808"),
             (f"{1 << 62},{1 << 62}\n1,3\n", "total 9223372036854775812 exceeds 2**63 - 1"),
         ],
     )
@@ -258,6 +259,24 @@ class TestSimulate:
         assert "config ok" not in out
         assert "--workers" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("clt-check", "--dry-run", "--seed", "-1"),
+         "master_seed must lie in [0, 2**64 - 1], got -1"),
+        (("simulate", "--dry-run", "--workers", "0"), "--workers must lie in [1, inf), got 0"),
+    ], ids=["seed", "workers"])
+    def test_integer_out_of_range_exit_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_duplicate_config_key_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text('{"n_values": [10], "n_values": [20, 30], "replications": 2, '
+                        '"master_seed": 1, "model": {"label_prob": 0.5, '
+                        '"cond_p": [0.5, 0.5], "cond_q": [0.25, 0.75]}}')
+        code, out, err = run(capsys, "simulate", "--config", str(path), "--dry-run")
+        assert (code, out) == (1, "")
+        assert err == "error: config: invalid JSON (duplicate key 'n_values')\n"
+
     def test_multi_block_records_independent_of_workers(self, tmp_path, capsys):
         # r=1000 puts 65 replications in a kernel block, so 150 replications
         # make blocks of 65, 65 and 20 at each n, for the estimator and the
@@ -330,7 +349,7 @@ class TestSimulate:
         assert started == [2]
         assert (dirs[0] / "records.csv").read_bytes() == (dirs[1] / "records.csv").read_bytes()
         manifest = json.loads((dirs[1] / "manifest.json").read_text())
-        assert manifest["workers"] == 64
+        assert manifest["workers"] == 2  # the pool size used, not the 64 asked for
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_bounds_check_runs_in_the_pool(self, tmp_path, capsys, monkeypatch, cpus):

@@ -99,8 +99,9 @@ class TestCountsCsv:
 
     def test_negative_count(self, tmp_path):
         path = write(tmp_path / "c.csv", "3,-1\n1,3\n")
-        with pytest.raises(CountsFormatError, match="negative"):
+        with pytest.raises(CountsFormatError) as info:
             read_counts_csv(path)
+        assert str(info.value) == "line 1: count must lie in [0, 2**63 - 1], got -1"
 
     def test_fractional_count(self, tmp_path):
         path = write(tmp_path / "c.csv", "3,1.5\n1,3\n")
@@ -246,6 +247,20 @@ class TestConfigJson:
         path = write(tmp_path / "bad.json", "{not json")
         with pytest.raises(ValueError, match="invalid JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"n_values": [10], "n_values": [20, 30], "replications": 2, "master_seed": 1}',
+         "n_values"),
+        ('{"model": {"label_prob": 0.5, "cond_p": [0.5, 0.5], "cond_q": [0.25, 0.75], '
+         '"label_prob": 0.2}, "n_values": [10], "replications": 2, "master_seed": 1}',
+         "label_prob"),
+    ], ids=["top", "nested"])
+    def test_duplicate_key_rejected(self, tmp_path, text, key):
+        # the last value would otherwise win silently
+        path = write(tmp_path / "dup.json", text)
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"config: invalid JSON (duplicate key {key!r})"
 
     def test_integer_literal_beyond_digit_limit(self, tmp_path):
         path = write(tmp_path / "big.json", '{"replications": 1' + "0" * 5000 + "}")

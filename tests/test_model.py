@@ -180,7 +180,8 @@ class TestPopulationModel:
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: CountTable([10**400, 1], [1, 1]), r"n1: integer beyond 2\*\*63 - 1",
+    pytest.param(lambda: CountTable([10**400, 1], [1, 1]),
+                 r"n1 must lie in \[0, 2\*\*63 - 1\], got 10{400}$",
                  id="CountTable"),
     pytest.param(lambda: bound_table(PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75)), [10],
                                      [10**400]), "g_grid: integer too large", id="bound_table"),
@@ -301,15 +302,15 @@ class TestCountTable:
             CountTable(n1=np.array([1.5, 2.0]), n0=np.array([1.0, 1.0]))
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=r"^n1 must lie in \[0, 2\*\*63 - 1\], got -1$"):
             CountTable(n1=np.array([-1, 2]), n0=np.array([1, 1]))
 
     @pytest.mark.parametrize("row, message", [
-        ([2**63, 1], "n1: integer beyond 2**63 - 1"),
-        ([2**64, 1], "n1: integer beyond 2**63 - 1"),
-        ([1e300, 1], "n1: integer beyond 2**63 - 1"),
-        ([-1e300, 1], "n1: integer beyond 2**63 - 1"),
-        (np.array([2**63, 1], dtype=np.uint64), "n1: integer beyond 2**63 - 1"),
+        ([2**63, 1], f"n1 must lie in [0, 2**63 - 1], got {2**63}"),
+        ([2**64, 1], f"n1 must lie in [0, 2**63 - 1], got {2**64}"),
+        ([1e300, 1], f"n1 must lie in [0, 2**63 - 1], got {int(1e300)}"),
+        ([-1e300, 1], f"n1 must lie in [0, 2**63 - 1], got {int(-1e300)}"),
+        (np.array([2**63, 1], dtype=np.uint64), f"n1 must lie in [0, 2**63 - 1], got {2**63}"),
         ([math.inf, 1], "n1 must be an integer, got inf"),
         ([math.nan, 1], "n1 must be an integer, got nan"),
         ([1 + 0j, 1], "n1 must be an integer, got (1+0j)"),
@@ -367,7 +368,7 @@ class TestSampleBatch:
 
     def test_rejects_nonpositive_n(self, test_model):
         for bad in (0, 2**63):
-            with pytest.raises(ValueError, match=r">= 1 and at most 2\*\*63 - 1"):
+            with pytest.raises(ValueError, match=rf"^n must lie in \[1, 2\*\*63 - 1\], got {bad}$"):
                 sample_batch(test_model, bad, replication_stream(5, 0, 0))
 
     def test_rejects_fractional_n(self, test_model):
