@@ -41,7 +41,7 @@ import numpy as np
 
 from .model import CountTable, PopulationModel, as_real
 from .montecarlo import ExperimentConfig, ExperimentSummary, ReplicationColumns
-from .streams import MAX_COUNT, as_integral
+from .streams import MAX_COUNT, as_integral, out_of_range
 
 RECORDS_HEADER = (
     "rep_index,n,estimate,eta,scaled_eta,sigma2_hat,ci_lo,ci_hi,covered,degenerate"
@@ -71,14 +71,14 @@ class CountsFormatError(ValueError):
 
 def _parse_count(token: str, line_number: int) -> int:
     text = token.strip()
-    try:  # "²" passes _is_int_token's isdigit() but not int()
-        value = int(text)
-    except ValueError:
-        raise CountsFormatError(
-            f"expected an integer count, got {text!r}", line_number
-        ) from None
+    negative, digits = text.startswith("-"), text.lstrip("+-").lstrip("0")
     try:
-        return as_integral(value, "count", 0, MAX_COUNT)
+        if digits.isascii() and len(digits) > len(str(MAX_COUNT)):
+            # int() stops at 4300 digits; an ASCII count this long is out of range by its length
+            raise out_of_range("count", 0, MAX_COUNT, (
+                f"{'a negative' if negative else 'an'} integer of {len(digits)} digits"))
+        value = int(digits or "0")
+        return as_integral(-value if negative else value, "count", 0, MAX_COUNT)
     except ValueError as exc:
         raise CountsFormatError(str(exc), line_number) from None
 
@@ -149,7 +149,7 @@ def _is_int_token(token: str) -> bool:
         return False
     if text[0] in "+-":
         text = text[1:]
-    return text.isdigit()
+    return text.isdecimal()  # not isdigit(): int() refuses digits such as "²"
 
 
 # Each config field's JSON type: a dataclass, read as an object of its

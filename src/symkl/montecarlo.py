@@ -65,8 +65,6 @@ from .streams import (
     replication_stream,  # noqa: F401  (perfbench's tracer wraps it here)
 )
 
-CHECK_NAMES = ("lln", "clt", "coverage", "bounds")
-
 # Cells of one kernel or bound-count call: a block is fed to them in row
 # slices of about this size, so their scratch is a quarter block.
 SLICE_CELLS = BLOCK_CELLS // 4
@@ -146,26 +144,20 @@ class ExperimentConfig:
         level = as_real(self.ci_level, "ci_level")
         interval_z(level, "ci_level")
         checks = _as_tuple(self.checks, "checks", "check names")
-        unknown = [c for c in checks if c not in CHECK_NAMES]
+        unknown = [c for c in checks if c not in _CHECKS]
         if unknown:
-            raise ValueError(f"unknown checks {unknown}; valid names are {CHECK_NAMES}")
+            raise ValueError(f"unknown checks {unknown}; valid names are {tuple(_CHECKS)}")
         if len(set(checks)) != len(checks):
             raise ValueError("checks contains duplicates")
-        at_null = bool(
-            np.all(np.abs(self.model.cond_p - self.model.cond_q) < NULL_ATOL)
-        )
-        if at_null and "clt" in checks:
-            raise ValueError(
-                "clt check is unavailable when cond_p equals cond_q: "
-                "the scaled error degenerates at the null"
-            )
-        if "lln" in checks and len(n_values) < 2:
-            raise ValueError("lln check needs at least 2 sample sizes")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "replications", replications)
         object.__setattr__(self, "master_seed", master_seed)
         object.__setattr__(self, "ci_level", level)
         object.__setattr__(self, "checks", checks)
+        for name in checks:
+            problem = _CHECKS[name][0](self)
+            if problem:
+                raise ValueError(f"{name} check {problem}")
 
 
 @dataclass(frozen=True)
@@ -190,10 +182,14 @@ class SampleSizeSummary:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one named check with a human-readable detail line."""
+    """Outcome of one check: it passes when ``margin = value - limit`` is at most 0,
+    and fails without usable data, where ``value`` and ``margin`` are None."""
 
     name: str
     passed: bool
+    value: float | None
+    limit: float
+    margin: float | None
     detail: str
 
 
@@ -595,98 +591,100 @@ def _per_n(records: tuple[ReplicationColumns, ...],
     return summaries
 
 
-def _check_lln(per_n) -> CheckResult:
-    """``median_abs_eta`` strictly shrinks along the sample sizes that have one."""
+def _two_sizes(config) -> str | None:
+    return "needs at least 2 sample sizes" if len(config.n_values) < 2 else None
+
+
+def _off_null(config) -> str | None:
+    if np.all(np.abs(config.model.cond_p - config.model.cond_q) < NULL_ATOL):
+        return "is unavailable when cond_p equals cond_q: the scaled error degenerates at the null"
+    return None
+
+
+def _lln_steps(config, per_n, bound_rows):
+    """Steps between sizes with a ``median_abs_eta`` where it does not strictly shrink."""
     curve = {s.n: s.median_abs_eta for s in per_n if s.median_abs_eta is not None}
     if len(curve) < 2:
         empty = ", ".join(str(s.n) for s in per_n if s.median_abs_eta is None)
-        return CheckResult(name="lln", passed=False, detail=(
-            "lln needs non-degenerate records at >= 2 distinct sample sizes"
-            + (f"; every replication was degenerate at n = {empty}" if empty else "")
-        ))
+        return None, ("lln needs non-degenerate records at >= 2 distinct sample sizes"
+                      + (f"; every replication was degenerate at n = {empty}" if empty else ""))
     medians = list(curve.values())
-    decreasing = all(b < a for a, b in zip(medians, medians[1:]))
-    detail = "median |error| by n: " + ", ".join(
-        f"{n}: {v:.6g}" for n, v in curve.items()
-    )
-    return CheckResult(name="lln", passed=decreasing, detail=detail)
+    return sum(not b < a for a, b in zip(medians, medians[1:])), (
+        "steps where median |error| does not shrink; by n: "
+        + ", ".join(f"{n}: {v:.6g}" for n, v in curve.items()))
 
 
-def _check_largest(name: str, largest: SampleSizeSummary | None,
-                   config: ExperimentConfig) -> CheckResult:
-    """The ``clt`` or ``coverage`` check on the summary at the largest n, if any."""
+def _ks_at_largest(config, per_n, bound_rows):
+    """``ks_normalized`` at the largest n."""
+    n = config.n_values[-1]
+    ks = per_n[-1].ks_normalized if per_n else None
+    return ks, f"KS distance at n={n}" if ks is not None else f"no usable replications at n={n}"
+
+
+def _coverage_gap(config, per_n, bound_rows):
+    """``|coverage - ci_level|`` at the largest n."""
     n, level = config.n_values[-1], config.ci_level
-    value = largest and (largest.ks_normalized if name == "clt" else largest.coverage)
-    if value is None:
-        return CheckResult(name=name, passed=False, detail=f"no usable replications at n={n}")
-    if name == "clt":
-        return CheckResult(
-            name=name,
-            passed=value <= KS_THRESHOLD,
-            detail=f"ks={value:.6g} at n={n} (threshold {KS_THRESHOLD})",
-        )
-    return CheckResult(
-        name=name,
-        passed=abs(value - level) <= COVERAGE_TOLERANCE,
-        detail=f"coverage={value:.4f} at n={n} (nominal {level}, tolerance {COVERAGE_TOLERANCE})",
-    )
+    coverage = per_n[-1].coverage if per_n else None
+    if coverage is None:
+        return None, f"no usable replications at n={n}"
+    return abs(coverage - level), f"|coverage - {level}| at n={n}, coverage={coverage:.4f}"
+
+
+def _largest_bound_margin(config, per_n, bound_rows):
+    """The largest :attr:`~symkl.bounds.BoundTableRow.margin`; a row without an
+    empirical frequency has none, and a table without one reads ``-inf``."""
+    observed = [row for row in bound_rows if row.margin is not None]
+    if not observed:
+        return -math.inf, f"none of {len(bound_rows)} grid points has an empirical frequency"
+    worst = max(observed, key=lambda row: row.margin)
+    return worst.margin, (
+        f"{sum(row.margin > 0.0 for row in observed)} of {len(bound_rows)} grid points exceed "
+        f"bound + 3 stderr; largest margin at {worst.name} n={worst.n} g={worst.g} "
+        f"(empirical={worst.empirical:.6g} bound={worst.bound:.6g} stderr={worst.stderr:.6g})")
+
+
+# Each check: its precondition (says why it cannot run on a config, or None), its
+# statistic (of the config, the per-n summaries and the bound rows: the value, None
+# without usable data, and a line of context) and the limit of that value.
+_CHECKS = {
+    "lln": (_two_sizes, _lln_steps, 0),
+    "clt": (_off_null, _ks_at_largest, KS_THRESHOLD),
+    "coverage": (lambda config: None, _coverage_gap, COVERAGE_TOLERANCE),
+    "bounds": (lambda config: None, _largest_bound_margin, 0.0),
+}
+CHECK_NAMES = tuple(_CHECKS)
+
+
+def _run_check(name: str, config, per_n, bound_rows) -> CheckResult:
+    """The check ``name`` of ``_CHECKS``, with its detail line."""
+    _, statistic, limit = _CHECKS[name]
+    value, context = statistic(config, per_n, bound_rows)
+    margin = None if value is None else value - limit
+    numbers = ("none" if x is None else f"{x:.6g}" for x in (value, limit, margin))
+    return CheckResult(name, margin is not None and margin <= 0, value, limit, margin,
+                       "value={} limit={} margin={}: ".format(*numbers) + context)
 
 
 def check_bound_rows(rows) -> CheckResult:
-    """Fold a bound table into one pass/fail result.
-
-    A failure names the grid point with the largest
-    :attr:`~symkl.bounds.BoundTableRow.margin`, the amount by which it misses.
-    """
-    bad = [r for r in rows if not r.empirically_valid()]
-    if bad:
-        worst = max(bad, key=lambda r: r.margin)
-        return CheckResult(
-            name="bounds",
-            passed=False,
-            detail=(
-                f"{len(bad)} grid points exceed their bound; largest margin "
-                f"empirical - (bound + 3 stderr) = {worst.margin:.6g} at "
-                f"{worst.name} n={worst.n} g={worst.g} "
-                f"(empirical={worst.empirical:.6g} bound={worst.bound:.6g} "
-                f"stderr={worst.stderr:.6g})"
-            ),
-        )
-    return CheckResult(
-        name="bounds",
-        passed=True,
-        detail=f"all {len(rows)} grid points within bound + 3 stderr",
-    )
+    """The ``bounds`` check of a bound table, whose detail names its largest margin's point."""
+    return _run_check("bounds", None, (), tuple(rows))
 
 
 def evaluate(config: ExperimentConfig, records: tuple[ReplicationColumns, ...],
              bound_rows: tuple[BoundTableRow, ...]) -> ExperimentSummary:
-    """Reduce ``records`` to one summary per sample size and evaluate the checks.
-
-    ``records`` are those of :func:`_table_pass`, or none; ``per_n`` has
-    one entry per configured n, or none without records.  ``lln`` reads
-    ``per_n``; ``clt`` and ``coverage`` read its last entry, so without
-    records they fail with "no usable replications".  ``bounds`` reads
-    ``bound_rows``.
+    """Reduce ``records`` to one summary per sample size and run each check of
+    ``_CHECKS`` on them and ``bound_rows``.  ``records`` are those of
+    :func:`_table_pass`, or none; ``per_n`` has one entry per configured n,
+    or none without records, and then only the bounds check has data.
     """
     sigma2 = exact_sigma2(config.model)
-    per_n = _per_n(records, math.sqrt(sigma2))
-    largest = per_n[-1] if per_n else None
-    checks: list[CheckResult] = []
-    for name in config.checks:
-        if name == "lln":
-            checks.append(_check_lln(per_n))
-        elif name == "bounds":
-            checks.append(check_bound_rows(bound_rows))
-        else:
-            checks.append(_check_largest(name, largest, config))
-
+    per_n = tuple(_per_n(records, math.sqrt(sigma2)))
     return ExperimentSummary(
         true_divergence=config.model.sym_divergence(),
         sigma2_exact=sigma2,
         ci_level=config.ci_level,
-        per_n=tuple(per_n),
-        checks=tuple(checks),
+        per_n=per_n,
+        checks=tuple(_run_check(name, config, per_n, bound_rows) for name in config.checks),
         bound_rows=bound_rows,
     )
 

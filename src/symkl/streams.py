@@ -47,27 +47,29 @@ def _limit_text(bound: int) -> str:
     return str(bound)
 
 
+def out_of_range(name: str, lo: int, hi: int | None, got) -> ValueError:
+    """The range error ``"{name} must lie in [lo, hi], got {got}"`` (``[lo, inf)``
+    without ``hi``)."""
+    high = "inf)" if hi is None else f"{_limit_text(hi)}]"
+    return ValueError(f"{name} must lie in [{_limit_text(lo)}, {high}, got {got}")
+
+
 def as_integral(value, name: str, lo: int, hi: int | None = None) -> int:
-    """``value`` as an int in ``[lo, hi]`` (no upper end when ``hi`` is None):
-    an int, a bool, a numpy integer or an integral float such as ``1e4``.
-    Anything else (a fractional part, inf, nan, a str, None, a complex
-    number, a list) raises ValueError naming ``name``, and so does an integer
-    outside the range, as ``"{name} must lie in [lo, hi], got {value}"``."""
+    """``value`` as an int in ``[lo, hi]`` (no upper end when ``hi`` is None): an
+    int, a bool, a numpy integer or another number equal to its ``int()``, such as
+    ``1e4`` or ``Decimal("1e400")``.  Anything else (a fractional part, inf, nan, a
+    str, None, a complex number, a list) raises ValueError naming ``name``, and so
+    does an integer outside the range, as :func:`out_of_range` words it."""
     try:
-        if hasattr(value, "__index__"):  # int, bool and the numpy integer types
-            number = value.__index__()
-        elif isinstance(value, (str, bytes)) or not float(value).is_integer():
+        number = value.__index__() if hasattr(value, "__index__") else int(value)
+        if number != value:  # a str, or a fractional part: no float() to overflow or round
             raise TypeError
-        else:
-            number = int(float(value))
-    except TypeError:
+    except (TypeError, ValueError, OverflowError):  # int() of nan and of inf
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if number < lo or (hi is not None and number > hi):
-        high = "inf)" if hi is None else f"{_limit_text(hi)}]"
         # a value too long for str() under the interpreter's digit limit is described
-        got = number if number.bit_length() <= 2000 else (
-            f"{'a negative' if number < 0 else 'an'} integer of {number.bit_length()} bits")
-        raise ValueError(f"{name} must lie in [{_limit_text(lo)}, {high}, got {got}")
+        raise out_of_range(name, lo, hi, number if number.bit_length() <= 2000 else (
+            f"{'a negative' if number < 0 else 'an'} integer of {number.bit_length()} bits"))
     return number
 
 

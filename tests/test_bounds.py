@@ -465,9 +465,10 @@ class TestBoundTable:
         assert row.margin == 0.5 - (0.01 + 3.0 * 0.01)
         check = check_bound_rows([row])
         assert not check.passed
+        assert (check.value, check.limit, check.margin) == (row.margin, 0.0, row.margin)
         assert check.detail == (
-            "1 grid points exceed their bound; largest margin "
-            "empirical - (bound + 3 stderr) = 0.46 at label_freq n=10 g=0.5 "
+            "value=0.46 limit=0 margin=0.46: 1 of 1 grid points exceed bound + 3 stderr; "
+            "largest margin at label_freq n=10 g=0.5 "
             "(empirical=0.5 bound=0.01 stderr=0.01)"
         )
 
@@ -484,8 +485,8 @@ class TestBoundTable:
         ]
         check = check_bound_rows(rows)
         assert check.detail.startswith(
-            "2 grid points exceed their bound; largest margin "
-            "empirical - (bound + 3 stderr) = 0.37 at log_ratio n=100 g=0.1"
+            "value=0.37 limit=0 margin=0.37: 2 of 3 grid points exceed bound + 3 stderr; "
+            "largest margin at log_ratio n=100 g=0.1"
         )
         assert check_bound_rows(rows[2:]).passed
 

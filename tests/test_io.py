@@ -103,6 +103,27 @@ class TestCountsCsv:
             read_counts_csv(path)
         assert str(info.value) == "line 1: count must lie in [0, 2**63 - 1], got -1"
 
+    @pytest.mark.parametrize("cell, got", [
+        # 5000 digits pass int()'s 4300-digit limit: the token is described, not printed
+        ("9" * 5000, "an integer of 5000 digits"),
+        ("-" + "9" * 5000, "a negative integer of 5000 digits"),
+        ("+" + "0" * 5000 + "1" + "0" * 19, "an integer of 20 digits"),
+        ("9223372036854775808", "9223372036854775808"),
+        ("-" + "0" * 5000 + "7", "-7"),
+    ])
+    def test_count_out_of_range_at_any_length(self, tmp_path, cell, got):
+        path = write(tmp_path / "c.csv", f"3,{cell}\n1,3\n")
+        with pytest.raises(CountsFormatError) as info:
+            read_counts_csv(path)
+        assert str(info.value) == f"line 1: count must lie in [0, 2**63 - 1], got {got}"
+
+    def test_leading_zeros_at_any_length(self, tmp_path):
+        # the table's total must stay within 2**63 - 1 too
+        for cell, count in (("0" * 5000 + "3", 3), ("+" + "0" * 5000, 0),
+                            ("0" * 5000 + "9223372036854775806", 2**63 - 2)):
+            table = read_counts_csv(write(tmp_path / "c.csv", f"0,{cell}\n1,0\n"))
+            assert table.n1.tolist() == [0, count]
+
     def test_fractional_count(self, tmp_path):
         path = write(tmp_path / "c.csv", "3,1.5\n1,3\n")
         with pytest.raises(CountsFormatError, match="line 1"):

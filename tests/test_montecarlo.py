@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ import pytest
 
 from symkl import (
     CHECK_NAMES,
+    BoundTableRow,
     CheckResult,
     CountTable,
     DegenerateSampleError,
@@ -21,9 +23,11 @@ from symkl import (
     normal_cdf,
     normal_quantile,
     plug_in_estimate,
+    parse_config_dict,
     plugin_sigma2,
     run_experiment,
     sym_kl_divergence,
+    write_summary_json,
 )
 from symkl import model as symkl_model
 from symkl import montecarlo
@@ -34,9 +38,9 @@ from symkl.montecarlo import (
     REASON_EMPTY_CELL,
     REASON_EMPTY_LABEL,
     REASON_NONE,
-    _check_lln,
     _median,
     _per_n,
+    _run_check,
     evaluate,
     replication_columns,
 )
@@ -49,6 +53,19 @@ from conftest import (
     random_simplex,
     traced_peak,
 )
+
+
+def check_lln(per_n):
+    """The ``lln`` check on ``per_n``; its statistic reads no config."""
+    return _run_check("lln", None, per_n, ())
+
+
+def lln_detail(curve):
+    """The detail line of the ``lln`` check on a ``{n: median |error|}`` curve."""
+    medians = list(curve.values())
+    steps = sum(b >= a for a, b in zip(medians, medians[1:]))
+    return (f"value={steps} limit=0 margin={steps}: steps where median |error| does not "
+            "shrink; by n: " + ", ".join(f"{n}: {v:.6g}" for n, v in curve.items()))
 
 
 def make_config(test_model, **overrides):
@@ -155,13 +172,15 @@ class TestExperimentConfig:
         null_model = PopulationModel(
             label_prob=0.5, cond_p=(0.3, 0.7), cond_q=(0.3, 0.7)
         )
-        with pytest.raises(ValueError, match="clt"):
+        with pytest.raises(ValueError) as info:
             make_config(null_model, checks=("clt",))
+        assert str(info.value) == ("clt check is unavailable when cond_p equals cond_q: "
+                                   "the scaled error degenerates at the null")
         # other checks remain allowed there
         make_config(null_model, checks=("lln", "coverage", "bounds"))
 
     def test_lln_needs_two_sizes(self, test_model):
-        with pytest.raises(ValueError, match="lln"):
+        with pytest.raises(ValueError, match="^lln check needs at least 2 sample sizes$"):
             make_config(test_model, n_values=(500,), checks=("lln",))
 
     def test_checks_must_be_a_sequence_of_names(self, test_model):
@@ -259,12 +278,12 @@ class TestCoverageAndCurve:
     def test_lln_curve_medians(self):
         records = (records_at(100, [dict(eta=e) for e in (0.1, -0.3, 0.2)]),
                    records_at(1000, [dict(eta=e) for e in (0.05, -0.01, 0.02)]))
-        result = _check_lln(_per_n(records, 0.0))
-        assert result == CheckResult(name="lln", passed=True,
-                                     detail="median |error| by n: 100: 0.2, 1000: 0.02")
+        result = check_lln(_per_n(records, 0.0))
+        assert result == CheckResult(name="lln", passed=True, value=0, limit=0, margin=0,
+                                     detail=lln_detail({100: 0.2, 1000: 0.02}))
 
     def test_lln_curve_needs_two_sizes(self):
-        result = _check_lln(_per_n((records_at(100, [{}] * 5),), 0.0))
+        result = check_lln(_per_n((records_at(100, [{}] * 5),), 0.0))
         assert not result.passed
         assert "2 distinct" in result.detail
 
@@ -278,7 +297,7 @@ class TestCoverageAndCurve:
     def test_lln_curve_names_all_degenerate_sizes(self):
         records = tuple(records_at(n, [dict(degenerate=True)] * 4) for n in (100, 2000))
         records += (records_at(20000, [dict(eta=0.01)] * 3 + [dict(degenerate=True)]),)
-        result = _check_lln(_per_n(records, 0.0))
+        result = check_lln(_per_n(records, 0.0))
         assert not result.passed
         message = result.detail
         assert "2 distinct" in message
@@ -754,7 +773,9 @@ class TestRunExperiment:
         clt = result.summary.checks[0]
         assert clt.name == "clt"
         assert not clt.passed
-        assert "ks=" in clt.detail
+        assert clt.margin == clt.value - 0.04 > 0
+        assert clt.detail == (f"value={clt.value:.6g} limit=0.04 margin={clt.margin:.6g}: "
+                              "KS distance at n=50")
 
     def test_bounds_check_populates_rows(self, test_model):
         config = make_config(
@@ -856,9 +877,7 @@ class TestColumnarSummaries:
             assert got == want[s.n]
             assert s.degenerate_empty_label + s.degenerate_empty_cell == s.degenerate_count
         curve = {n: row[9] for n, row in want.items() if row[9] is not None}
-        assert _check_lln(per_n).detail == "median |error| by n: " + ", ".join(
-            f"{n}: {v:.6g}" for n, v in curve.items()
-        )
+        assert check_lln(per_n).detail == lln_detail(curve)
 
     def test_empty_records_give_no_per_n(self, test_model):
         summary = evaluate(make_config(test_model), (), ())
@@ -896,16 +915,64 @@ class TestOneStreamFamily:
         assert tags and set(tags) == {streams.TAG_BLOCK}
 
 
+def _ten_replications(config):
+    return None if config.replications >= 10 else "needs at least 10 replications"
+
+
+def _degenerate_share(config, per_n, bound_rows):
+    return per_n[-1].degenerate_count / per_n[-1].replications, f"share at n={per_n[-1].n}"
+
+
+class TestCheckTable:
+    """Every check is one ``_CHECKS`` entry: a precondition, a statistic and a limit."""
+
+    def test_a_new_check_is_one_entry_and_one_function(self, test_model, monkeypatch, tmp_path):
+        monkeypatch.setitem(montecarlo._CHECKS, "toy", (_ten_replications, _degenerate_share, 0.25))
+        with pytest.raises(ValueError, match="^toy check needs at least 10 replications$"):
+            make_config(test_model, replications=5, checks=("toy",))
+        # n=12 at r=2 leaves some tables with an empty cell
+        config = parse_config_dict({
+            "model": {"label_prob": 0.5, "cond_p": [0.5, 0.5], "cond_q": [0.25, 0.75]},
+            "n_values": [12], "replications": 40, "master_seed": 1, "checks": ["toy"]})
+        summary = run_experiment(config).summary
+        share = summary.per_n[0].degenerate_count / 40
+        assert 0.0 < share <= 0.25
+        write_summary_json(summary, tmp_path / "summary.json")
+        toy = json.loads((tmp_path / "summary.json").read_text())["checks"]
+        assert toy == [dict(name="toy", passed=True, value=share, limit=0.25, margin=share - 0.25,
+                            detail=f"value={share:.6g} limit=0.25 margin={share - 0.25:.6g}: "
+                                   "share at n=12")]
+
+    def test_every_failing_check_states_its_value_limit_and_margin(self, test_model):
+        config = make_config(test_model, n_values=(100, 1000), checks=CHECK_NAMES)
+        # the median |error| grows, one scaled error is far from normal, no interval covers,
+        # and a bound is missed; without records, only the bound rows have data
+        records = (records_at(100, [dict(eta=0.01)] * 5),
+                   records_at(1000, [dict(eta=0.5, covered=False)] * 5))
+        rows = (BoundTableRow("label_freq", 100, 0.1, bound=0.01, empirical=0.5, stderr=0.01),)
+        for summary in (evaluate(config, records, rows), evaluate(config, (), rows)):
+            assert [check.name for check in summary.checks] == list(CHECK_NAMES)
+            for check in summary.checks:
+                assert not check.passed
+                assert check.margin is None or check.margin == check.value - check.limit > 0
+                numbers = ["none" if x is None else f"{x:.6g}"
+                           for x in (check.value, check.limit, check.margin)]
+                assert check.detail.startswith("value={} limit={} margin={}: ".format(*numbers))
+
+
 class TestOneReduction:
     """evaluate reduces the records to one summary per n, and every check reads it."""
 
     @pytest.mark.parametrize("check", ["clt", "coverage"])
     def test_checks_without_records_fail_cleanly(self, test_model, check):
+        limit = {"clt": 0.04, "coverage": 0.02}[check]
         config = make_config(test_model, n_values=(100, 1000), checks=(check,))
         result = run_experiment(config, records=False)
         assert result.summary.per_n == ()
         assert result.summary.checks == (
-            CheckResult(name=check, passed=False, detail="no usable replications at n=1000"),
+            CheckResult(name=check, passed=False, value=None, limit=limit, margin=None,
+                        detail=f"value=none limit={limit} margin=none: "
+                               "no usable replications at n=1000"),
         )
 
     def test_per_n_selects_no_rows(self, test_model, monkeypatch):
@@ -925,9 +992,7 @@ class TestOneReduction:
         assert [s.n for s in summary.per_n] == [300, 900]
         curve = {s.n: s.median_abs_eta for s in summary.per_n}
         assert None not in curve.values()
-        assert summary.checks[0].detail == "median |error| by n: " + ", ".join(
-            f"{n}: {v:.6g}" for n, v in curve.items()
-        )
+        assert summary.checks[0].detail == lln_detail(curve)
 
 
 def count_law_checks(monkeypatch) -> list[str]:

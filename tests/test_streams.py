@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 
 from symkl import (
@@ -123,9 +126,12 @@ def test_integer_input_range(call, field, lo, hi, accepted):
         call(value)
     shown = f"[{LIMIT_TEXT.get(lo, lo)}, {LIMIT_TEXT.get(hi, hi)}{')' if hi is None else ']'}"
     # str() of 10**5000 exceeds the interpreter's 4300-digit limit: it is described instead
-    huge, described = ((10**5000, "an integer of 16610 bits") if hi is not None
-                       else (-(10**5000), "a negative integer of 16610 bits"))
-    outside = [(lo - 1, lo - 1), (huge, described)] + ([] if hi is None else [(hi + 1, hi + 1)])
+    sign = 1 if hi is not None else -1
+    huge, described = sign * 10**5000, f"{'an' if sign > 0 else 'a negative'} integer of 16610 bits"
+    # integral numbers beyond the float range are judged without float()
+    outside = [(lo - 1, lo - 1), (huge, described), (Fraction(sign * 10**400), sign * 10**400),
+               (Decimal(f"{sign}e400"), sign * 10**400)]
+    outside += [] if hi is None else [(hi + 1, hi + 1)]
     for value, text in outside:
         with pytest.raises(ValueError) as info:
             call(value)
