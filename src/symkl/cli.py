@@ -11,8 +11,8 @@ simulate
     ``bounds.csv`` when the bounds check is requested).
 clt-check, lln-check, bounds-check
     ``simulate`` pinned to a single check, with a built-in default config
-    so they run out of the box.  ``bounds-check`` runs the same table
-    pass without the estimator kernel, so it writes no ``records.csv``
+    so they run out of the box.  ``bounds-check`` runs the bound table
+    alone, without the estimator kernel, so it writes no ``records.csv``
     and its ``summary.json`` has an empty ``per_n``.
 
 Exit codes
@@ -47,9 +47,9 @@ from .io import (
     write_summary_json,
     write_json,  # noqa: F401  (perfbench's tracer wraps it here)
 )
+from .bounds import DEFAULT_G_GRID
 from .model import PopulationModel
-from .montecarlo import ExperimentConfig, pool_size, run_experiment
-from .montecarlo import bound_table  # noqa: F401  (perfbench's tracer wraps it here)
+from .montecarlo import ExperimentConfig, bound_table, evaluate, pool_size, run_experiment
 
 # after the modules that load numpy: loaded first, these leave a higher peak RSS
 import argparse
@@ -173,7 +173,7 @@ def _dry_run_report(config: ExperimentConfig) -> int:
 
 
 def cmd_run(args) -> int:
-    """``simulate`` and the check presets; ``bounds-check`` keeps no records."""
+    """``simulate`` and the check presets; ``bounds-check`` runs the bound table alone."""
     args.workers = pool_size(args.workers, "--workers")  # the pool size the manifest records
     config = _load_or_default_config(args)
     if args.dry_run:
@@ -184,10 +184,13 @@ def cmd_run(args) -> int:
 
     started = _utc_now()
     outputs = ["summary.json", "manifest.json"]
-    keep_records = args.command != "bounds-check"
-    result = run_experiment(config, workers=args.workers, records=keep_records)
-    summary = result.summary
-    if keep_records:
+    if args.command == "bounds-check":
+        rows = bound_table(config.model, config.n_values, DEFAULT_G_GRID, config.replications,
+                           config.master_seed, workers=args.workers)
+        summary = evaluate(config, (), tuple(rows))
+    else:
+        result = run_experiment(config, workers=args.workers)
+        summary = result.summary
         write_records_csv(result.records, os.path.join(args.out_dir, "records.csv"))
         outputs.insert(0, "records.csv")
     if summary.bound_rows:

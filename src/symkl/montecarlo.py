@@ -453,6 +453,7 @@ def bound_table(
     g_grid,
     replications: int = 0,
     master_seed: int = 0,
+    workers: int = 1,
 ) -> list[BoundTableRow]:
     """Evaluate every bound over a grid of (n, g) pairs.
 
@@ -468,6 +469,8 @@ def bound_table(
         0 evaluates the bounds only.
     master_seed : int
         Seed of the Monte Carlo count tables, in ``[0, 2**64)``.
+    workers : int
+        Processes of the pass, capped at the CPU count; no byte depends on it.
 
     Returns
     -------
@@ -478,9 +481,8 @@ def bound_table(
     -----
     The count tables are those :func:`run_experiment` draws for the same
     sorted sample sizes, replications and seed.  One :func:`_table_pass`
-    in this process counts them block by block, a quarter block at a time,
-    so peak memory is one block of tables and a quarter block of
-    temporaries.
+    counts them block by block, a quarter block at a time, so each process
+    holds one block of tables and a quarter block of temporaries.
     """
     check_type(model, PopulationModel, "model")
     n_values = sorted(set(_sample_sizes(n_grid, "n_grid")))
@@ -491,7 +493,7 @@ def bound_table(
         raise ValueError("thresholds must be positive reals")
     replications = as_integral(replications, "replications", 0, REP_INDEX_LIMIT)
     master_seed = as_integral(master_seed, "master_seed", 0, SEED_LIMIT - 1)
-    return _table_pass(model, n_values, replications, master_seed, g_values=g_values)[1]
+    return _table_pass(model, n_values, replications, master_seed, workers, g_values=g_values)[1]
 
 
 def ks_statistic(values) -> float:
@@ -631,11 +633,11 @@ def _coverage_gap(config, per_n, bound_rows):
 
 
 def _largest_bound_margin(config, per_n, bound_rows):
-    """The largest :attr:`~symkl.bounds.BoundTableRow.margin`; a row without an
-    empirical frequency has none, and a table without one reads ``-inf``."""
-    observed = [row for row in bound_rows if row.margin is not None]
+    """The largest :attr:`~symkl.bounds.BoundTableRow.margin` over the rows with an
+    exceedance (a positive empirical frequency); a table without one reads ``-inf``."""
+    observed = [row for row in bound_rows if row.empirical]
     if not observed:
-        return -math.inf, f"none of {len(bound_rows)} grid points has an empirical frequency"
+        return -math.inf, f"none of {len(bound_rows)} grid points has an exceedance"
     worst = max(observed, key=lambda row: row.margin)
     return worst.margin, (
         f"{sum(row.margin > 0.0 for row in observed)} of {len(bound_rows)} grid points exceed "
@@ -689,17 +691,14 @@ def evaluate(config: ExperimentConfig, records: tuple[ReplicationColumns, ...],
     )
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1,
-                   records: bool = True) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run the replicated experiment and evaluate the requested checks.
 
     One :func:`_table_pass` on ``workers`` processes, then :func:`evaluate`.
-    ``records=False`` skips the kernel: no records, so only the bounds
-    check has data, and ``lln``, ``clt`` and ``coverage`` fail.
     """
     check_type(config, ExperimentConfig, "config")
     g_values = DEFAULT_G_GRID if "bounds" in config.checks else ()
-    z = interval_z(config.ci_level, "ci_level") if records else None
+    z = interval_z(config.ci_level, "ci_level")
     columns, bound_rows = _table_pass(config.model, config.n_values, config.replications,
                                       config.master_seed, workers, z, g_values)
-    return ExperimentResult(records=columns, summary=evaluate(config, columns, tuple(bound_rows)))
+    return ExperimentResult(columns, evaluate(config, columns, tuple(bound_rows)))

@@ -366,6 +366,14 @@ class TestBoundTable:
         b = bound_table(test_model, [50, 200], [0.1, 0.3], replications=500, master_seed=9)
         assert a == b
 
+    def test_rows_do_not_depend_on_workers(self):
+        # r = 50: three blocks at each n, so a pool of two shares them out
+        model = random_model(np.random.default_rng(55), 50)
+        tables = [bound_table(model, [100, 1000], [0.05, 0.2], replications=3000, master_seed=6,
+                              workers=workers) for workers in (1, 2)]
+        assert any(row.empirical for row in tables[0])
+        assert tables[0] == tables[1]
+
     def test_empirical_within_bounds(self, test_model):
         rows = bound_table(
             test_model, [100, 1000], [0.05, 0.1, 0.5], replications=20_000, master_seed=3
@@ -396,6 +404,8 @@ class TestBoundTable:
             bound_table(test_model, [10, 1 << 63], [0.1])
         with pytest.raises(ValueError, match="replications"):
             bound_table(test_model, [10], [0.1], replications=-1)
+        with pytest.raises(ValueError, match=r"^workers must lie in \[1, inf\), got 0$"):
+            bound_table(test_model, [10], [0.1], replications=5, workers=0)
         # sizes, counts and seeds with a fractional part are not truncated
         with pytest.raises(ValueError, match="n_grid must be an integer, got 100.9"):
             bound_table(test_model, [100.9], [0.1])
@@ -489,6 +499,31 @@ class TestBoundTable:
             "largest margin at log_ratio n=100 g=0.1"
         )
         assert check_bound_rows(rows[2:]).passed
+
+    def test_rows_without_an_exceedance_do_not_set_the_value(self):
+        # a zero frequency next to a zero or underflowed bound has margin 0 or just
+        # below: the value and the named point come from the rows with an exceedance
+        rows = [
+            BoundTableRow("joint_cell_y0", 10000, 0.5, bound=0.0, empirical=0.0, stderr=0.0),
+            BoundTableRow("label_freq", 10000, 0.2, bound=2.7e-235, empirical=0.0, stderr=0.0),
+            BoundTableRow("label_freq", 100, 0.2, bound=0.01, empirical=0.004, stderr=0.001),
+        ]
+        check = check_bound_rows(rows)
+        assert check.passed
+        assert check.value == check.margin == pytest.approx(0.004 - 0.013)
+        assert check.detail.endswith(
+            "0 of 3 grid points exceed bound + 3 stderr; largest margin at label_freq n=100 "
+            "g=0.2 (empirical=0.004 bound=0.01 stderr=0.001)")
+
+    def test_a_table_without_an_exceedance_reads_minus_infinity(self):
+        rows = [BoundTableRow("label_freq", n, 0.5, bound=bound, empirical=0.0, stderr=0.0)
+                for n, bound in ((10, 0.2), (100, 0.0))]
+        for table in (rows, [BoundTableRow("label_freq", 10, 0.5, 0.2, None, None)]):
+            check = check_bound_rows(table)
+            assert check.passed
+            assert check.value == check.margin == -math.inf
+        assert check_bound_rows(rows).detail == (
+            "value=-inf limit=0 margin=-inf: none of 2 grid points has an exceedance")
 
 
 class TestBlockedCounting:

@@ -571,6 +571,31 @@ class TestOnePipeline:
             dirs["bounds-check"] / "bounds.csv"
         ).read_bytes()
 
+    def test_bounds_check_reaches_the_table_pass_through_bound_table(
+            self, tmp_path, capsys, monkeypatch):
+        # the one door that perfbench's tracer times as the bounds layer
+        started, calls = [], []
+        TestSimulate.recording_pool(monkeypatch, started)
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, kwargs.get("workers")))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("bound_table", "run_experiment"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        out_dir = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "bounds-check", "--config",
+            config_file(tmp_path, checks=["bounds"], n_values=[100, 400], replications=300),
+            "--out-dir", str(out_dir), "--workers", "2",
+        )
+        assert code == 0
+        assert calls == [("bound_table", 2)]
+        assert started == [2]
+        assert json.loads((out_dir / "manifest.json").read_text())["workers"] == 2
+
     def test_every_runner_writes_one_summary_schema(self, tmp_path, capsys):
         config = config_file(tmp_path, n_values=[100, 400], replications=30)
         for command in ("simulate", "clt-check", "lln-check", "bounds-check"):

@@ -69,7 +69,7 @@ DIGESTS = {
     }),
     "r50-bounds": (0, {
         "bounds.csv": "ff8b6254b6e5b491459edd9a26b163598da8c9c30ae5c36c6561a3743fd58787",
-        "summary.json": "34ffb00b0b4ad646502b88348239a0261f33409e3f138ca196af4a209cd265fa",
+        "summary.json": "98baadbf8900db39946730850d7e0af2387aa9e887129229a84f25443d1b9aad",
     }),
 }
 

@@ -719,7 +719,6 @@ class TestRunExperiment:
         assert type(records) is tuple
         assert all(type(at_n) is ReplicationColumns for at_n in records)
         assert [(at_n.n, len(at_n)) for at_n in records] == [(300, 40), (900, 40)]
-        assert run_experiment(config, records=False).records == ()
 
     def test_config_must_be_an_experiment_config(self):
         with pytest.raises(ValueError, match="^config must be an ExperimentConfig, got 'x'$"):
@@ -789,6 +788,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("records", [True, False])
     def test_each_table_drawn_once(self, monkeypatch, records):
+        # with records, run_experiment; without, bound_table on the same tables
         # r=1000 puts 65 tables in a block: blocks of 65, 65 and 20 at each n
         weights = np.array([1.0 + (j % 7) / 10 for j in range(1000)])
         model = PopulationModel(label_prob=0.4, cond_p=weights / weights.sum(),
@@ -803,12 +803,17 @@ class TestRunExperiment:
             return draw(block)
 
         monkeypatch.setattr(TableBlock, "draw", counting_draw)
-        result = run_experiment(config, records=records)
+        if records:
+            result = run_experiment(config)
+            kept, rows = result.records, result.summary.bound_rows
+        else:
+            kept, rows = (), bound_table(model, config.n_values, DEFAULT_G_GRID,
+                                         config.replications, config.master_seed)
         layout = table_blocks(model, config.n_values, config.replications, config.master_seed)
         assert len(layout) == 6
         assert drawn == [block.key for block in layout]
-        assert sum(len(at_n) for at_n in result.records) == (300 if records else 0)
-        assert len(result.summary.bound_rows) == 6 * 2 * 4
+        assert sum(len(at_n) for at_n in kept) == (300 if records else 0)
+        assert len(rows) == 6 * 2 * 4
 
     def test_scaled_error_normalized_ks_is_small(self, test_model):
         # the 0.04 threshold is calibrated for 2000 replications: KS noise
@@ -908,7 +913,7 @@ class TestOneStreamFamily:
             return philox(master_seed, tag, n_index, index)
 
         monkeypatch.setattr(streams, "_philox", recording)
-        run_experiment(make_config(test_model, checks=("lln", "bounds")), workers=1, records=True)
+        run_experiment(make_config(test_model, checks=("lln", "bounds")), workers=1)
         assert tags and set(tags) == {streams.TAG_BLOCK}
         tags.clear()
         bound_table(test_model, [100, 1000], [0.1], replications=50, master_seed=3)
@@ -967,9 +972,9 @@ class TestOneReduction:
     def test_checks_without_records_fail_cleanly(self, test_model, check):
         limit = {"clt": 0.04, "coverage": 0.02}[check]
         config = make_config(test_model, n_values=(100, 1000), checks=(check,))
-        result = run_experiment(config, records=False)
-        assert result.summary.per_n == ()
-        assert result.summary.checks == (
+        summary = evaluate(config, (), ())
+        assert summary.per_n == ()
+        assert summary.checks == (
             CheckResult(name=check, passed=False, value=None, limit=limit, margin=None,
                         detail=f"value=none limit={limit} margin=none: "
                                "no usable replications at n=1000"),
