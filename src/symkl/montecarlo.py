@@ -14,15 +14,15 @@ variance.  Replications whose plug-in estimate is undefined are recorded
 as degenerate and excluded from the statistics, never resampled.
 
 One pass, :func:`_table_pass`, draws each block of ``max(1, 2**16 // r)``
-tables once, from its own :func:`~symkl.streams.block_stream`;
-:func:`_block_pass` feeds it to the vectorized kernel and the bound
-exceedance counts in row slices of about ``SLICE_CELLS`` cells, in
-processes whose heap is pinned by :func:`_pin_heap`, and returns each
-slice's result.  :func:`_table_pass` alone copies the slices' columns
+tables once, from its own :func:`~symkl.streams.block_stream`, in this
+process or in the workers of :func:`_forked`; :func:`_block_pass` feeds it
+to the vectorized kernel and the bound exceedance counts in row slices of
+about ``SLICE_CELLS`` cells, in processes whose heap is pinned by
+:func:`_pin_heap`.  :func:`_table_pass` alone copies the slices' columns
 into the run's records and adds the counts; :func:`bound_table` runs it
-without the kernel.  No other stream
-feeds a run.  The layout depends only on ``r`` and the replication count,
-and the slices change no byte, so results are the same for any worker count.
+without the kernel.  No other stream feeds a run.  The layout depends only
+on ``r`` and the replication count, and the slices change no byte, so
+results are the same for any worker count.
 The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
 :func:`~symkl.asymptotics.plugin_sigma2` and
 :func:`~symkl.asymptotics.confidence_interval` are the kernel's test oracles.
@@ -34,6 +34,8 @@ import contextlib
 import functools
 import math
 import os
+import pickle
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +104,9 @@ def _sample_sizes(values, name: str) -> tuple[int, ...]:
 
 
 def pool_size(workers, name: str = "workers") -> int:
-    """The pool size of a table pass: ``workers`` >= 1, capped at the CPU count."""
-    return min(as_integral(workers, name, 1), os.cpu_count() or 1)
+    """The pool size: ``workers`` >= 1, capped at the CPUs this process may run on; 1 off Linux."""
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    return min(as_integral(workers, name, 1), cpus)
 
 
 @dataclass(frozen=True)
@@ -400,6 +403,47 @@ def _block_pass(task):
     return parts
 
 
+def _forked(tasks, workers: int):
+    """Yield :func:`_block_pass` of each task in order; worker ``w``, forked, pickles each result
+    or exception of ``tasks[w::workers]`` into a pipe.  A dead worker raises ChildProcessError."""
+    readers, pids = [], {}
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as writer:  # the parent's copy closes after the fork
+                pids[w] = os.fork()
+                if pids[w] == 0:  # the worker: it leaves only by os._exit
+                    try:
+                        for reader in readers:
+                            reader.close()
+                        for task in tasks[w::workers]:
+                            pickle.dump((True, _block_pass(task)), writer, pickle.HIGHEST_PROTOCOL)
+                            writer.flush()  # EPIPE stops a worker whose parent is gone
+                        os._exit(0)
+                    except Exception as exc:  # the parent raises it
+                        pickle.dump((False, exc), writer, pickle.HIGHEST_PROTOCOL)
+                        writer.flush()
+                    finally:
+                        os._exit(1)
+        for i in range(len(tasks)):
+            try:
+                ok, value = pickle.load(readers[i % workers])
+            except (EOFError, pickle.UnpicklingError):
+                status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(i % workers), 0)[1])
+                raise ChildProcessError(f"table pass worker died (exit status {status})") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        import signal  # kept off the start-up path
+        for reader in readers:
+            reader.close()
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _table_pass(model: PopulationModel, n_values, replications: int, master_seed: int,
                 workers: int = 1, z: float | None = None, g_values=()):
     """Draw each block of :func:`~symkl.model.table_blocks` once and feed its consumers.
@@ -409,16 +453,16 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
     ``z`` (none without), allocated once, into which each slice's columns
     are copied at its block's rows as it arrives, and the bound rows at
     ``g_values``, whose exceedance counts are added by ``(name, n)`` as each
-    block arrives.  ``workers`` (capped at the CPU count) changes no byte:
-    every block has its own stream.  Each process holds one block of counts
-    and the scratch of one row slice of it, whatever the replication count;
-    this one also holds the three stored columns, 17 bytes a row.
+    block arrives.  ``workers``, capped by :func:`pool_size`, changes no
+    byte: every block has its own stream.  Each process holds one block of
+    counts and the scratch of one row slice of it, whatever the replication
+    count; this one also holds the three stored columns, 17 bytes a row.
 
     Raises ValueError when the columns of that many rows cannot be allocated.
     """
-    workers = pool_size(workers)  # a fork pool starts all of its processes at once
     truth = model.sym_divergence()
     layout = table_blocks(model, n_values, replications, master_seed)
+    workers = min(pool_size(workers), len(layout))  # at most one process a block
     tasks = [(block, z is not None, g_values) for block in layout]
     try:
         records = {n: ReplicationColumns.empty(replications, n, truth, z)
@@ -427,12 +471,8 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
         raise ValueError(f"cannot allocate {replications * len(n_values)} records ({replications} "
                          f"replications x {len(n_values)} sample sizes): {exc}") from None
     counts: dict[tuple[str, int], np.ndarray] = {}
-    with contextlib.ExitStack() as stack:
-        results = map(_block_pass, tasks)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # kept off the start-up path
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_block_pass, tasks)
+    results = _forked(tasks, workers) if workers > 1 else (_block_pass(task) for task in tasks)
+    with contextlib.closing(results):
         for block, slices in zip(layout, results):
             start = block.start
             for slice_columns, slice_counts in slices:
@@ -470,7 +510,7 @@ def bound_table(
     master_seed : int
         Seed of the Monte Carlo count tables, in ``[0, 2**64)``.
     workers : int
-        Processes of the pass, capped at the CPU count; no byte depends on it.
+        Processes of the pass, capped by :func:`pool_size`; no byte depends on it.
 
     Returns
     -------

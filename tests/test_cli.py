@@ -1,9 +1,9 @@
-import concurrent.futures
 import importlib
 import importlib.util
 import json
 import math
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -316,29 +316,21 @@ class TestSimulate:
             assert (out_dir / "bounds.csv").read_bytes() == bounds
 
     @staticmethod
-    def recording_pool(monkeypatch, started):
-        class RecordingPool:
-            # runs the tasks in-process and records the size it was asked for
-            def __init__(self, max_workers):
-                started.append(max_workers)
+    def recording_pool(monkeypatch, started, cpus=2):
+        def recording_forked(tasks, workers):
+            # runs the tasks in-process and records the pool size it was asked for
+            started.append(workers)
+            yield from map(montecarlo._block_pass, tasks)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        # the table pass imports the pool class from concurrent.futures when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_forked", recording_forked)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        # the machine's CPUs, more than this process may run on
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
 
     def test_pool_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
         started = []
         self.recording_pool(monkeypatch, started)
-        config = config_file(tmp_path)
+        config = config_file(tmp_path, n_values=[100, 400])  # two blocks: one for each n
         dirs = [tmp_path / "one", tmp_path / "many"]
         for out_dir, workers in zip(dirs, ("1", "64")):
             code, _, _ = run(
@@ -354,8 +346,7 @@ class TestSimulate:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_bounds_check_runs_in_the_pool(self, tmp_path, capsys, monkeypatch, cpus):
         started = []
-        self.recording_pool(monkeypatch, started)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        self.recording_pool(monkeypatch, started, cpus)
         config = config_file(tmp_path, n_values=[100, 400], replications=300)
         code, out, _ = run(
             capsys, "bounds-check", "--config", config,
@@ -365,6 +356,26 @@ class TestSimulate:
         assert "check bounds: pass" in out
         # one worker runs in-process, without a pool
         assert started == ([2] if cpus > 1 else [])
+
+    def test_killed_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+        parent, block_pass = os.getpid(), montecarlo._block_pass
+
+        def killed_in_a_worker(task):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return block_pass(task)
+
+        monkeypatch.setattr(montecarlo, "_block_pass", killed_in_a_worker)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        code, _, err = run(
+            capsys, "simulate", "--config",
+            config_file(tmp_path, n_values=[100, 400], replications=300),
+            "--out-dir", str(tmp_path / "out"), "--workers", "2",
+        )
+        assert code == 1
+        assert err == "error: table pass worker died (exit status -9)\n"
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_unallocatable_records_exit_1(self, tmp_path, capsys, monkeypatch):
         def fail(cls, rows, n, truth, z):
@@ -663,7 +674,7 @@ class TestColdStart:
             "import sys\n"
             "from symkl.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "heavy = ('numpy.random', 'concurrent.futures.process')\n"
+            "heavy = ('numpy.random', 'concurrent.futures', 'multiprocessing')\n"
             "print([m for m in heavy if m in sys.modules])\n"
             "sys.exit(code)",
             "simulate", "--config", config_file(tmp_path), "--dry-run",
@@ -674,11 +685,33 @@ class TestColdStart:
     def test_import_leaves_out_scipy_and_the_pool(self):
         child = run_child(
             "import sys, symkl.cli\n"
-            "heavy = ('scipy', 'concurrent.futures.process', 'multiprocessing')\n"
+            "heavy = ('scipy', 'concurrent.futures', 'multiprocessing')\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in heavy))"
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == "[]"
+
+    def test_forked_pass_leaves_no_pool_thread_or_child(self, tmp_path):
+        config = config_file(tmp_path, n_values=[100, 400], replications=300)
+        child = run_python(
+            "-W", "error", "-c",
+            "import os, sys, threading\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs on any machine\n"
+            "from symkl.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "heavy = ('concurrent.futures', 'multiprocessing', 'numpy.random')\n"
+            "print([m for m in heavy if m in sys.modules], threading.active_count())\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child')\n"
+            "sys.exit(code)",
+            "simulate", "--config", config, "--out-dir", str(tmp_path / "out"), "--workers", "2",
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-2:] == ["[] 1", "no child"]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["workers"] == 2
 
     def test_simulate_runs_without_scipy(self, tmp_path):
         # the interval quantile and the KS distance per n run with or without checks

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -832,6 +833,45 @@ class TestRunExperiment:
             run_experiment(make_config(test_model), workers=0)
         with pytest.raises(ValueError, match="workers must be an integer, got 2.5"):
             run_experiment(make_config(test_model), workers=2.5)
+
+
+class TestForkedPass:
+    def test_pool_size_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+        assert [montecarlo.pool_size(w) for w in (1, 2, 64)] == [1, 2, 3]
+
+    def test_pool_size_is_one_off_linux(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.sys, "platform", "darwin")
+        assert montecarlo.pool_size(4) == 1
+        with pytest.raises(ValueError, match=r"^workers must lie in \[1, inf\), got 0$"):
+            montecarlo.pool_size(0)
+
+    def test_more_workers_than_blocks(self, test_model, monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(montecarlo.os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        config = make_config(test_model)
+        for a, b in zip(run_experiment(config).records, run_experiment(config, workers=4).records):
+            assert_columns_equal(a, b)
+        assert len(forks) == 2  # one block a sample size: two workers, not four
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_reaches_the_caller(self, test_model, monkeypatch):
+        parent, block_pass = os.getpid(), montecarlo._block_pass
+
+        def failing_in_a_worker(task):
+            if os.getpid() != parent and task[0].n == 900:
+                raise ValueError(f"no tables at n={task[0].n}")
+            return block_pass(task)
+
+        monkeypatch.setattr(montecarlo, "_block_pass", failing_in_a_worker)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ValueError, match=r"^no tables at n=900$"):
+            run_experiment(make_config(test_model), workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def reference_summaries(records, sigma_exact):
