@@ -47,13 +47,20 @@ from .io import (
     write_summary_json,
     write_json,  # noqa: F401  (perfbench's tracer wraps it here)
 )
-from .bounds import DEFAULT_G_GRID
 from .model import PopulationModel
-from .montecarlo import ExperimentConfig, bound_table, evaluate, pool_size, run_experiment
+from .montecarlo import (
+    ExperimentConfig,
+    bound_table,
+    evaluate,
+    pass_workers,
+    pool_size,
+    run_experiment,
+)
 
 # after the modules that load numpy: loaded first, these leave a higher peak RSS
 import argparse
 import dataclasses
+import importlib.util
 import sys
 from datetime import datetime, timezone
 
@@ -143,14 +150,14 @@ def _utc_now() -> str:
 
 
 def _manifest(args, config: ExperimentConfig, checks, outputs, started_utc) -> dict:
-    """Provenance for one run: package version, inputs, pool size, check outcomes, outputs."""
+    """Provenance for one run: package version, inputs, processes, check outcomes, outputs."""
     return dict(
         package_version=__version__,
         started_utc=started_utc,
         finished_utc=_utc_now(),
         subcommand=args.command,
         master_seed=config.master_seed,
-        workers=args.workers,
+        workers=pass_workers(config.model, config.n_values, config.replications, args.workers),
         config=config_to_dict(config),
         checks={c.name: c.passed for c in checks},
         outputs=list(outputs),
@@ -174,7 +181,7 @@ def _dry_run_report(config: ExperimentConfig) -> int:
 
 def cmd_run(args) -> int:
     """``simulate`` and the check presets; ``bounds-check`` runs the bound table alone."""
-    args.workers = pool_size(args.workers, "--workers")  # the pool size the manifest records
+    pool_size(args.workers, "--workers")  # a usage error even on a dry run
     config = _load_or_default_config(args)
     if args.dry_run:
         return _dry_run_report(config)
@@ -185,8 +192,8 @@ def cmd_run(args) -> int:
     started = _utc_now()
     outputs = ["summary.json", "manifest.json"]
     if args.command == "bounds-check":
-        rows = bound_table(config.model, config.n_values, DEFAULT_G_GRID, config.replications,
-                           config.master_seed, workers=args.workers)
+        rows = bound_table(config.model, config.n_values, replications=config.replications,
+                           master_seed=config.master_seed, workers=args.workers)
         summary = evaluate(config, (), tuple(rows))
     else:
         result = run_experiment(config, workers=args.workers)
@@ -253,7 +260,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def _keep_openssl_out() -> None:
+    """Block ``_hashlib``, so that numpy.random's ``secrets`` maps no OpenSSL (about 3.5 MB).
+
+    symkl hashes nothing and seeds every stream; ``hashlib`` and ``hmac`` then
+    use CPython's builtin digests.  A Python built without them keeps OpenSSL,
+    since hashlib would log a traceback for each digest it lacks.
+    """
+    found = importlib.util.find_spec
+    if (all(found(name) for name in ("_md5", "_sha1", "_sha3", "_blake2"))
+            and (found("_sha2") or (found("_sha256") and found("_sha512")))):
+        sys.modules.setdefault("_hashlib", None)
+
+
 def entry() -> None:
+    # the console script's process is the CLI's own; main() leaves a caller's
+    # process as it is.  Forked table-pass workers inherit the block.
+    _keep_openssl_out()
     raise SystemExit(main())
 
 

@@ -54,6 +54,7 @@ from .model import (
     BLOCK_CELLS,
     PopulationModel,
     as_real,
+    block_rows,
     check_type,
     sample_batch,  # noqa: F401  (perfbench's tracer wraps it here)
     table_blocks,
@@ -107,6 +108,12 @@ def pool_size(workers, name: str = "workers") -> int:
     """The pool size: ``workers`` >= 1, capped at the CPUs this process may run on; 1 off Linux."""
     cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
     return min(as_integral(workers, name, 1), cpus)
+
+
+def pass_workers(model: PopulationModel, n_values, replications: int, workers) -> int:
+    """Processes of a table pass: :func:`pool_size`, at most one a block of :func:`table_blocks`."""
+    blocks = len(n_values) * -(-replications // block_rows(model.r))
+    return min(pool_size(workers), max(blocks, 1))
 
 
 @dataclass(frozen=True)
@@ -453,7 +460,7 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
     ``z`` (none without), allocated once, into which each slice's columns
     are copied at its block's rows as it arrives, and the bound rows at
     ``g_values``, whose exceedance counts are added by ``(name, n)`` as each
-    block arrives.  ``workers``, capped by :func:`pool_size`, changes no
+    block arrives.  ``workers``, capped by :func:`pass_workers`, changes no
     byte: every block has its own stream.  Each process holds one block of
     counts and the scratch of one row slice of it, whatever the replication
     count; this one also holds the three stored columns, 17 bytes a row.
@@ -462,7 +469,7 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
     """
     truth = model.sym_divergence()
     layout = table_blocks(model, n_values, replications, master_seed)
-    workers = min(pool_size(workers), len(layout))  # at most one process a block
+    workers = pass_workers(model, n_values, replications, workers)
     tasks = [(block, z is not None, g_values) for block in layout]
     try:
         records = {n: ReplicationColumns.empty(replications, n, truth, z)
@@ -490,7 +497,7 @@ def _table_pass(model: PopulationModel, n_values, replications: int, master_seed
 def bound_table(
     model: PopulationModel,
     n_grid,
-    g_grid,
+    g_grid=DEFAULT_G_GRID,
     replications: int = 0,
     master_seed: int = 0,
     workers: int = 1,
@@ -504,13 +511,14 @@ def bound_table(
     n_grid, g_grid : sequence
         Sample sizes (integers >= 1; integral floats such as ``1e4`` pass) and
         thresholds (positive reals); each is deduplicated and sorted ascending.
+        The thresholds default to ``DEFAULT_G_GRID``, as :func:`run_experiment`'s.
     replications : int
         Monte Carlo budget per sample size for the empirical frequencies;
         0 evaluates the bounds only.
     master_seed : int
         Seed of the Monte Carlo count tables, in ``[0, 2**64)``.
     workers : int
-        Processes of the pass, capped by :func:`pool_size`; no byte depends on it.
+        Processes of the pass, capped by :func:`pass_workers`; no byte depends on it.
 
     Returns
     -------

@@ -1,3 +1,5 @@
+import hashlib
+import hmac
 import importlib
 import importlib.util
 import json
@@ -343,6 +345,18 @@ class TestSimulate:
         manifest = json.loads((dirs[1] / "manifest.json").read_text())
         assert manifest["workers"] == 2  # the pool size used, not the 64 asked for
 
+    def test_manifest_records_the_processes_the_pass_ran(self, tmp_path, capsys, monkeypatch):
+        started = []
+        self.recording_pool(monkeypatch, started)
+        out_dir = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "simulate", "--config", config_file(tmp_path),  # one n, one block
+            "--out-dir", str(out_dir), "--workers", "2",
+        )
+        assert code == 0
+        assert started == []  # one block runs in-process
+        assert json.loads((out_dir / "manifest.json").read_text())["workers"] == 1
+
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_bounds_check_runs_in_the_pool(self, tmp_path, capsys, monkeypatch, cpus):
         started = []
@@ -648,6 +662,42 @@ class TestEntry:
 # No thread count set by the caller: the CLI's default applies.
 NO_THREAD_COUNT = {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": None}
 
+# Whether a process has blocked _hashlib, and so OpenSSL, rather than never asked for it.
+OPENSSL_BLOCKED = '"_hashlib" in sys.modules and sys.modules["_hashlib"] is None'
+
+# Runs the console script's entry() on two CPUs; every process that runs a
+# block of the table pass, the parent or a forked worker, checks after the
+# block that it has OpenSSL blocked and unmapped.  Then the parent prints the
+# same, and digests from hashlib and hmac.
+ENTRY_WITHOUT_OPENSSL = f"""\
+import os, sys
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from symkl import montecarlo
+from symkl.cli import entry
+
+def libcrypto_mapped():
+    if not os.path.exists("/proc/self/maps"):
+        return False
+    with open("/proc/self/maps") as maps:
+        return "libcrypto" in maps.read()
+
+block_pass = montecarlo._block_pass
+
+def checked_block_pass(task):
+    result = block_pass(task)
+    if not ({OPENSSL_BLOCKED}) or libcrypto_mapped():
+        raise ValueError(f"OpenSSL loaded in process {{os.getpid()}}")
+    return result
+
+montecarlo._block_pass = checked_block_pass
+try:
+    entry()
+finally:
+    import hashlib, hmac
+    print({OPENSSL_BLOCKED}, libcrypto_mapped())
+    print(hashlib.sha256(b"").hexdigest(), hmac.new(b"k", b"m", "sha256").hexdigest())
+"""
+
 
 class TestColdStart:
     def test_import_symkl_loads_no_numpy(self):
@@ -712,6 +762,40 @@ class TestColdStart:
         assert child.stdout.splitlines()[-2:] == ["[] 1", "no child"]
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["workers"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--workers", "1"], ["simulate", "--workers", "2"], ["bounds-check"],
+    ], ids=["simulate-w1", "simulate-w2", "bounds-check"])
+    def test_entry_runs_without_openssl(self, tmp_path, argv):
+        config = config_file(tmp_path, n_values=[100, 400], replications=300)
+        child = run_python("-W", "error", "-c", ENTRY_WITHOUT_OPENSSL, *argv,
+                           "--config", config, "--out-dir", str(tmp_path / "out"))
+        assert (child.returncode, child.stderr) == (0, "")
+        # the builtin digests give this process's (OpenSSL's, where it has it)
+        digests = f"{hashlib.sha256(b'').hexdigest()} {hmac.new(b'k', b'm', 'sha256').hexdigest()}"
+        assert child.stdout.splitlines()[-2:] == ["True False", digests]
+
+    def test_import_leaves_openssl_alone(self):
+        child = run_child("import sys, symkl.cli\nprint('_hashlib' in sys.modules)")
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
+
+    def test_openssl_kept_without_builtin_digests(self, tmp_path):
+        # a Python built without the builtin md5, as some distributions ship it
+        child = run_python(
+            "-W", "error", "-c",
+            "import importlib.util, sys\n"
+            "find_spec = importlib.util.find_spec\n"
+            "importlib.util.find_spec = lambda name: None if name == '_md5' else find_spec(name)\n"
+            "from symkl.cli import entry\n"
+            "try:\n"
+            "    entry()\n"
+            "finally:\n"
+            f"    print({OPENSSL_BLOCKED})",
+            "simulate", "--config", config_file(tmp_path), "--out-dir", str(tmp_path / "out"),
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "False"
 
     def test_simulate_runs_without_scipy(self, tmp_path):
         # the interval quantile and the KS distance per n run with or without checks

@@ -834,6 +834,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="workers must be an integer, got 2.5"):
             run_experiment(make_config(test_model), workers=2.5)
 
+    def test_bound_table_reads_the_experiment_grid(self, test_model):
+        # one grid decision: bounds-check and simulate's bounds check share it
+        config = make_config(test_model, checks=("bounds",))
+        rows = bound_table(test_model, config.n_values, replications=config.replications,
+                           master_seed=config.master_seed)
+        assert tuple(rows) == run_experiment(config).summary.bound_rows
+        assert sorted({row.g for row in rows}) == sorted(DEFAULT_G_GRID)
+
 
 class TestForkedPass:
     def test_pool_size_counts_the_cpus_this_process_may_use(self, monkeypatch):
@@ -846,6 +854,19 @@ class TestForkedPass:
         assert montecarlo.pool_size(4) == 1
         with pytest.raises(ValueError, match=r"^workers must lie in \[1, inf\), got 0$"):
             montecarlo.pool_size(0)
+
+    def test_pass_workers_counts_the_blocks(self, test_model, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+        uniform = np.full(1000, 1 / 1000)
+        wide, step = PopulationModel(0.5, uniform, uniform), block_rows(1000)
+        for model, n_values, replications in [
+            (test_model, (300, 900), 40),
+            (wide, (10,), step), (wide, (10,), step + 1), (wide, (10, 20, 30), 5 * step - 1),
+        ]:
+            blocks = len(table_blocks(model, n_values, replications, 0))
+            assert montecarlo.pass_workers(model, n_values, replications, 64) == blocks
+            assert montecarlo.pass_workers(model, n_values, replications, 1) == 1
+        assert montecarlo.pass_workers(test_model, (10,), 0, 4) == 1  # no blocks: one process
 
     def test_more_workers_than_blocks(self, test_model, monkeypatch):
         forks, fork = [], os.fork
