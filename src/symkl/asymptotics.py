@@ -17,7 +17,6 @@ laws.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
@@ -61,7 +60,12 @@ def normal_quantile(prob: float) -> float:
     prob = as_real(prob, "prob")
     if not 0.0 < prob < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {prob!r}")
-    return NormalDist().inv_cdf(prob)
+    try:  # NormalDist.inv_cdf's own C routine, without statistics' decimal and fractions
+        from _statistics import _normal_dist_inv_cdf
+    except ImportError:  # a Python built without it
+        from statistics import NormalDist
+        return NormalDist().inv_cdf(prob)
+    return _normal_dist_inv_cdf(prob, 0.0, 1.0)
 
 
 def interval_z(level, name: str) -> float:

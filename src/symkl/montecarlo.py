@@ -17,12 +17,13 @@ One pass, :func:`_table_pass`, draws each block of ``max(1, 2**16 // r)``
 tables once, from its own :func:`~symkl.streams.block_stream`, in this
 process or in the workers of :func:`_forked`; :func:`_block_pass` feeds it
 to the vectorized kernel and the bound exceedance counts in row slices of
-about ``SLICE_CELLS`` cells, in processes whose heap is pinned by
-:func:`_pin_heap`.  :func:`_table_pass` alone copies the slices' columns
-into the run's records and adds the counts; :func:`bound_table` runs it
-without the kernel.  No other stream feeds a run.  The layout depends only
-on ``r`` and the replication count, and the slices change no byte, so
-results are the same for any worker count.
+about ``SLICE_CELLS`` cells, each row counted as ``r + 8`` for the kernel's
+row-length scratch, in processes whose heap is pinned by :func:`_pin_heap`.
+:func:`_table_pass` alone copies the slices' columns into the run's records
+and adds the counts; :func:`bound_table` runs it without the kernel.  No
+other stream feeds a run.  The layout depends only on ``r`` and the
+replication count, and the slices change no byte, so results are the same
+for any worker count.
 The scalar functions :func:`~symkl.estimator.plug_in_estimate`,
 :func:`~symkl.asymptotics.plugin_sigma2` and
 :func:`~symkl.asymptotics.confidence_interval` are the kernel's test oracles.
@@ -68,8 +69,9 @@ from .streams import (
     replication_stream,  # noqa: F401  (perfbench's tracer wraps it here)
 )
 
-# Cells of one kernel or bound-count call: a block is fed to them in row
-# slices of about this size, so their scratch is a quarter block.
+# Cells of one kernel or bound-count call, a row of r counts costing r + 8
+# (the kernel's row-length columns): a block is fed to them in row slices of
+# about this size, so their scratch is a quarter block at any r.
 SLICE_CELLS = BLOCK_CELLS // 4
 
 # Sorted values per normal_cdf call in ks_statistic: its scratch, about 90
@@ -380,8 +382,10 @@ def _pin_heap() -> None:
 
 
 def _row_slices(rows: int, r: int) -> list[slice]:
-    """``ceil(rows * r / SLICE_CELLS)`` near-equal slices of ``rows`` rows, at most one per row."""
-    count = min(rows, -(-rows * r // SLICE_CELLS))
+    """``ceil(rows * (r + 8) / SLICE_CELLS)`` near-equal slices of ``rows`` rows, at most
+    one per row: the kernel keeps about ten float64 columns a row next to its block-sized
+    scratch, so a row costs about 8 cells more than its ``r`` counts."""
+    count = min(rows, -(-rows * (r + 8) // SLICE_CELLS))
     edges = [i * rows // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -587,11 +591,12 @@ def coverage_rate(records: ReplicationColumns) -> float:
 
 def _median(values) -> float:
     """``np.median`` of a nonempty sample, bit for bit, without its NaN check,
-    which imports ``numpy.ma`` (about 15 ms) on first use."""
-    arr = np.asarray(values, dtype=np.float64)
+    which imports ``numpy.ma`` (about 15 ms) on first use.  It takes the middle of
+    ``np.sort``, whose kernel :func:`ks_statistic` sorts with, so a run maps no
+    ``np.partition`` selection kernel; the middle values are the same."""
+    arr = np.sort(np.asarray(values, dtype=np.float64))
     k, odd = divmod(arr.size, 2)
-    part = np.partition(arr, k if odd else (k - 1, k))
-    return float(part[k]) if odd else float((part[k - 1] + part[k]) / 2.0)
+    return float(arr[k]) if odd else float((arr[k - 1] + arr[k]) / 2.0)
 
 
 def _variance(arr: np.ndarray) -> float | None:

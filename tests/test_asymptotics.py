@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from symkl import (
 from symkl.asymptotics import _coefficients, interval_z
 from symkl.streams import block_stream
 
-from conftest import random_model
+from conftest import random_model, run_child
 
 # Frozen from direct enumeration of the worked 2-symbol example
 # (label_prob 0.5, conditionals (1/2, 1/2) and (1/4, 3/4)).
@@ -70,6 +71,36 @@ class TestNormalHelpers:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="quantile"):
                 normal_quantile(bad)
+
+    def test_quantile_is_normal_dist_bit_for_bit(self):
+        got = [normal_quantile(p).hex() for p in QUANTILE_GRID]
+        assert got == [NormalDist().inv_cdf(p).hex() for p in QUANTILE_GRID]
+
+    def test_quantile_falls_back_to_normal_dist(self):
+        # as on a Python built without the _statistics accelerator
+        child = run_child(
+            "import sys\n"
+            "sys.modules['_statistics'] = None\n"
+            "import statistics\n"
+            "from symkl import normal_quantile\n"
+            "grid = [float.fromhex(p) for p in sys.argv[1:]]\n"
+            "print(statistics._normal_dist_inv_cdf.__module__, len(grid), sum(\n"
+            "    normal_quantile(p).hex() != statistics.NormalDist().inv_cdf(p).hex() for p in grid))",
+            *(p.hex() for p in QUANTILE_GRID),
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["statistics", str(len(QUANTILE_GRID)), "0"]
+
+
+# Both tails down to the smallest double and the largest below 1, the switch
+# points of the rational approximations (|p - 0.5| = 0.425, r = 5), and a
+# dense middle.
+QUANTILE_GRID = sorted({
+    5e-324, 1e-300, 0.5, 0.975, 1.0 - 2.0**-53, 0.075, 0.925, math.exp(-25.0),
+    *np.logspace(-300, -1, 300).tolist(),
+    *(1.0 - np.logspace(-16, -1, 150)).tolist(),
+    *np.linspace(0.001, 0.999, 999).tolist(),
+})
 
 
 # Reference values computed once with mpmath at 40 digits: the quantile as

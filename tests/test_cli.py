@@ -732,6 +732,21 @@ class TestColdStart:
         assert child.returncode == 0, child.stderr
         assert child.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_cli_loads_no_statistics(self, tmp_path, dry_run):
+        # the normal quantile comes from _statistics, without decimal and fractions
+        run = ["--dry-run"] if dry_run else ["--out-dir", str(tmp_path / "out")]
+        child = run_child(
+            "import sys\n"
+            "import symkl.cli\n"
+            "code = symkl.cli.main(sys.argv[1:])\n"
+            "print([m for m in ('statistics', 'decimal', 'fractions') if m in sys.modules])\n"
+            "sys.exit(code)",
+            "simulate", "--config", config_file(tmp_path), *run,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "[]"
+
     def test_import_leaves_out_scipy_and_the_pool(self):
         child = run_child(
             "import sys, symkl.cli\n"

@@ -295,6 +295,19 @@ class TestCoverageAndCurve:
             sample = rng.standard_normal(size) * 10.0 ** int(rng.integers(-6, 6))
             assert _median(sample) == float(np.median(sample))
 
+    def test_medians_select_with_no_partition(self, test_model, monkeypatch):
+        # medians take the middle of np.sort, so a run maps no selection kernel
+        config = make_config(test_model)
+        records = run_experiment(config).records
+        want = [float(np.median(at_n.eta[~at_n.degenerate])) for at_n in records]
+
+        def partition(*args, **kwargs):
+            raise AssertionError("np.partition called")
+
+        monkeypatch.setattr(np, "partition", partition)
+        per_n = evaluate(config, records, ()).per_n
+        assert [s.eta_median for s in per_n] == want
+
     def test_lln_curve_names_all_degenerate_sizes(self):
         records = tuple(records_at(n, [dict(degenerate=True)] * 4) for n in (100, 2000))
         records += (records_at(20000, [dict(eta=0.01)] * 3 + [dict(degenerate=True)]),)
@@ -583,7 +596,7 @@ class TestBlockSlices:
     and returns each slice's result; the test joins and adds them as ``_table_pass`` does."""
 
     @pytest.mark.parametrize("r, rows",
-                             [(2, 20000), (3, 21845), (8, 5000), (50, 1310), (1000, 65)])
+                             [(2, 20000), (3, 21845), (8, 5001), (50, 1309), (1000, 65)])
     def test_slices_change_no_bit(self, r, rows):
         slices = montecarlo._row_slices(rows, r)
         assert len(slices) > 1 and rows % len(slices)  # slices of unequal length
@@ -634,10 +647,10 @@ class TestBlockSlices:
         # full blocks: 65 tables at r = 1000 and 32 768 at r = 2 through the
         # kernel, 1310 at r = 50 through the bound counts; the drawn counts
         # are 2 block arrays, and at r = 2 the kept slice columns (17 bytes a
-        # row) are 1.1 more
+        # row) are 1.1 more, the slices' scratch (r + 8 cells a row) 0.5 more
         rng = np.random.default_rng(16)
         for r, n, kernel, g_values, most in ((1000, 2 * 10**5, True, (), 4),
-                                             (2, 10**4, True, (), 8),
+                                             (2, 10**4, True, (), 4),
                                              (50, 10**4, False, DEFAULT_G_GRID, 4)):
             model = PopulationModel(label_prob=0.4, cond_p=random_simplex(rng, r, min_entry=0.0),
                                     cond_q=random_simplex(rng, r, min_entry=0.0))
