@@ -56,15 +56,15 @@ CONFIGS = {
 # name: (exit code, {file: SHA-256 of its bytes})
 DIGESTS = {
     "degenerate-rows": (0, {
-        "records.csv": "584962f2926ce44699a1eb50d293c08cfc00f36deba5b15dfac39cf332e3fe71",
+        "records.csv": "fffabaaf1e054ed095c96679630fc1e609169dbc21d1037d30d2627eb22ec7b5",
         "summary.json": "2e1193835c9bf002d38f738669397bad1e08e94be6c6aa3b4827358a62fc015d",
     }),
     "r1000-lln": (0, {
-        "records.csv": "877d7d2ee8aae19a2a5a27b34e27f7c93a0beeb1b915cf1ca2efe60e68f90626",
-        "summary.json": "80a2042983671507bb428dbdd023f88e3a667ed827523613d4c05143f8957ee7",
+        "records.csv": "4707f37f7f079d58790ec5df9ec974e47c7e58375102157b382f6c877981e732",
+        "summary.json": "54b3deb2fc6b14ac4760d0beae12f9b3ac83e220eb12d100e7d7e2fc1f17b93c",
     }),
     "r2-lln-clt-coverage": (3, {
-        "records.csv": "772913a428ec51655c4d2dc83b8473c28c8aa7b76761056912160f308339beb9",
+        "records.csv": "d0758b79bd95131a0e33820f573fb0838b5c491eb23bbce5433264a3b3981026",
         "summary.json": "00e7d514f5bd5cec85d898d02fe9f4dcef3e572e9eb692368410b59dce2a361e",
     }),
     "r50-bounds": (0, {
@@ -73,7 +73,7 @@ DIGESTS = {
     }),
 }
 
-PLATFORM = "cd306387329545356932e2712734a06ffc44fa2e3e5403ee53771b80b99fa532"
+PLATFORM = "63978cefd37f82dcce0c63d60ccdaa4efd3109e76f15437d0d5c07d08909e8c9"
 
 
 def _sha256(data: bytes) -> str:
@@ -82,14 +82,17 @@ def _sha256(data: bytes) -> str:
 
 def platform_digest() -> str:
     """The digest of the numpy primitives the outputs rest on: float64 ``log``,
-    ``exp``, sums along rows, ``normal_cdf`` and Philox binomial and
-    multinomial draws."""
+    ``exp``, sums along rows (``sum`` and the kernel's ``einsum`` products),
+    ``normal_cdf`` and Philox binomial and multinomial draws."""
     x = np.random.default_rng(0).random(1 << 12)
     stream = np.random.Generator(np.random.Philox(key=[1, 2]))
     k1 = stream.binomial(1000, 0.4, size=64)
+    rows = [x.reshape(-1, r) for r in (2, 64, 1024)]
     parts = [np.log(x), np.exp(-x), normal_cdf(x - 0.5),
              stream.multinomial(k1, _law(_weights(50))),
-             *(x.reshape(-1, r).sum(axis=1) for r in (2, 64, 1024))]
+             *(y.sum(axis=1) for y in rows),
+             *(np.einsum("ij,ij->i", y, y) for y in rows),
+             *(np.einsum("ij,ij,ij->i", y, y, y) for y in rows)]
     return _sha256(b"".join(part.tobytes() for part in parts))
 
 

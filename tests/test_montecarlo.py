@@ -372,10 +372,11 @@ def row_values(rows, name):
 
 def out_of_place_columns(n1, n0, truth, z):
     """The kernel as plain expressions, one new array per step, with each
-    table's size as an int64 column: the reference for the in-place kernel's
-    bits and for the columns that :class:`ReplicationColumns` derives at one
-    scalar ``n``, by name.  It lacks the kernel's rounding test for the
-    label-1 frequency, which only sizes above 2**53 reach."""
+    table's size as an int64 column: the reference for the bits of the
+    kernel, which reuses block arrays in place, and for the columns that
+    :class:`ReplicationColumns` derives at one scalar ``n``, by name.  It
+    lacks the kernel's rounding test for the label-1 frequency, which only
+    sizes above 2**53 reach."""
     m1 = n1.sum(axis=1)
     m0 = n0.sum(axis=1)
     sizes = m1 + m0
@@ -387,19 +388,20 @@ def out_of_place_columns(n1, n0, truth, z):
     p_hat = n1 / m1[:, None]
     q_hat = n0 / m0[:, None]
     log_ratio = np.log(p_hat) - np.log(q_hat)
-    estimate = np.sum((p_hat - q_hat) * log_ratio, axis=1)
+    estimate = np.einsum("ij,ij->i", p_hat - q_hat, log_ratio)
     b = 1.0 + log_ratio - q_hat / p_hat
     c = 1.0 - log_ratio - p_hat / q_hat
-    s_pb = np.sum(p_hat * b, axis=1)[:, None]
-    s_qc = np.sum(q_hat * c, axis=1)[:, None]
-    p = (m1 / n)[:, None]
+    s_pb = np.einsum("ij,ij->i", p_hat, b)
+    s_pbb = np.einsum("ij,ij,ij->i", p_hat, b, b)
+    s_qc = np.einsum("ij,ij->i", q_hat, c)
+    s_qcc = np.einsum("ij,ij,ij->i", q_hat, c, c)
+    p = m1 / n
     q = 1.0 - p
-    w1 = b / p - (2.0 - p) * s_pb - p * s_qc
-    w0 = c / q - q * s_pb - (2.0 - q) * s_qc
-    t1 = p * p_hat * w1
-    t0 = q * q_hat * w0
-    mean = np.sum(t1, axis=1) + np.sum(t0, axis=1)
-    second = np.sum(t1 * w1, axis=1) + np.sum(t0 * w0, axis=1)
+    a1 = (2.0 - p) * s_pb + p * s_qc
+    a0 = q * s_pb + (1.0 + p) * s_qc
+    mean = s_pb - p * a1 + s_qc - q * a0
+    second = (s_pbb / p - 2.0 * a1 * s_pb + p * a1 * a1
+              + s_qcc / q - 2.0 * a0 * s_qc + q * a0 * a0)
     sigma2 = np.maximum(second - mean * mean, 0.0)
     half = z * np.sqrt(sigma2 / n)
     lower = estimate - half
@@ -438,15 +440,19 @@ class TestReplicationColumns:
         # four label probabilities from uniform(0.2, 0.8), then two far from
         # 0.5, where a wrong variance shows most.  A small n leaves empty cells
         # in many rows, a large n in none; far from 0.5 at r = 1000, n = 2000 r
-        # still leaves every row degenerate, so those take 10**6 r.
-        for label_probs, large_n in (([None] * 4, 2000 * r), ([0.02, 0.98], 10**6 * r)):
+        # still leaves every row degenerate, so those take 10**6 r.  Last the
+        # null, p = q, at about 10**6 draws a cell: b and c are small differences
+        # of terms near 1 there, whose expanded sums (sum p_hat (1 + L)**2
+        # - 2 sum q_hat (1 + L) + sum q_hat**2 / p_hat) would lose digits.
+        groups = (([None] * 4, 2000 * r, False), ([0.02, 0.98], 10**6 * r, False),
+                  ([None], {2: 10**6, 50: 10**8, 1000: 10**9}[r], True))
+        for label_probs, large_n, null in groups:
             tables = []
             for label_prob in label_probs:
-                model = PopulationModel(
-                    label_prob=float(rng.uniform(0.2, 0.8)) if label_prob is None else label_prob,
-                    cond_p=random_simplex(rng, r, min_entry=1e-7),
-                    cond_q=random_simplex(rng, r, min_entry=1e-7),
-                )
+                label_prob = float(rng.uniform(0.2, 0.8)) if label_prob is None else label_prob
+                cond_p = random_simplex(rng, r, min_entry=1e-7)
+                cond_q = cond_p if null else random_simplex(rng, r, min_entry=1e-7)
+                model = PopulationModel(label_prob=label_prob, cond_p=cond_p, cond_q=cond_q)
                 for n in (4 * r, large_n):
                     tables.append(sample_counts(model, n, 10, rng))
             n1 = np.vstack([t[0] for t in tables])
@@ -647,7 +653,7 @@ class TestBlockSlices:
         # full blocks: 65 tables at r = 1000 and 32 768 at r = 2 through the
         # kernel, 1310 at r = 50 through the bound counts; the drawn counts
         # are 2 block arrays, and at r = 2 the kept slice columns (17 bytes a
-        # row) are 1.1 more, the slices' scratch (r + 8 cells a row) 0.5 more
+        # row) are 1.1 more, the slices' scratch (r + 8 cells a row) 0.4 more
         rng = np.random.default_rng(16)
         for r, n, kernel, g_values, most in ((1000, 2 * 10**5, True, (), 4),
                                              (2, 10**4, True, (), 4),
