@@ -13,9 +13,9 @@ validates the (n, g) grid; with its default of 0 replications it returns
 the closed forms alone.  This module draws nothing: ``bound_table`` feeds
 the estimator's count tables, in row slices of each block, to
 :func:`_exceed_counts`, which counts in place, and the sums to
-:func:`bound_table_rows`.  Samples where a statistic is undefined (empty
-label class, empty cell inside a log) count as exceedances, which only
-pushes the empirical frequency up.
+:func:`bound_table_rows`.  A table exceeds g unless its statistic is at
+most g, so an undefined one (empty label class, empty cell inside a log)
+exceeds every g, which only pushes the empirical frequency up.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ def _exceed_counts(model: PopulationModel, n: int, g_values, n1, n0) -> dict[str
     :func:`~symkl.model.sample_counts` returns them.  Per bound name, the
     counts are int64 of shape ``(len(g_values),)`` for the label frequency
     and ``(len(g_values), r)``, one per cell, for the others; each
-    ``(rows, r)`` statistic is computed in place in one scratch array.
-    Undefined statistics (empty label class, empty cell inside a log) are
-    set infinite, so they exceed every g.
+    ``(rows, r)`` statistic is computed in place in one scratch array.  A
+    table exceeds g unless its statistic is at most g, so the NaN or
+    infinity of an undefined statistic exceeds every g.
     """
     p = model.label_prob
     q = 1.0 - p
@@ -150,9 +150,11 @@ def _exceed_counts(model: PopulationModel, n: int, g_values, n1, n0) -> dict[str
     counts: dict[str, np.ndarray] = {}
 
     def add(name: str, stat: np.ndarray) -> None:
-        # joint cells one-sided, the rest absolute; float32 sums of <= 2**16 0/1s are exact
+        # joint cells one-sided, the rest absolute; NaN (0/0, -inf + inf) is never
+        # <= g, so it exceeds; float32 sums of <= 2**16 0/1s are exact
         hits = np.empty(stat.shape, np.float32)
-        counts[name] = np.array([ones @ np.greater(stat, g, out=hits) for g in g_values], np.int64)
+        within = [ones @ np.less_equal(stat, g, out=hits) for g in g_values]
+        counts[name] = len(ones) - np.array(within, np.int64)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         add("label_freq", np.abs(k1 / n - p))
@@ -160,17 +162,12 @@ def _exceed_counts(model: PopulationModel, n: int, g_values, n1, n0) -> dict[str
         add("joint_cell_y0", np.subtract(np.divide(q_hat, n, out=dev), q * qv, out=dev))
         p_hat /= k1[:, None]
         q_hat /= k0[:, None]
-        for name, hat, k, cond in (("conditional_cell_p", p_hat, k1, pv),
-                                   ("conditional_cell_q", q_hat, k0, qv)):
-            np.abs(np.subtract(hat, cond, out=dev), out=dev)
-            dev[k == 0, :] = np.inf
-            add(name, dev)
+        for name, hat, cond in (("conditional_cell_p", p_hat, pv),
+                                ("conditional_cell_q", q_hat, qv)):
+            add(name, np.abs(np.subtract(hat, cond, out=dev), out=dev))
         np.subtract(np.log(p_hat, out=p_hat), np.log(pv), out=dev)
         np.subtract(dev, np.log(q_hat, out=q_hat), out=dev)
-        np.abs(np.add(dev, np.log(qv), out=dev), out=dev)
-    # an empty label class leaves every cell of its side empty
-    dev[(n1 == 0) | (n0 == 0)] = np.inf
-    add("log_ratio", dev)
+        add("log_ratio", np.abs(np.add(dev, np.log(qv), out=dev), out=dev))
     return counts
 
 

@@ -576,7 +576,8 @@ class TestBlockedCounting:
                 if realised.size:
                     ties[name] = float(realised[len(realised) // 2])
             tied |= ties.keys()
-            g_values = sorted({*ties.values(), 0.05, 0.5})
+            # at g = 1e300 only an undefined statistic exceeds
+            g_values = sorted({*ties.values(), 0.05, 0.5, 1e300})
             counts = _exceed_counts(model, n, g_values, n1, n0)
             assert counts.keys() == stats.keys()
             for name, stat in stats.items():
