@@ -4,8 +4,8 @@ Scaled by ``sqrt(n)``, the estimation error is asymptotically normal with a
 variance that has a closed form: each draw ``(x, y)`` contributes a linear
 influence value ``W(x, y)`` with mean zero, and the limit variance is
 ``Var W``.  This module computes the influence value, the exact limit
-variance by enumerating the ``2 r`` possible outcomes of one draw, its
-plug-in counterpart evaluated at the empirical measures, and the ends
+variance and its plug-in counterpart at the empirical measures, both by one
+function of four moments of the influence coefficients, and the ends
 ``(lower, upper)`` of the resulting asymptotic confidence interval.  Each
 returns floats; a degenerate table raises
 :class:`~symkl.estimator.DegenerateSampleError`, as
@@ -115,30 +115,30 @@ def influence_value(model: PopulationModel, x: int, y: int) -> float:
     return math.fsum(terms.tolist())
 
 
-def _influence_table(label_prob: float, pv: np.ndarray, qv: np.ndarray) -> float:
-    """``Var W >= 0`` over the table of the 2r draw outcomes of a positive law.
+def _variance_from_sums(p, q, s_pb, s_pbb, s_qc, s_qcc):
+    """``Var W >= 0`` from the label frequencies ``p``, ``q`` and the moments
+    ``s_pb = sum p_j b_j``, ``s_pbb = sum p_j b_j**2``, ``s_qc`` and ``s_qcc`` of the
+    influence coefficients, on floats or arrays: the within-class variances
+    ``Var_p(b) / p + Var_q(c) / q``, the delta method's value, plus the label term
+    ``(q**2 s_pb - p**2 s_qc)**2 / (p q)``, the variance of the class means of ``W``:
+    the known defect, as the delta method has no such term."""
+    label = q * q * s_pb - p * p * s_qc
+    return np.maximum((s_pbb - s_pb * s_pb) / p + (s_qcc - s_qc * s_qc) / q
+                      + label * label / (p * q), 0.0)
 
-    The constant-in-j parts of the bracket collapse into two inner products,
-    leaving a closed per-outcome form (label-1 outcomes first).
-    """
+
+def _limit_variance(p: float, q: float, pv: np.ndarray, qv: np.ndarray) -> float:
+    """``Var W`` at label frequencies ``p``, ``q`` and positive conditional laws
+    ``pv``, ``qv``, from compensated sums of the four moments."""
     b, c = _coefficients(pv, qv)
-    p = label_prob
-    q = 1.0 - p
-    s_pb = math.fsum((pv * b).tolist())
-    s_qc = math.fsum((qv * c).tolist())
-    w1 = b / p - (2.0 - p) * s_pb - p * s_qc
-    w0 = c / q - q * s_pb - (2.0 - q) * s_qc
-    probs = np.concatenate([p * pv, q * qv])
-    values = np.concatenate([w1, w0])
-    mean = math.fsum((probs * values).tolist())
-    second = math.fsum((probs * values * values).tolist())
-    return max(second - mean * mean, 0.0)
+    return float(_variance_from_sums(
+        p, q, *(math.fsum(terms.tolist()) for terms in (pv * b, pv * b * b, qv * c, qv * c * c))))
 
 
 def exact_sigma2(model: PopulationModel) -> float:
-    """Exact limit variance ``Var W`` by enumeration of all 2r outcomes."""
+    """Exact limit variance ``Var W`` of the population, in closed form."""
     check_type(model, PopulationModel, "model")
-    return _influence_table(model.label_prob, model.cond_p, model.cond_q)
+    return _limit_variance(model.label_prob, 1.0 - model.label_prob, model.cond_p, model.cond_q)
 
 
 def plugin_sigma2(counts: CountTable) -> float:
@@ -152,8 +152,7 @@ def plugin_sigma2(counts: CountTable) -> float:
         message: an empty label class (no draws, or a label-1 frequency
         that rounds to 1), else an empty cell.
     """
-    p_hat, q_hat, p_n_hat = _empirical(counts)
-    return _influence_table(p_n_hat, p_hat, q_hat)
+    return _limit_variance(*_empirical(counts))
 
 
 def confidence_interval(estimate: float, sigma2: float, n: int,

@@ -25,7 +25,7 @@ REASON_EMPTY_CELL = 2  # both classes have draws, but some cell is empty
 
 
 def _empirical(counts: CountTable):
-    """``p_hat, q_hat, p_n_hat`` of a count table: the one degeneracy rule.
+    """The label frequencies and laws ``p_n_hat, q_n_hat, p_hat, q_hat``: the one degeneracy rule.
 
     In the kernel's order: an empty label class (no draws, or a label-1
     frequency ``p_n_hat`` that rounds to 1), else an empty cell raises
@@ -33,12 +33,12 @@ def _empirical(counts: CountTable):
     class" or "zero cell".  Otherwise the plug-in value is defined.
     """
     check_type(counts, CountTable, "counts")
-    m1 = int(counts.n1.sum())
-    n = m1 + int(counts.n0.sum())
+    m1, m0 = int(counts.n1.sum()), int(counts.n0.sum())
+    n = m1 + m0
     p_n_hat = float(m1) / float(n)  # the kernel's rounding: both counts in float64 first
     if m1 == 0:
         raise DegenerateSampleError("empty label class: no samples with label 1")
-    if m1 == n:
+    if m0 == 0:
         raise DegenerateSampleError("empty label class: no samples with label 0")
     if 1.0 - p_n_hat == 0.0:
         raise DegenerateSampleError("empty label class: label-1 frequency rounds to 1")
@@ -46,7 +46,7 @@ def _empirical(counts: CountTable):
         zero = np.flatnonzero(cells == 0)
         if zero.size:
             raise DegenerateSampleError(f"zero cell in {side} at symbol index {zero[0]}")
-    return counts.n1 / m1, counts.n0 / (n - m1), p_n_hat
+    return p_n_hat, float(m0) / float(n), counts.n1 / m1, counts.n0 / m0
 
 
 def plug_in_estimate(counts: CountTable) -> float:
@@ -61,5 +61,5 @@ def plug_in_estimate(counts: CountTable) -> float:
     DegenerateSampleError
         Otherwise, with the reason of :func:`_empirical`.
     """
-    p_hat, q_hat, _ = _empirical(counts)
+    _, _, p_hat, q_hat = _empirical(counts)
     return _jeffreys(p_hat, q_hat)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
+    _variance_from_sums,
     confidence_interval,  # noqa: F401  (perfbench's tracer wraps it here)
     exact_sigma2,
     interval_z,
@@ -314,15 +315,16 @@ def replication_columns(n1, n0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the error and the interval from the columns of one size.  The values are
     those of :func:`~symkl.estimator.plug_in_estimate` and
     :func:`~symkl.asymptotics.plugin_sigma2` but for the rounding of their
-    compensated sums, each a row-length formula over five row sums:
-    ``sum (p_hat - q_hat) L`` with ``L = ln p_hat - ln q_hat``, and the
-    moments ``sum p_hat b``, ``sum p_hat b**2``, ``sum q_hat c`` and
-    ``sum q_hat c**2`` of the influence coefficients, taken over ``b`` and
-    ``c`` themselves so that no digit cancels near the null.  Degeneracy
-    follows the scalar functions' one rule (``estimator._empirical``):
-    ``reason`` is ``REASON_EMPTY_LABEL`` when a label class has no draws or
-    the label-1 frequency rounds to 1, else ``REASON_EMPTY_CELL`` when a cell
-    is empty; a degenerate row's estimate and variance are masked to NaN.
+    compensated sums: the row sum ``sum (p_hat - q_hat) L``, ``L = ln p_hat -
+    ln q_hat``, and :func:`~symkl.asymptotics._variance_from_sums` of the
+    label frequencies and four row sums, ``sum p_hat b``, ``sum p_hat b**2``,
+    ``sum q_hat c`` and ``sum q_hat c**2``, taken over the influence
+    coefficients ``b`` and ``c`` themselves so that no digit cancels near
+    the null.  Degeneracy follows the scalar functions' one rule
+    (``estimator._empirical``): ``reason`` is ``REASON_EMPTY_LABEL`` when a
+    label class has no draws or the label-1 frequency rounds to 1, else
+    ``REASON_EMPTY_CELL`` when a cell is empty; a degenerate row's estimate
+    and variance are masked to NaN.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     n0 = np.asarray(n0, dtype=np.int64)
@@ -348,15 +350,7 @@ def replication_columns(n1, n0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s_qcc = np.einsum("ij,ij,ij->i", q_hat, c, c)
         # the tail below is row-length: free the block-sized scratch first
         del p_hat, q_hat, log_ratio, b, c
-        # Var W over the 2r outcome values w1 = b / p - a1 and w0 = c / q - a0, of
-        # weights p p_hat and q q_hat, expanded with sum p_hat = sum q_hat = 1
-        q = 1.0 - p
-        a1 = (2.0 - p) * s_pb + p * s_qc
-        a0 = q * s_pb + (1.0 + p) * s_qc
-        mean = s_pb - p * a1 + s_qc - q * a0
-        second = (s_pbb / p - 2.0 * a1 * s_pb + p * a1 * a1
-                  + s_qcc / q - 2.0 * a0 * s_qc + q * a0 * a0)
-        sigma2 = np.maximum(second - mean * mean, 0.0)
+        sigma2 = _variance_from_sums(p, m0 / (m1 + m0), s_pb, s_pbb, s_qc, s_qcc)
         estimate[degenerate] = sigma2[degenerate] = np.nan
         return reason, estimate, sigma2
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 from statistics import NormalDist
 
@@ -44,6 +45,28 @@ def brute_force_variance(model: PopulationModel) -> tuple[float, float]:
     mean = math.fsum(prob * w for prob, w in outcomes)
     second = math.fsum(prob * w * w for prob, w in outcomes)
     return second - mean * mean, mean
+
+
+def decimal_sigma2(n1, n0) -> float:
+    """``plugin_sigma2`` of the table ``(n1 | n0)`` in 60-digit decimal arithmetic from
+    the exact counts, by another route: ``Var W`` over the 2r outcome values of one
+    draw, ``w1 = b / p - a1`` of weight ``p p_hat`` and ``w0 = c / q - a0`` of weight
+    ``q q_hat``."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        m1, m0 = sum(n1), sum(n0)
+        p, q = decimal.Decimal(m1) / (m1 + m0), decimal.Decimal(m0) / (m1 + m0)
+        p_hat = [decimal.Decimal(k) / m1 for k in n1]
+        q_hat = [decimal.Decimal(k) / m0 for k in n0]
+        b = [1 + (x / y).ln() - y / x for x, y in zip(p_hat, q_hat)]
+        c = [1 + (y / x).ln() - x / y for x, y in zip(p_hat, q_hat)]
+        s_pb = sum(x * bj for x, bj in zip(p_hat, b))
+        s_qc = sum(y * cj for y, cj in zip(q_hat, c))
+        a1 = (2 - p) * s_pb + p * s_qc
+        a0 = q * s_pb + (2 - q) * s_qc
+        outcomes = ([(p * x, bj / p - a1) for x, bj in zip(p_hat, b)]
+                    + [(q * y, cj / q - a0) for y, cj in zip(q_hat, c)])
+        mean = sum(weight * w for weight, w in outcomes)
+        return float(sum(weight * w * w for weight, w in outcomes) - mean * mean)
 
 
 class TestNormalHelpers:
@@ -216,9 +239,16 @@ class TestExactSigma2:
         assert exact_sigma2(test_model) == pytest.approx(GOLDEN_SIGMA2, rel=1e-12)
 
     def test_agrees_with_brute_force_enumeration(self):
+        # sigma2 and sigma2_hat share one function, whose label term grows as
+        # label_prob leaves 0.5: the models reach 0.02 and 0.98, and r = 50
         rng = np.random.default_rng(41)
-        for _ in range(30):
-            model = random_model(rng, int(rng.integers(2, 8)))
+        models = [random_model(rng, int(rng.integers(2, 8))) for _ in range(30)]
+        for r in (2, 7, 50):
+            models.append(random_model(rng, r))
+            for label_prob in (0.02, 0.98):
+                models.append(PopulationModel(label_prob=label_prob, cond_p=models[-1].cond_p,
+                                              cond_q=models[-1].cond_q))
+        for model in models:
             direct = exact_sigma2(model)
             expected_sigma2, expected_mean = brute_force_variance(model)
             assert direct == pytest.approx(expected_sigma2, rel=1e-10, abs=1e-12)
@@ -299,8 +329,14 @@ class TestPluginSigma2:
         sigma2 = plugin_sigma2(counts)
         lower, upper = confidence_interval(est, sigma2, counts.n, 0.95)
         assert est == 14.966803104458304
-        assert sigma2 == 461186201737754.75
         assert lower < est < upper
+        # sigma2 within 1e-13 of 60 digits, here and above 2**53 draws, where the
+        # counts round to float64: the label-0 frequency is taken as m0 / n, since
+        # 1 - m1 / n cancels (2.2e-5 and 8.1e-6 off in sigma2)
+        for n1, n0 in (([10**13, 1], [5, 5]),
+                       ([123456789012345678, 987654321098765432], [1234567, 7654321])):
+            sigma2 = plugin_sigma2(CountTable(n1=np.array(n1), n0=np.array(n0)))
+            assert sigma2 == pytest.approx(decimal_sigma2(n1, n0), rel=1e-13, abs=0.0)
 
 
 class TestConfidenceInterval:

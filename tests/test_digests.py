@@ -56,20 +56,20 @@ CONFIGS = {
 # name: (exit code, {file: SHA-256 of its bytes})
 DIGESTS = {
     "degenerate-rows": (0, {
-        "records.csv": "fffabaaf1e054ed095c96679630fc1e609169dbc21d1037d30d2627eb22ec7b5",
+        "records.csv": "16056801efad7c51dc262ef26b4afd0340504e09e9e625103a028455bdf3aa92",
         "summary.json": "2e1193835c9bf002d38f738669397bad1e08e94be6c6aa3b4827358a62fc015d",
     }),
     "r1000-lln": (0, {
-        "records.csv": "4707f37f7f079d58790ec5df9ec974e47c7e58375102157b382f6c877981e732",
+        "records.csv": "a526b6054dc2cd3a45be062e268206503ed0ab615a717805885eddd0a7c4c1e2",
         "summary.json": "54b3deb2fc6b14ac4760d0beae12f9b3ac83e220eb12d100e7d7e2fc1f17b93c",
     }),
     "r2-lln-clt-coverage": (3, {
-        "records.csv": "d0758b79bd95131a0e33820f573fb0838b5c491eb23bbce5433264a3b3981026",
+        "records.csv": "77b569ecbeca59cd4d21dc704845d73ba900ba2cb48be8b916a5ca1af0527dce",
         "summary.json": "00e7d514f5bd5cec85d898d02fe9f4dcef3e572e9eb692368410b59dce2a361e",
     }),
     "r50-bounds": (0, {
         "bounds.csv": "ff8b6254b6e5b491459edd9a26b163598da8c9c30ae5c36c6561a3743fd58787",
-        "summary.json": "98baadbf8900db39946730850d7e0af2387aa9e887129229a84f25443d1b9aad",
+        "summary.json": "39d35e920b2204cab616af1eae86223f2b018df9c766b788d635241560d852db",
     }),
 }
 

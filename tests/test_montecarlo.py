@@ -396,13 +396,10 @@ def out_of_place_columns(n1, n0, truth, z):
     s_qc = np.einsum("ij,ij->i", q_hat, c)
     s_qcc = np.einsum("ij,ij,ij->i", q_hat, c, c)
     p = m1 / n
-    q = 1.0 - p
-    a1 = (2.0 - p) * s_pb + p * s_qc
-    a0 = q * s_pb + (1.0 + p) * s_qc
-    mean = s_pb - p * a1 + s_qc - q * a0
-    second = (s_pbb / p - 2.0 * a1 * s_pb + p * a1 * a1
-              + s_qcc / q - 2.0 * a0 * s_qc + q * a0 * a0)
-    sigma2 = np.maximum(second - mean * mean, 0.0)
+    q = m0 / n
+    label = q * q * s_pb - p * p * s_qc
+    sigma2 = np.maximum((s_pbb - s_pb * s_pb) / p + (s_qcc - s_qc * s_qc) / q
+                        + label * label / (p * q), 0.0)
     half = z * np.sqrt(sigma2 / n)
     lower = estimate - half
     upper = estimate + half
