@@ -149,8 +149,7 @@ def plugin_sigma2(counts: CountTable) -> float:
     ------
     DegenerateSampleError
         Where :func:`~symkl.estimator.plug_in_estimate` raises, with its
-        message: an empty label class (no draws, or a label-1 frequency
-        that rounds to 1), else an empty cell.
+        message: an empty label class, else an empty cell.
     """
     return _limit_variance(*_empirical(counts))
 

@@ -262,8 +262,8 @@ def write_bounds_csv(rows, path) -> None:
             row.empirically_valid()) for row in rows))
 
 
-def summary_to_dict(summary: ExperimentSummary) -> dict:
-    """Serialize an experiment summary to plain JSON types.
+def write_summary_json(summary: ExperimentSummary, path) -> None:
+    """Write an experiment summary as JSON.
 
     The bound table itself goes to ``bounds.csv``; here ``grid_points``
     counts its rows (0 when the bounds check did not run).
@@ -271,11 +271,7 @@ def summary_to_dict(summary: ExperimentSummary) -> dict:
     data = dataclasses.asdict(summary)
     data["grid_points"] = len(data.pop("bound_rows"))
     data["all_checks_passed"] = summary.all_checks_passed
-    return data
-
-
-def write_summary_json(summary: ExperimentSummary, path) -> None:
-    write_json(summary_to_dict(summary), path)
+    write_json(data, path)
 
 
 def write_json(obj, path) -> None:

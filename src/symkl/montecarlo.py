@@ -322,17 +322,15 @@ def replication_columns(n1, n0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     coefficients ``b`` and ``c`` themselves so that no digit cancels near
     the null.  Degeneracy follows the scalar functions' one rule
     (``estimator._empirical``): ``reason`` is ``REASON_EMPTY_LABEL`` when a
-    label class has no draws or the label-1 frequency rounds to 1, else
-    ``REASON_EMPTY_CELL`` when a cell is empty; a degenerate row's estimate
-    and variance are masked to NaN.
+    label class has no draws, else ``REASON_EMPTY_CELL`` when a cell is
+    empty; a degenerate row's estimate and variance are masked to NaN.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     n0 = np.asarray(n0, dtype=np.int64)
     m1 = n1.sum(axis=1)
     m0 = n0.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = m1 / (m1 + m0)
-        empty_label = (m1 == 0) | (1.0 - p == 0.0)
+        empty_label = (m1 == 0) | (m0 == 0)
         degenerate = empty_label | np.any(n1 == 0, axis=1) | np.any(n0 == 0, axis=1)
         reason = np.where(degenerate, REASON_EMPTY_CELL, REASON_NONE).astype(np.int8)
         reason[empty_label] = REASON_EMPTY_LABEL
@@ -350,7 +348,7 @@ def replication_columns(n1, n0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s_qcc = np.einsum("ij,ij,ij->i", q_hat, c, c)
         # the tail below is row-length: free the block-sized scratch first
         del p_hat, q_hat, log_ratio, b, c
-        sigma2 = _variance_from_sums(p, m0 / (m1 + m0), s_pb, s_pbb, s_qc, s_qcc)
+        sigma2 = _variance_from_sums(m1 / (m1 + m0), m0 / (m1 + m0), s_pb, s_pbb, s_qc, s_qcc)
         estimate[degenerate] = sigma2[degenerate] = np.nan
         return reason, estimate, sigma2
 

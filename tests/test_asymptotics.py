@@ -313,9 +313,6 @@ class TestPluginSigma2:
         with pytest.raises(DegenerateSampleError,
                            match="^empty label class: no samples with label 1$"):
             plugin_sigma2(CountTable(n1=np.array([0, 0]), n0=np.array([2, 3])))
-        with pytest.raises(DegenerateSampleError,
-                           match="^empty label class: label-1 frequency rounds to 1$"):
-            plugin_sigma2(CountTable(n1=np.array([4 * 10**18, 4 * 10**18]), n0=np.array([1, 1])))
 
     def test_zero_when_empirical_laws_match(self):
         counts = CountTable(n1=np.array([2, 2]), n0=np.array([2, 2]))
@@ -332,9 +329,12 @@ class TestPluginSigma2:
         assert lower < est < upper
         # sigma2 within 1e-13 of 60 digits, here and above 2**53 draws, where the
         # counts round to float64: the label-0 frequency is taken as m0 / n, since
-        # 1 - m1 / n cancels (2.2e-5 and 8.1e-6 off in sigma2)
+        # 1 - m1 / n cancels (2.2e-5 and 8.1e-6 off in sigma2), and in the last two
+        # tables rounds to 0 (a label-1 frequency of 1.0 in float64)
         for n1, n0 in (([10**13, 1], [5, 5]),
-                       ([123456789012345678, 987654321098765432], [1234567, 7654321])):
+                       ([123456789012345678, 987654321098765432], [1234567, 7654321]),
+                       ([4 * 10**18, 4 * 10**18], [1, 3]),
+                       ([3146744646535908222, 3146744646535908223], [261, 262])):
             sigma2 = plugin_sigma2(CountTable(n1=np.array(n1), n0=np.array(n0)))
             assert sigma2 == pytest.approx(decimal_sigma2(n1, n0), rel=1e-13, abs=0.0)
 

@@ -8,9 +8,10 @@ import os
 import signal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from symkl import cli, montecarlo
+from symkl import CountTable, cli, montecarlo, plug_in_estimate
 from symkl.io import config_to_dict, parse_config_dict, write_json
 
 from conftest import run_child, run_python
@@ -89,12 +90,17 @@ class TestEstimate:
         assert "degenerate sample" in err
         assert "zero cell" in err
 
-    def test_label_frequency_rounding_to_one_exit_2(self, tmp_path, capsys):
-        # 523 label-0 draws in 6.3e18: the label-1 frequency is 1.0 in float64
-        text = "3146744646535908222,3146744646535908223\n261,262\n"
+    def test_label_frequency_rounding_to_one_exit_0(self, tmp_path, capsys):
+        # 523 label-0 draws in 6.3e18: the label-1 frequency is 1.0 in float64,
+        # yet both labels are drawn and every cell is positive
+        n1, n0 = [3146744646535908222, 3146744646535908223], [261, 262]
+        text = f"{n1[0]},{n1[1]}\n{n0[0]},{n0[1]}\n"
         code, out, err = run(capsys, "estimate", counts_file(tmp_path, text))
-        assert (code, out) == (2, "")
-        assert "empty label class: label-1 frequency rounds to 1" in err
+        assert (code, err) == (0, "")
+        fields = parse_report(out)
+        counts = CountTable(n1=np.array(n1), n0=np.array(n0))
+        assert float(fields["estimate"]) == plug_in_estimate(counts)
+        assert math.isfinite(float(fields["ci_lo"])) and math.isfinite(float(fields["ci_hi"]))
 
     def test_identical_conditionals_warn_but_succeed(self, tmp_path, capsys):
         code, out, err = run(capsys, "estimate", counts_file(tmp_path, "2,2\n3,3\n"))

@@ -374,9 +374,7 @@ def out_of_place_columns(n1, n0, truth, z):
     """The kernel as plain expressions, one new array per step, with each
     table's size as an int64 column: the reference for the bits of the
     kernel, which reuses block arrays in place, and for the columns that
-    :class:`ReplicationColumns` derives at one scalar ``n``, by name.  It
-    lacks the kernel's rounding test for the label-1 frequency, which only
-    sizes above 2**53 reach."""
+    :class:`ReplicationColumns` derives at one scalar ``n``, by name."""
     m1 = n1.sum(axis=1)
     m0 = n0.sum(axis=1)
     sizes = m1 + m0
@@ -490,24 +488,19 @@ class TestReplicationColumns:
             # p_hat[1] near 1e-13: every cell is positive, so the table has an estimate
             tiny = assert_columns_match_oracle(np.array([[10**13, 1]]), np.array([[5, 5]]), truth)
             assert row_values(tiny, "estimate") == [14.966803104458304]
-            # the label-1 frequency rounds to 1: label 0 is empty in double precision
-            for count in (1 << 60, 4 * 10**18):
-                n1_huge, n0_huge = np.array([[count, count]]), np.array([[1, 1]])
-                with pytest.raises(DegenerateSampleError) as info:
-                    plug_in_estimate(CountTable(n1=n1_huge[0], n0=n0_huge[0]))
-                assert str(info.value) == "empty label class: label-1 frequency rounds to 1"
-                huge = assert_columns_match_oracle(n1_huge, n0_huge, truth)
-                assert row_values(huge, "reason") == [REASON_EMPTY_LABEL]
-            # above 2**53 draws the scalar rule rounds the label-1 frequency as
-            # the kernel does, from the float64 values of both counts
-            n1_huge = np.array([[3146744646535908222, 3146744646535908223]])
-            huge = assert_columns_match_oracle(n1_huge, np.array([[261, 262]]), truth)
-            assert row_values(huge, "reason") == [REASON_EMPTY_LABEL]
-            n1_huge = np.array([[123456789012345678, 987654321098765432]])
-            n0_huge = np.array([[1234567, 7654321]])
+            # above 2**53 draws, where the counts round to float64, the values are
+            # the scalar functions' own; in all but the last table the label-1
+            # frequency rounds to 1, yet both labels are drawn
+            n1_huge = np.array([[1 << 60] * 2, [4 * 10**18] * 2, [4 * 10**18] * 2,
+                                [3146744646535908222, 3146744646535908223],
+                                [123456789012345678, 987654321098765432]])
+            n0_huge = np.array([[1, 1], [1, 1], [1, 3], [261, 262], [1234567, 7654321]])
             huge = assert_columns_match_oracle(n1_huge, n0_huge, truth)
-            sigma2 = plugin_sigma2(CountTable(n1=n1_huge[0], n0=n0_huge[0]))
-            assert row_values(huge, "sigma2_hat") == [sigma2]
+            assert row_values(huge, "reason") == [REASON_NONE] * 5
+            for row, n1_row, n0_row in zip(huge, n1_huge, n0_huge):
+                counts = CountTable(n1=n1_row, n0=n0_row)
+                assert row.estimate[0] == plug_in_estimate(counts)
+                assert row.sigma2_hat[0] == plugin_sigma2(counts)
 
     @pytest.mark.parametrize("r", [2, 50, 1000])
     def test_in_place_kernel_keeps_every_bit(self, r):
