@@ -56,10 +56,8 @@ def normal_cdf(x):
 
 
 def normal_quantile(prob: float) -> float:
-    """Standard normal quantile; ``prob`` must lie strictly in (0, 1)."""
-    prob = as_real(prob, "prob")
-    if not 0.0 < prob < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {prob!r}")
+    """Standard normal quantile; ``prob`` must lie in (0, 1)."""
+    prob = as_real(prob, "prob", 0, 1)
     try:  # NormalDist.inv_cdf's own C routine, without statistics' decimal and fractions
         from _statistics import _normal_dist_inv_cdf
     except ImportError:  # a Python built without it
@@ -71,9 +69,7 @@ def normal_quantile(prob: float) -> float:
 def interval_z(level, name: str) -> float:
     """Quantile ``z`` at ``(1 + level) / 2`` of a two-sided interval; a ValueError
     names ``name`` unless ``level`` is a real in (0, 1) and ``(1 + level) / 2 < 1``."""
-    level = as_real(level, name)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"{name} must lie strictly in (0, 1), got {level!r}")
+    level = as_real(level, name, 0, 1)
     if (1.0 + level) / 2.0 == 1.0:
         raise ValueError(f"{name} {level!r} is too close to 1: (1 + {name}) / 2 rounds to 1")
     return normal_quantile((1.0 + level) / 2.0)
@@ -163,15 +159,11 @@ def confidence_interval(estimate: float, sigma2: float, n: int,
     ------
     ValueError
         If :func:`interval_z` rejects ``level``, ``estimate`` is not a
-        finite real, ``sigma2`` is not a finite real >= 0, or ``n`` is not
-        an integer in [1, 2**63 - 1].
+        real in (-inf, inf), ``sigma2`` is not a real in [0, inf), or ``n``
+        is not an integer in [1, 2**63 - 1].
     """
     z = interval_z(level, "level")
-    estimate = as_real(estimate, "estimate")
-    if not math.isfinite(estimate):
-        raise ValueError(f"estimate must be a finite real, got {estimate!r}")
-    sigma2 = as_real(sigma2, "sigma2")
-    if not 0.0 <= sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be a finite real >= 0, got {sigma2!r}")
+    estimate = as_real(estimate, "estimate", -math.inf, math.inf)
+    sigma2 = as_real(sigma2, "sigma2", 0, math.inf, "[)")
     half = z * math.sqrt(sigma2 / as_integral(n, "n", 1, MAX_COUNT))
     return estimate - half, estimate + half

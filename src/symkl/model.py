@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import MAX_COUNT, as_integral, block_stream
+from .streams import MAX_COUNT, as_integral, block_stream, out_of_range
 
 # Entries at or below this are treated as numerically zero; strict
 # positivity means every entry exceeds it.
@@ -43,19 +43,30 @@ def _real(value, name: str) -> float:
         raise ValueError(f"{name} must be real, got {value!r}") from None
 
 
-def as_real(value, name: str, array: bool = False):
+def as_real(value, name: str, lo: float | None = None, hi: float = math.inf, ends: str = "()",
+            array: bool = False):
     """``float(value)``, or with ``array`` ``value`` as a float64 array.  A
     string, bytes, None, any other object that is no number, a complex
     value, even with a zero imaginary part, or an integer too large for a
-    float raises ValueError naming ``name``."""
+    float raises ValueError naming ``name``.  Given ``lo``, so does a value
+    outside the interval from ``lo`` to ``hi`` that ``ends`` brackets, as
+    :func:`~symkl.streams.out_of_range` words it with the first such value;
+    NaN lies outside every interval."""
     if not array:
-        return _real(value, name)
-    arr = np.asarray(value)
-    if arr.dtype.kind == "O":  # Python integers beyond int64, or None or a string among numbers
-        return np.array([_real(v, name) for v in arr.ravel().tolist()]).reshape(arr.shape)
-    if arr.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must be real, got {value!r}")
-    return arr.astype(np.float64, copy=False)
+        x = _real(value, name)
+    else:
+        arr = np.asarray(value)
+        if arr.dtype.kind == "O":  # Python integers beyond int64, or None or a string among numbers
+            x = np.array([_real(v, name) for v in arr.ravel().tolist()]).reshape(arr.shape)
+        elif arr.dtype.kind in "biuf":
+            x = arr.astype(np.float64, copy=False)
+        else:
+            raise ValueError(f"{name} must be real, got {value!r}")
+    if lo is not None:
+        inside = (lo <= x if ends[0] == "[" else lo < x) & (x <= hi if ends[1] == "]" else x < hi)
+        if not np.all(inside):
+            raise out_of_range(name, lo, hi, float(np.ravel(x)[np.argmin(inside)]), ends)
+    return x
 
 
 def check_type(value, cls: type, name: str) -> None:
@@ -69,18 +80,14 @@ def as_prob_vector(values, *, name: str = "probability vector") -> np.ndarray:
     """Validate ``values`` as a probability vector.
 
     Returns a read-only float64 copy.  Requires a 1-d array of length >= 2
-    with finite nonnegative entries summing to 1 within ``SIMPLEX_ATOL``,
+    with entries in [0, inf) summing to 1 within ``SIMPLEX_ATOL``,
     each of them above ``EPS_POSITIVE``.
     """
-    vec = as_real(values, name, array=True)
+    vec = as_real(values, name, 0, math.inf, "[)", array=True)
     if vec.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {vec.shape}")
     if vec.size < 2:
         raise ValueError(f"{name} needs at least 2 entries, got {vec.size}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.any(vec < 0.0):
-        raise ValueError(f"{name} contains negative entries")
     try:
         total = math.fsum(vec.tolist())
     except OverflowError:  # finite entries whose sum is beyond the float range
@@ -142,9 +149,7 @@ class PopulationModel:
     cond_q: np.ndarray
 
     def __post_init__(self) -> None:
-        prob = as_real(self.label_prob, "label_prob")
-        if not math.isfinite(prob) or not 0.0 < prob < 1.0:
-            raise ValueError(f"label_prob must lie strictly in (0, 1), got {prob!r}")
+        prob = as_real(self.label_prob, "label_prob", 0, 1)
         p = as_prob_vector(self.cond_p, name="cond_p")
         q = as_prob_vector(self.cond_q, name="cond_q")
         _check_same_length(p, q)

@@ -502,7 +502,7 @@ def bound_table(
         Population the bounds refer to.
     n_grid, g_grid : sequence
         Sample sizes (integers >= 1; integral floats such as ``1e4`` pass) and
-        thresholds (positive reals); each is deduplicated and sorted ascending.
+        thresholds (reals in (0, inf)); each is deduplicated and sorted ascending.
         The thresholds default to ``DEFAULT_G_GRID``, as :func:`run_experiment`'s.
     replications : int
         Monte Carlo budget per sample size for the empirical frequencies;
@@ -526,11 +526,10 @@ def bound_table(
     """
     check_type(model, PopulationModel, "model")
     n_values = sorted(set(_sample_sizes(n_grid, "n_grid")))
-    g_values = sorted({as_real(g, "g_grid") for g in _as_tuple(g_grid, "g_grid", "reals")})
+    g_values = sorted({as_real(g, "g_grid", 0, math.inf)
+                       for g in _as_tuple(g_grid, "g_grid", "reals")})
     if not g_values:
         raise ValueError("g_grid is empty")
-    if any(not math.isfinite(g) or g <= 0.0 for g in g_values):
-        raise ValueError("thresholds must be positive reals")
     replications = as_integral(replications, "replications", 0, REP_INDEX_LIMIT)
     master_seed = as_integral(master_seed, "master_seed", 0, SEED_LIMIT - 1)
     return _table_pass(model, n_values, replications, master_seed, workers, g_values=g_values)[1]
@@ -544,15 +543,13 @@ def ks_statistic(values) -> float:
     ``F``'s scratch is that of one chunk; every term is elementwise and the
     maximum is exact, so the chunks change no bit.
     """
-    arr = as_real(values, "values", array=True)
+    arr = as_real(values, "values", -math.inf, math.inf, array=True)
     if arr.ndim != 1:
         raise ValueError(f"ks_statistic needs a 1-d sample, got shape {arr.shape}")
     arr = np.sort(arr)
     m = arr.size
     if m == 0:
         raise ValueError("ks_statistic needs a nonempty sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("ks_statistic needs finite values")
     d_plus = d_minus = -math.inf
     for start in range(0, m, _KS_CHUNK):
         cdf_vals = normal_cdf(arr[start:start + _KS_CHUNK])

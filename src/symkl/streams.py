@@ -26,6 +26,8 @@ range raises ``ValueError`` rather than wrap onto the key.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TAG_REPLICATION = 0
@@ -47,15 +49,16 @@ def _limit_text(bound: int) -> str:
     return str(bound)
 
 
-def out_of_range(name: str, lo: int, hi: int | None, got) -> ValueError:
-    """The range error ``"{name} must lie in [lo, hi], got {got}"`` (``[lo, inf)``
-    without ``hi``)."""
-    high = "inf)" if hi is None else f"{_limit_text(hi)}]"
-    return ValueError(f"{name} must lie in [{_limit_text(lo)}, {high}, got {got}")
+def out_of_range(name: str, lo: float, hi: float, got, ends: str = "[]") -> ValueError:
+    """The range error ``"{name} must lie in [lo, hi], got {got}"``, bracketed by
+    ``ends``, such as ``"()"`` for an open interval; an infinite end is open."""
+    left = "(-inf" if lo == -math.inf else f"{ends[0]}{_limit_text(lo)}"
+    right = "inf)" if hi == math.inf else f"{_limit_text(hi)}{ends[1]}"
+    return ValueError(f"{name} must lie in {left}, {right}, got {got}")
 
 
-def as_integral(value, name: str, lo: int, hi: int | None = None) -> int:
-    """``value`` as an int in ``[lo, hi]`` (no upper end when ``hi`` is None): an
+def as_integral(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """``value`` as an int in ``[lo, hi]`` (no upper end when ``hi`` is inf): an
     int, a bool, a numpy integer or another number equal to its ``int()``, such as
     ``1e4`` or ``Decimal("1e400")``.  Anything else (a fractional part, inf, nan, a
     str, None, a complex number, a list) raises ValueError naming ``name``, and so
@@ -66,7 +69,7 @@ def as_integral(value, name: str, lo: int, hi: int | None = None) -> int:
             raise TypeError
     except (TypeError, ValueError, OverflowError):  # int() of nan and of inf
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if number < lo or (hi is not None and number > hi):
+    if not lo <= number <= hi:  # an int and a float compare exactly
         # a value too long for str() under the interpreter's digit limit is described
         raise out_of_range(name, lo, hi, number if number.bit_length() <= 2000 else (
             f"{'a negative' if number < 0 else 'an'} integer of {number.bit_length()} bits"))

@@ -146,7 +146,7 @@ class TestEstimate:
         # a usage error whether or not the table has an estimate; at the
         # largest double below 1, (1 + level) / 2 rounds to 1
         for level, message in (
-            ("1.5", "error: level must lie strictly in (0, 1), got 1.5\n"),
+            ("1.5", "error: level must lie in (0, 1), got 1.5\n"),
             ("0.9999999999999999", "error: level 0.9999999999999999 is too close to 1: "
                                    "(1 + level) / 2 rounds to 1\n"),
         ):

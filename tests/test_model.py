@@ -21,6 +21,7 @@ from symkl import (
     sample_batch,
     sym_kl_divergence,
 )
+from symkl.asymptotics import interval_z
 from symkl.model import TableBlock, sample_counts
 from symkl.streams import block_stream, replication_stream
 
@@ -54,7 +55,8 @@ class TestProbVectorValidation:
             as_prob_vector([[0.5, 0.5]])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=r"^probability vector must lie in \[0, inf\), "
+                                             r"got -0\.1$"):
             as_prob_vector([-0.1, 1.1])
 
     def test_rejects_bad_sum(self):
@@ -70,7 +72,8 @@ class TestProbVectorValidation:
         as_prob_vector([0.5, 0.5 + 1e-13])
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"^probability vector must lie in \[0, inf\), "
+                                             r"got nan$"):
             as_prob_vector([np.nan, 1.0])
 
     def test_positive_rejects_zero_entry(self):
@@ -246,13 +249,13 @@ class TestPopulationModel:
     pytest.param(lambda: ks_statistic([{}, 1.0]), r"values must be real, got \{\}$",
                  id="ks_statistic-dict"),
     pytest.param(lambda: normal_cdf({1.0}), r"x must be real, got \{1\.0\}$", id="normal_cdf-set"),
-    # a variance that is no finite real >= 0, not a math domain error or a bad interval
+    # a variance outside [0, inf), not a math domain error or a bad interval
     *(pytest.param(lambda sigma2=sigma2: confidence_interval(1.0, sigma2, 8, 0.95),
                    message, id=f"confidence_interval-sigma2-{sigma2!r}")
       for sigma2, message in (
-          (-1.0, r"sigma2 must be a finite real >= 0, got -1\.0$"),
-          (math.nan, "sigma2 must be a finite real >= 0, got nan$"),
-          (math.inf, "sigma2 must be a finite real >= 0, got inf$"),
+          (-1.0, r"sigma2 must lie in \[0, inf\), got -1\.0$"),
+          (math.nan, r"sigma2 must lie in \[0, inf\), got nan$"),
+          (math.inf, r"sigma2 must lie in \[0, inf\), got inf$"),
           ("1.0", "sigma2 must be real, got '1.0'$"),
           (None, "sigma2 must be real, got None$"),
           (1 + 0j, r"sigma2 must be real, got \(1\+0j\)$"),
@@ -263,6 +266,56 @@ def test_integer_beyond_float_range_is_a_value_error(call, message):
     # a ComplexWarning or a TypeError
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
+
+
+MODEL = PopulationModel(0.5, (0.5, 0.5), (0.25, 0.75))
+
+# Every real input with an interval: a call of one value, the field its message
+# names, the interval as the message writes it, and a value outside it at each
+# end (an open end itself, or beyond).  An array input is checked entry by entry.
+REAL_INPUTS = [
+    pytest.param(lambda v: PopulationModel(v, (0.5, 0.5), (0.25, 0.75)), "label_prob", "(0, 1)",
+                 0.0, 1.5, id="PopulationModel-label_prob"),
+    pytest.param(lambda v: PopulationModel(0.5, (0.5, v), (0.25, 0.75)), "cond_p", "[0, inf)",
+                 -0.5, math.inf, id="PopulationModel-cond_p"),
+    pytest.param(lambda v: PopulationModel(0.5, (0.5, 0.5), (v, 0.75)), "cond_q", "[0, inf)",
+                 -1e-300, math.inf, id="PopulationModel-cond_q"),
+    pytest.param(lambda v: as_prob_vector([0.5, v, 0.5]), "probability vector", "[0, inf)",
+                 -0.5, math.inf, id="as_prob_vector"),
+    pytest.param(lambda v: ExperimentConfig(MODEL, (10,), 2, 0, ci_level=v), "ci_level",
+                 "(0, 1)", -0.5, 1.0, id="ExperimentConfig-ci_level"),
+    pytest.param(lambda v: interval_z(v, "level"), "level", "(0, 1)", 0.0, 1.5, id="interval_z"),
+    pytest.param(lambda v: normal_quantile(v), "prob", "(0, 1)", -0.5, 1.0,
+                 id="normal_quantile"),
+    pytest.param(lambda v: confidence_interval(1.0, 1.0, 8, v), "level", "(0, 1)", 0.0, 2.0,
+                 id="confidence_interval-level"),
+    pytest.param(lambda v: confidence_interval(v, 1.0, 8, 0.95), "estimate", "(-inf, inf)",
+                 -math.inf, math.inf, id="confidence_interval-estimate"),
+    pytest.param(lambda v: confidence_interval(1.0, v, 8, 0.95), "sigma2", "[0, inf)",
+                 -1.0, math.inf, id="confidence_interval-sigma2"),
+    pytest.param(lambda v: bound_table(MODEL, [10], [0.1, v]), "g_grid", "(0, inf)",
+                 -0.1, math.inf, id="bound_table-g_grid"),
+    pytest.param(lambda v: ks_statistic([0.0, v, 1.0]), "values", "(-inf, inf)",
+                 -math.inf, math.inf, id="ks_statistic"),
+]
+
+
+@pytest.mark.parametrize("call, field, interval, below, above", REAL_INPUTS)
+def test_real_input_interval(call, field, interval, below, above):
+    for value in (below, above, math.nan):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{field} must lie in {interval}, got {value}"
+
+
+def test_array_reports_its_first_value_outside():
+    with pytest.raises(ValueError, match=r"^values must lie in \(-inf, inf\), got nan$"):
+        ks_statistic(np.array([[0.0, np.nan], [-np.inf, np.inf]]))
+    # the entries are checked before the shape, and past int64 one by one
+    with pytest.raises(ValueError, match=r"^cond_p must lie in \[0, inf\), got -1\.0$"):
+        as_prob_vector(np.array([[0.5, -1.0]]), name="cond_p")
+    with pytest.raises(ValueError, match=r"^cond_p must lie in \[0, inf\), got -1\.0$"):
+        as_prob_vector(np.array([2**70, -1], dtype=object), name="cond_p")
 
 
 @pytest.mark.parametrize("call, message", [

@@ -247,7 +247,7 @@ class TestKsStatistic:
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError, match="nonempty"):
             ks_statistic([])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"^values must lie in \(-inf, inf\), got inf$"):
             ks_statistic([0.0, float("inf")])
 
     @pytest.mark.parametrize("m", sorted({montecarlo._KS_CHUNK - 1, montecarlo._KS_CHUNK,
@@ -501,6 +501,40 @@ class TestReplicationColumns:
                 counts = CountTable(n1=n1_row, n0=n0_row)
                 assert row.estimate[0] == plug_in_estimate(counts)
                 assert row.sigma2_hat[0] == plugin_sigma2(counts)
+
+    @pytest.mark.parametrize("r", [2, 50, 1000])
+    def test_label_swap_keeps_every_bit(self, r):
+        # swapping n1 and n0 swaps p_hat and q_hat, which the estimate and the
+        # variance take symmetrically: the kernel and the scalar oracles keep
+        # every bit.  Permuting the symbols only reorders the row sums.
+        rng = np.random.default_rng(4200 + r)
+        tables = []
+        for label_prob in (0.02, 0.3, 0.5, 0.9):
+            model = PopulationModel(label_prob, random_simplex(rng, r, min_entry=1e-7),
+                                    random_simplex(rng, r, min_entry=1e-7))
+            for n in (4 * r, 2000 * r, 10**6 * r):
+                tables.append(sample_counts(model, n, 10, rng))
+        n1 = np.vstack([t[0] for t in tables])
+        n0 = np.vstack([t[1] for t in tables])
+        n1[0], n0[1], n1[2, 0] = 0, 0, 0  # an empty label class each way, and an empty cell
+        if r == 2:  # extreme tables: one label class of a few draws among up to 8e18
+            n1 = np.vstack([n1, [[4 * 10**18] * 2, [3146744646535908222, 3146744646535908223],
+                                 [10**6] * 2, [1, 1]]])
+            n0 = np.vstack([n0, [[1, 3], [261, 262], [1, 1], [10**6, 3]]])
+        columns = replication_columns(n1, n0)
+        reason = columns[0]
+        assert (reason == REASON_NONE).any() and (reason != REASON_NONE).any()
+        for column, swapped in zip(columns, replication_columns(n0, n1)):
+            assert column.tobytes() == swapped.tobytes()
+        order = rng.permutation(r)
+        permuted = replication_columns(n1[:, order], n0[:, order])
+        assert np.array_equal(permuted[0], reason)
+        for column, other in zip(columns[1:], permuted[1:]):
+            np.testing.assert_allclose(other, column, rtol=1e-14, atol=0.0)
+        for i in np.flatnonzero(reason == REASON_NONE):
+            counts, swapped = CountTable(n1[i], n0[i]), CountTable(n0[i], n1[i])
+            assert plug_in_estimate(swapped).hex() == plug_in_estimate(counts).hex()
+            assert plugin_sigma2(swapped).hex() == plugin_sigma2(counts).hex()
 
     @pytest.mark.parametrize("r", [2, 50, 1000])
     def test_in_place_kernel_keeps_every_bit(self, r):

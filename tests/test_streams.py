@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from symkl.streams import (
     REP_INDEX_LIMIT,
     SEED_LIMIT,
     block_stream,
+    out_of_range,
     replication_stream,
 )
 
@@ -136,3 +138,16 @@ def test_integer_input_range(call, field, lo, hi, accepted):
         with pytest.raises(ValueError) as info:
             call(value)
         assert str(info.value) == f"{field} must lie in {shown}, got {text}"
+
+
+@pytest.mark.parametrize("lo, hi, got, ends, message", [
+    (1, MAX_COUNT, 0, "[]", "n must lie in [1, 2**63 - 1], got 0"),
+    (1, math.inf, 0, "[]", "n must lie in [1, inf), got 0"),
+    (0, 1, 1.5, "()", "n must lie in (0, 1), got 1.5"),
+    (0, math.inf, -1.0, "[)", "n must lie in [0, inf), got -1.0"),
+    (0.5, 2.5, 3.0, "(]", "n must lie in (0.5, 2.5], got 3.0"),
+    # an infinite end is open, whatever its bracket
+    (-math.inf, math.inf, math.nan, "[]", "n must lie in (-inf, inf), got nan"),
+])
+def test_out_of_range_writes_each_end(lo, hi, got, ends, message):
+    assert str(out_of_range("n", lo, hi, got, ends)) == message
